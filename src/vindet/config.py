@@ -157,6 +157,8 @@ class ExperimentConfig:
         self.loss.validate()
         if self.train.batch < 1 or self.train.iters < 0:
             raise ValueError("train.batch >= 1 and train.iters >= 0 required")
+        if self.train.eval_every < 1:
+            raise ValueError(f"train.eval_every must be >= 1, got {self.train.eval_every}")
         if self.perturb.kind not in ("none", "jpeg", "gaussian"):
             raise ValueError(f"unknown perturbation {self.perturb.kind!r}")
         if not 1 <= self.perturb.jpeg_quality <= 100:

@@ -1,6 +1,10 @@
 """Multi-pyramid decoder: per-stage view fusion, deep-feature gating,
 frequency-guided attention, high-level guidance, and the prediction head.
 
+Every input carries a leading batch axis: stage views are (B,T,S,S,c),
+fused stage features, band features and guidance features are (B,S,S,c),
+and the output is (B,H,W).
+
 Stage features flow deep-to-shallow. The product with accumulated deep
 semantics goes through a sigmoid gate so raw feature magnitudes cannot blow
 up; the band-feature product enters through a bias-free 1x1 return and adds
@@ -19,12 +23,12 @@ from .tensor import Tensor
 
 
 def _expand_temporal(x: Tensor, v: int) -> Tensor:
-    """Stretch the leading temporal axis to length v by index replication."""
-    t = x.shape[0]
+    """Stretch the temporal axis (axis 1) to length v by index replication."""
+    t = x.shape[1]
     if t == v:
         return x
     idx = (np.arange(v) * t) // v
-    return T.gather_rows(x, idx)
+    return T.gather_rows(x, idx, axis=1)
 
 
 class TffBlock(nn.Module):
@@ -34,20 +38,20 @@ class TffBlock(nn.Module):
     def __init__(self, c_in_total: int, c_out: int, rng: np.random.Generator,
                  groups: int = 4):
         super().__init__()
-        self.conv = nn.Conv3d(c_in_total, c_out, 3, rng, stride=1, padding=1)
+        self.conv = nn.Conv(c_in_total, c_out, (3, 3, 3), rng, padding=1)
         self.norm = nn.GroupNorm(c_out, groups)
 
     def __call__(self, views: list[Tensor]) -> Tensor:
-        side = views[0].shape[1]
+        side = views[0].shape[2]
         for z in views:
-            if z.shape[1] != side or z.shape[2] != side:
+            if z.shape[2] != side or z.shape[3] != side:
                 raise T.ShapeError(
                     f"view fusion: spatial sides differ, {[tuple(v.shape) for v in views]}"
                 )
-        v = max(z.shape[0] for z in views)
+        v = max(z.shape[1] for z in views)
         x = T.concat([_expand_temporal(z, v) for z in views], axis=-1)
         y = self.norm(self.conv(x))
-        return y.mean(axis=0)
+        return y.mean(axis=1)
 
 
 class FrequencyFusion(nn.Module):
@@ -57,12 +61,12 @@ class FrequencyFusion(nn.Module):
 
     def __init__(self, c: int, bands: int, rng: np.random.Generator):
         super().__init__()
-        self.lk = nn.Conv2d(c, bands, self.LK, rng, padding=self.LK // 2)
+        self.lk = nn.Conv(c, bands, (self.LK, self.LK), rng, padding=self.LK // 2)
         # bias-free return: zero band features must contribute exactly nothing
-        self.ret = nn.Conv2d(bands, c, 1, rng, bias=False)
+        self.ret = nn.Conv(bands, c, (1, 1), rng, bias=False)
 
     def __call__(self, f_c: Tensor, f_a: Tensor) -> Tensor:
-        if f_c.shape[:2] != f_a.shape[:2]:
+        if f_c.shape[:3] != f_a.shape[:3]:
             raise T.ShapeError(
                 f"frequency fusion: sides differ, {f_c.shape} vs {f_a.shape}"
             )
@@ -70,7 +74,7 @@ class FrequencyFusion(nn.Module):
 
 
 class PyramidDecoder(nn.Module):
-    """Emit the detection map for a clip's middle frame."""
+    """Emit the detection map for each clip's middle frame."""
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
         super().__init__()
@@ -89,20 +93,20 @@ class PyramidDecoder(nn.Module):
         self.gates = nn.ModuleList()
         for l in self.stages_used[:-1]:
             deeper = sum(ch[j] for j in self.stages_used if j > l)
-            self.gates.append(nn.Conv2d(deeper, ch[l], 1, rng))
+            self.gates.append(nn.Conv(deeper, ch[l], (1, 1), rng))
         if self.use_freq:
             self.freq_fuse = nn.ModuleList(
                 FrequencyFusion(ch[l], bands, rng) for l in self.stages_used
             )
-        self.proj_high = nn.Conv2d(cfg.glob.dim, ch[k - 1], 1, rng)
-        self.fuse_high = nn.Conv2d(2 * ch[k - 1], ch[k - 1], 1, rng)
+        self.proj_high = nn.Conv(cfg.glob.dim, ch[k - 1], (1, 1), rng)
+        self.fuse_high = nn.Conv(2 * ch[k - 1], ch[k - 1], (1, 1), rng)
         self.guide = nn.ModuleList()
         for prev, cur in zip(self.stages_used, self.stages_used[1:]):
-            self.guide.append(nn.Conv2d(ch[prev] + ch[cur], ch[prev], 3, rng, padding=1))
+            self.guide.append(nn.Conv(ch[prev] + ch[cur], ch[prev], (3, 3), rng, padding=1))
         c_head = ch[self.stages_used[0]]
-        self.head_conv = nn.Conv2d(c_head, c_head, 3, rng, padding=1)
+        self.head_conv = nn.Conv(c_head, c_head, (3, 3), rng, padding=1)
         # zero logits at start: M == 0.5 everywhere, no saturated pixels
-        self.head_out = nn.Conv2d(c_head, 1, 1, rng, zero_init=True)
+        self.head_out = nn.Conv(c_head, 1, (1, 1), rng, zero_init=True)
 
     def fuse_stages(self, stage_views: list[list[Tensor]]) -> list[Tensor]:
         return [self.tff[i](stage_views[l]) for i, l in enumerate(self.stages_used)]
@@ -111,7 +115,7 @@ class PyramidDecoder(nn.Module):
         """Gate each stage by upsampled deeper semantics; deepest passes through."""
         out = list(fs)
         for i in range(len(fs) - 1):
-            side = fs[i].shape[0]
+            side = fs[i].shape[1]
             ups = [T.upsample_bilinear2d(fs[j], (side, side)) for j in range(i + 1, len(fs))]
             gate = T.sigmoid(self.gates[i](T.concat(ups, axis=-1)))
             out[i] = fs[i] * gate
@@ -128,18 +132,18 @@ class PyramidDecoder(nn.Module):
             fc = [self.freq_fuse[i](fc[i], freq_pyramid[l])
                   for i, l in enumerate(self.stages_used)]
 
-        side_k = fc[-1].shape[0]
+        side_k = fc[-1].shape[1]
         high = self.proj_high(f_high)
-        if high.shape[0] != side_k:
+        if high.shape[1] != side_k:
             high = T.upsample_bilinear2d(high, (side_k, side_k))
         g = self.fuse_high(T.concat([fc[-1], high], axis=-1))
         for i in range(len(fc) - 2, -1, -1):
-            side = fc[i].shape[0]
-            assert side == 2 * g.shape[0], "pyramid sides must double stage to stage"
+            side = fc[i].shape[1]
+            assert side == 2 * g.shape[1], "pyramid sides must double stage to stage"
             up = T.upsample_bilinear2d(g, (side, side))
             g = self.guide[i](T.concat([fc[i], up], axis=-1))
 
         y = self.head_conv(g)
         y = T.upsample_bilinear2d(y, out_hw)
         y = self.head_out(y)
-        return T.sigmoid(y.reshape(out_hw[0], out_hw[1]))
+        return T.sigmoid(y.reshape(y.shape[0], out_hw[0], out_hw[1]))

@@ -3,10 +3,11 @@
 Each temporal view runs its own k-stage branch. A stage is ``depth`` pairs
 of window-attention blocks, the first of each pair unshifted, the second
 cyclically shifted by half a window with cross-boundary pairs masked out.
-Attention runs independently per temporal slice of the token grid; temporal
-mixing happens in tokenization and in the cross-view interaction. A plain
-full-attention transformer over the middle frame supplies high-level
-guidance features.
+Attention runs independently per clip and temporal slice of the token grid:
+a branch folds the (B, T) axes of its (B,T,S,S,c) input into the window
+batch. Temporal mixing happens in tokenization and in the cross-view
+interaction. A plain full-attention transformer over each clip's middle
+frame supplies high-level guidance features.
 """
 
 from __future__ import annotations
@@ -215,11 +216,14 @@ class ViewBranch(nn.Module):
             self.stages.append(blocks)
 
     def run_stage(self, x: Tensor, idx: int) -> Tensor:
+        """Stage ``idx`` on (B,T,S,S,c) tokens; returns (B,T,S',S',c')."""
+        b, t = x.shape[:2]
+        x = x.reshape(b * t, *x.shape[2:])
         if idx > 0:
             x = self.merges[idx - 1](x)
         for block in self.stages[idx]:
             x = block(x)
-        return x
+        return x.reshape(b, t, *x.shape[1:])
 
 
 class GlobalEncoder(nn.Module):
@@ -229,7 +233,7 @@ class GlobalEncoder(nn.Module):
                  rng: np.random.Generator):
         super().__init__()
         self.patch, self.dim = patch, dim
-        self.embed = nn.Conv2d(c_in, dim, patch, rng, stride=patch)
+        self.embed = nn.Conv(c_in, dim, (patch, patch), rng, stride=patch)
         self.blocks = nn.ModuleList()
         for _ in range(depth):
             blk = nn.Module()
@@ -240,10 +244,11 @@ class GlobalEncoder(nn.Module):
             self.blocks.append(blk)
 
     def __call__(self, frame: Tensor) -> Tensor:
+        """(B,H,W,C) frames -> (B,H/p,W/p,dim); attention stays within a frame."""
         g = self.embed(frame)
-        gh, gw, c = g.shape
-        x = g.reshape(1, gh * gw, c)
+        b, gh, gw, c = g.shape
+        x = g.reshape(b, gh * gw, c)
         for blk in self.blocks:
             x = x + blk.attn(blk.ln1(x))
             x = x + blk.mlp(blk.ln2(x))
-        return x.reshape(gh, gw, c)
+        return x.reshape(b, gh, gw, c)

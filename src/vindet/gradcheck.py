@@ -74,32 +74,33 @@ def _cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tensor]]:
     ln_b = Tensor(rng.normal(size=6) * 0.1)
     r46 = proj(4, 6)
     case("layer_norm", lambda x: T.reduce_sum(T.layer_norm(x, ln_g, ln_b) * r46), u(4, 6))
+    # batched ops take a batch of one here; tests/test_batching.py covers B=2
     gn_g = Tensor(rng.uniform(0.5, 1.5, size=8))
     gn_b = Tensor(rng.normal(size=8) * 0.1)
-    r338 = proj(3, 3, 8)
+    r338 = proj(1, 3, 3, 8)
     case("group_norm",
-         lambda x: T.reduce_sum(T.group_norm(x, gn_g, gn_b, 4) * r338), u(3, 3, 8))
+         lambda x: T.reduce_sum(T.group_norm(x, gn_g, gn_b, 4) * r338), u(1, 3, 3, 8))
 
     k2 = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4)
     b2 = Tensor(rng.normal(size=3) * 0.1)
-    r553 = proj(5, 5, 3)
-    case("conv2d", lambda x: T.reduce_sum(T.conv2d(x, k2, b2, 1, 1) * r553), u(5, 5, 2))
-    cx = Tensor(rng.uniform(-1, 1, size=(5, 5, 2)))
-    r223 = proj(2, 2, 3)
+    r553 = proj(1, 5, 5, 3)
+    case("conv2d", lambda x: T.reduce_sum(T.conv(x, k2, b2, 1, 1) * r553), u(1, 5, 5, 2))
+    cx = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
+    r223 = proj(1, 2, 2, 3)
     case("conv2d_weight",
-         lambda w: T.reduce_sum(T.conv2d(cx, w, None, 2, 0) * r223),
+         lambda w: T.reduce_sum(T.conv(cx, w, None, 2, 0) * r223),
          Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4))
     k3 = Tensor(rng.normal(size=(3, 3, 3, 2, 2)) * 0.4)
     b3 = Tensor(rng.normal(size=2) * 0.1)
-    r3442 = proj(3, 4, 4, 2)
-    case("conv3d", lambda x: T.reduce_sum(T.conv3d(x, k3, b3, 1, 1) * r3442),
-         u(3, 4, 4, 2))
+    r3442 = proj(1, 3, 4, 4, 2)
+    case("conv3d", lambda x: T.reduce_sum(T.conv(x, k3, b3, 1, 1) * r3442),
+         u(1, 3, 4, 4, 2))
 
     r222 = proj(2, 2, 2)
     case("avg_pool2d", lambda x: T.reduce_sum(T.avg_pool2d(x, 2) * r222), u(4, 4, 2))
-    r752 = proj(7, 5, 2)
+    r752 = proj(1, 7, 5, 2)
     case("upsample_bilinear2d",
-         lambda x: T.reduce_sum(T.upsample_bilinear2d(x, (7, 5)) * r752), u(4, 4, 2))
+         lambda x: T.reduce_sum(T.upsample_bilinear2d(x, (7, 5)) * r752), u(1, 4, 4, 2))
 
     grid = Tensor(rng.uniform(-0.85, 0.85, size=(6, 2)))
     r62 = proj(6, 2)

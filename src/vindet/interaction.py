@@ -60,30 +60,28 @@ class DeformableWindowCrossAttention(nn.Module):
         self.theta = OffsetNet(c, rng)
 
     def __call__(self, small: Tensor, large: Tensor) -> Tensor:
+        """(B,S,S,c) maps -> (B,S,S,c); the windows of all clips form one batch."""
         if small.shape != large.shape:
             raise T.ShapeError(
                 f"deformable attention: aligned maps differ, {small.shape} vs {large.shape}"
             )
-        s = small.shape[0]
         m = self.window
-        wins_small, _ = window_partition(small.reshape(1, s, s, self.c), m)
-        wins_large, meta_l = window_partition(large.reshape(1, s, s, self.c), m)
-        k_windows = wins_small.shape[0]
+        wins_small, _ = window_partition(small, m)
+        wins_large, meta_l = window_partition(large, m)
+        n_windows = wins_small.shape[0]              # B*K
 
-        q = self.wq(wins_large)                      # (K, m*m, c)
+        q = self.wq(wins_large)                      # (B*K, m*m, c)
         # one deformed point per query position, bounded to max_offset cells
         offsets = self.theta(q) * (self.max_offset * 2.0 / m)
-        base = Tensor(np.broadcast_to(_cell_center_grid(m)[None],
-                                      (k_windows, m * m, 2)).copy())
-        points = base + offsets
+        points = Tensor(_cell_center_grid(m)[None]) + offsets
         sampled = T.grid_sample_bilinear(
-            wins_small.reshape(k_windows, m, m, self.c), points
-        )                                            # (K, m*m, c)
+            wins_small.reshape(n_windows, m, m, self.c), points
+        )                                            # (B*K, m*m, c)
         k = self.wk(sampled)
         v = self.wv(sampled)
         scores = T.matmul(q, T.permute(k, (0, 2, 1))) * self.scale
         h = T.matmul(T.softmax(scores, axis=-1), v)
-        return window_merge(h, meta_l).reshape(s, s, self.c)
+        return window_merge(h, meta_l)
 
 
 class AdjacentPair(nn.Module):
@@ -98,19 +96,22 @@ class AdjacentPair(nn.Module):
         self.back = nn.Linear(common, c_large, rng, zero_init=True)
 
     def align(self, z_small: Tensor, z_large: Tensor):
-        if z_small.shape[1:3] != z_large.shape[1:3]:
+        """(B,T,S,S,c) views -> (B,S,S,common) temporal means."""
+        if z_small.shape[2:4] != z_large.shape[2:4]:
             raise T.ShapeError(
                 f"interaction: views at one stage must share spatial side, "
                 f"got {z_small.shape} and {z_large.shape}"
             )
-        small2d = self.align_small(z_small.mean(axis=0))
-        large2d = self.align_large(z_large.mean(axis=0))
+        small2d = self.align_small(z_small.mean(axis=1))
+        large2d = self.align_large(z_large.mean(axis=1))
         return small2d, large2d
 
     def __call__(self, z_small: Tensor, z_large: Tensor) -> Tensor:
         small2d, large2d = self.align(z_small, z_large)
-        h = self.attn(small2d, large2d)
-        return z_large + self.back(h)
+        h = self.back(self.attn(small2d, large2d))
+        b, s, _, c = h.shape
+        # the update is shared by every temporal slice of the larger view
+        return z_large + h.reshape(b, 1, s, s, c)
 
 
 class ViewInteraction(nn.Module):

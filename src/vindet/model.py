@@ -45,7 +45,8 @@ class InpaintingDetector(nn.Module):
 
     # ------------------------------------------------------------------
     def encode(self, frames: Tensor) -> list[list[Tensor]]:
-        """Per-stage, per-view features with interaction applied per stage."""
+        """Per-stage, per-view (B,T,S,S,c) features with interaction applied
+        per stage."""
         cur = [emb(frames).tokens for emb in self.embeds]
         per_stage = []
         for l in range(self.cfg.encoder.stages):
@@ -56,19 +57,31 @@ class InpaintingDetector(nn.Module):
         return per_stage
 
     def __call__(self, frames: np.ndarray | Tensor) -> Tensor:
-        """Detection map (H,W) in [0,1] for the clip's middle frame."""
+        """Detection maps in [0,1] for the middle frame of each clip.
+
+        ``frames`` is a batch (B,T,H,W,C), giving (B,H,W) maps, or one clip
+        (T,H,W,C), giving one (H,W) map; the single clip runs as a batch of one.
+        """
         ft = frames if isinstance(frames, Tensor) else Tensor(frames)
+        if ft.ndim == 4:
+            return self._forward(ft.reshape(1, *ft.shape)).reshape(ft.shape[1:3])
+        return self._forward(ft)
+
+    def _forward(self, ft: Tensor) -> Tensor:
         g = self.cfg.geometry
         stage_views = self.encode(ft)
         if self.cfg.decoder.use_frequency:
-            pyramid = frequency_features(
-                ft.data, self.cfg.stage_sides(),
-                (self.cfg.freq.low, self.cfg.freq.high),
-            ).pyramid
+            # the band features carry no gradient: build them per clip and stack
+            per_clip = [frequency_features(clip, self.cfg.stage_sides(),
+                                           (self.cfg.freq.low, self.cfg.freq.high)).pyramid
+                        for clip in ft.data]
+            pyramid = [Tensor(np.stack([p[l].data for p in per_clip]))
+                       for l in range(len(per_clip[0]))]
         else:
             pyramid = None
-        mid = middle_frame_index(ft.shape[0])
-        frame = T.slice_axis(ft, 0, mid, mid + 1).reshape(g.height, g.width, g.channels)
+        b, t = ft.shape[:2]
+        mid = middle_frame_index(t)
+        frame = T.slice_axis(ft, 1, mid, mid + 1).reshape(b, g.height, g.width, g.channels)
         f_high = self.global_enc(frame)
         return self.decoder(stage_views, pyramid, f_high, (g.height, g.width))
 

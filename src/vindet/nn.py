@@ -156,32 +156,21 @@ class GroupNorm(Module):
         return T.group_norm(x, self.g.tensor, self.b.tensor, self.groups)
 
 
-class Conv2d(Module):
-    def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int = 0, zero_init: bool = False,
-                 bias: bool = True):
+class Conv(Module):
+    """Channels-last convolution over a batch; ``kernel`` holds one size per
+    spatial axis, so its length sets the dimensionality."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: tuple, rng: np.random.Generator,
+                 stride=1, padding=0, zero_init: bool = False, bias: bool = True):
         super().__init__()
         self.stride, self.padding = stride, padding
-        w = np.zeros((k, k, c_in, c_out)) if zero_init else _normal(rng, (k, k, c_in, c_out))
-        self.w = Parameter(w)
+        shape = (*kernel, c_in, c_out)
+        self.w = Parameter(np.zeros(shape) if zero_init else _normal(rng, shape))
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         b = self.b.tensor if self.b is not None else None
-        return T.conv2d(x, self.w.tensor, b, self.stride, self.padding)
-
-
-class Conv3d(Module):
-    def __init__(self, c_in: int, c_out: int, k, rng: np.random.Generator,
-                 stride=1, padding=0):
-        super().__init__()
-        kd, kh, kw = (k, k, k) if isinstance(k, int) else k
-        self.stride, self.padding = stride, padding
-        self.w = Parameter(_normal(rng, (kd, kh, kw, c_in, c_out)))
-        self.b = Parameter(np.zeros(c_out))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv3d(x, self.w.tensor, self.b.tensor, self.stride, self.padding)
+        return T.conv(x, self.w.tensor, b, self.stride, self.padding)
 
 
 class Mlp(Module):

@@ -35,6 +35,8 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if buf[offset:offset + 4] != MAGIC:
         raise ValueError("bad tensor magic")
     code, rank = struct.unpack_from("<BB", buf, offset + 4)
+    if code not in _CODE_DTYPES:
+        raise ValueError(f"unknown tensor dtype code {code}")
     dims = struct.unpack_from(f"<{rank}I", buf, offset + 6)
     dtype = _CODE_DTYPES[code]
     n = int(np.prod(dims)) if rank else 1

@@ -9,8 +9,8 @@ bit-reproducible in single-threaded mode.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -23,16 +23,9 @@ class ShapeError(ValueError):
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-# Monotonic counter stamping tape entries with execution order.
-_seq_lock = threading.Lock()
-_seq_counter = 0
-
-
-def _next_seq() -> int:
-    global _seq_counter
-    with _seq_lock:
-        _seq_counter += 1
-        return _seq_counter
+# Monotonic counter stamping tape entries with execution order. Advancing
+# an itertools.count is a single C call, so it needs no lock.
+_next_seq = itertools.count(1).__next__
 
 
 class _GradMode:
@@ -67,7 +60,7 @@ class TapeEntry:
 class Tensor:
     """N-dimensional array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_entry")
+    __slots__ = ("data", "grad", "requires_grad", "_entry", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -109,8 +102,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # always a copy: a backward rule may hand one array to several inputs
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -187,7 +182,10 @@ def backward(loss: Tensor):
     """Populate gradients of everything ``loss`` depends on.
 
     Entries replay in exact reverse execution order. ``loss`` must be scalar
-    and have been produced while recording was enabled.
+    and have been produced while recording was enabled. Each entry drops its
+    backward rule once it has run: the rule's closure refers back to its
+    output, so keeping it would hold the graph in a reference cycle until a
+    cyclic garbage collection. A graph therefore back-propagates only once.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -207,10 +205,13 @@ def backward(loss: Tensor):
             if t._entry is not None and id(t._entry) not in seen:
                 stack.append(t._entry)
     entries.sort(key=lambda e: -e.seq)
+    if any(e.backward_fn is None for e in entries):
+        raise ValueError("backward: the graph was already back-propagated")
 
     loss.grad = np.ones_like(loss.data)
     for e in entries:
         e.backward_fn()
+        e.backward_fn = None
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +379,14 @@ def gelu(a) -> Tensor:
     """GELU in its tanh form: 0.5*x*(1+tanh(c*(x+0.044715*x^3)))."""
     a = as_tensor(a)
     x = a.data
-    u = _GELU_C * (x + 0.044715 * x ** 3)
+    x2 = x * x
+    u = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(u)
     out = Tensor(0.5 * x * (1.0 + t))
 
     def bwd():
         if a.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+            du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
             d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
             a.accumulate_grad(out.grad * d)
 
@@ -549,16 +551,17 @@ def roll(a, shift: int, axis: int) -> Tensor:
     return _record(out, (a,), bwd, "roll")
 
 
-def gather_rows(table, indices: np.ndarray) -> Tensor:
-    """Row lookup table[indices]; backward scatter-adds into the table."""
+def gather_rows(table, indices: np.ndarray, axis: int = 0) -> Tensor:
+    """Lookup of ``indices`` along ``axis`` (rows by default); backward
+    scatter-adds into the table."""
     table = as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(table.data[idx])
+    out = Tensor(np.take(table.data, idx, axis=axis))
 
     def bwd():
         if table.requires_grad:
             g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
+            np.add.at(np.moveaxis(g, axis, 0), idx, np.moveaxis(out.grad, axis, 0))
             table.accumulate_grad(g)
 
     return _record(out, (table,), bwd, "gather_rows")
@@ -675,11 +678,11 @@ def layer_norm(a, gamma, beta, eps: float = NORM_EPS) -> Tensor:
 
 
 def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
-    """Group normalization over channels-last input.
+    """Group normalization over channels-last input (B, ..., C).
 
-    Channels split into ``groups``; statistics pool over all non-channel axes
-    plus the in-group channels (no batch axis in this engine so a sample is
-    the whole tensor).
+    Channels split into ``groups``; statistics are per sample, pooled over
+    every axis between the batch axis and the channel axis plus the in-group
+    channels, so one sample's output never depends on another's.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     c = a.shape[-1]
@@ -690,13 +693,13 @@ def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
             f"group_norm: affine shapes {gamma.shape}/{beta.shape} do not match channel {c}"
         )
     gsz = c // groups
-    lead = a.shape[:-1]
-    x = a.data.reshape(-1, groups, gsz)
-    mu = x.mean(axis=(0, 2), keepdims=True)
+    bsz = a.shape[0]
+    x = a.data.reshape(bsz, -1, groups, gsz)
+    mu = x.mean(axis=(1, 3), keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=(0, 2), keepdims=True)
+    var = (xc * xc).mean(axis=(1, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (xc * inv).reshape(*lead, c)
+    y = (xc * inv).reshape(a.shape)
     out = Tensor(y * gamma.data + beta.data)
 
     def bwd():
@@ -706,10 +709,10 @@ def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
         if beta.requires_grad:
             beta.accumulate_grad(np.sum(g, axis=tuple(range(a.ndim - 1))))
         if a.requires_grad:
-            gy = (g * gamma.data).reshape(-1, groups, gsz)
-            yv = y.reshape(-1, groups, gsz)
-            m1 = gy.mean(axis=(0, 2), keepdims=True)
-            m2 = (gy * yv).mean(axis=(0, 2), keepdims=True)
+            gy = (g * gamma.data).reshape(bsz, -1, groups, gsz)
+            yv = y.reshape(bsz, -1, groups, gsz)
+            m1 = gy.mean(axis=(1, 3), keepdims=True)
+            m2 = (gy * yv).mean(axis=(1, 3), keepdims=True)
             ga = (gy - m1 - yv * m2) * inv
             a.accumulate_grad(ga.reshape(a.shape))
 
@@ -720,98 +723,56 @@ def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution, channels-last: x (H,W,Ci), w (kh,kw,Ci,Co), b (Co,)."""
-    x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d: expected (H,W,Ci) and (kh,kw,Ci,Co), got {x.shape} and {w.shape}")
-    if x.shape[2] != w.shape[2]:
-        raise ShapeError(f"conv2d: input channels differ, {x.shape} vs {w.shape}")
-    kh, kw, ci, co = w.shape
-    s, p = int(stride), int(padding)
-    xp = np.pad(x.data, ((p, p), (p, p), (0, 0)))
-    hp, wp = xp.shape[0], xp.shape[1]
-    ho = (hp - kh) // s + 1
-    wo = (wp - kw) // s + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} (pad {p})")
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))[::s, ::s]
-    # win: (ho, wo, Ci, kh, kw) -> cols (ho*wo, kh*kw*Ci)
-    cols = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * ci)
-    wmat = w.data.reshape(kh * kw * ci, co)
-    y = cols @ wmat
-    if b is not None:
-        b = as_tensor(b)
-        y = y + b.data
-    out = Tensor(y.reshape(ho, wo, co))
-    parents = (x, w) if b is None else (x, w, b)
+def conv(x, w, b=None, stride=1, padding=0) -> Tensor:
+    """N-d convolution by im2col, channels-last with a leading batch axis.
 
-    def bwd():
-        g2 = out.grad.reshape(ho * wo, co)
-        if w.requires_grad:
-            w.accumulate_grad((cols.T @ g2).reshape(w.shape))
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
-        if x.requires_grad:
-            dcols = (g2 @ wmat.T).reshape(ho, wo, kh, kw, ci)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[i:i + ho * s:s, j:j + wo * s:s] += dcols[:, :, i, j]
-            gx = gxp[p:p + x.shape[0], p:p + x.shape[1]] if p else gxp
-            x.accumulate_grad(gx)
-
-    return _record(out, parents, bwd, "conv2d")
-
-
-def conv3d(x, w, b=None, stride=1, padding=0) -> Tensor:
-    """3D convolution, channels-last: x (D,H,W,Ci), w (kd,kh,kw,Ci,Co).
-
-    stride/padding may be an int or a (d,h,w) triple.
+    ``x`` is (B, *spatial, Ci) and ``w`` is (*kernel, Ci, Co), with one kernel
+    axis per spatial axis; ``b`` is (Co,). ``stride`` and ``padding`` are an
+    int or one value per spatial axis; padding adds zeros on both sides.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 4 or w.ndim != 5:
-        raise ShapeError(f"conv3d: expected (D,H,W,Ci) and (kd,kh,kw,Ci,Co), got {x.shape} and {w.shape}")
-    if x.shape[3] != w.shape[3]:
-        raise ShapeError(f"conv3d: input channels differ, {x.shape} vs {w.shape}")
-    kd, kh, kw, ci, co = w.shape
-    sd, sh, sw = (stride, stride, stride) if isinstance(stride, int) else stride
-    pd, ph, pw = (padding, padding, padding) if isinstance(padding, int) else padding
-    xp = np.pad(x.data, ((pd, pd), (ph, ph), (pw, pw), (0, 0)))
-    do = (xp.shape[0] - kd) // sd + 1
-    ho = (xp.shape[1] - kh) // sh + 1
-    wo = (xp.shape[2] - kw) // sw + 1
-    if do <= 0 or ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv3d: kernel {w.shape} too large for input {x.shape}")
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(0, 1, 2))
-    win = win[::sd, ::sh, ::sw]
-    # win: (do,ho,wo,Ci,kd,kh,kw)
-    cols = win.transpose(0, 1, 2, 4, 5, 6, 3).reshape(do * ho * wo, kd * kh * kw * ci)
-    wmat = w.data.reshape(kd * kh * kw * ci, co)
+    nd = w.ndim - 2
+    if nd < 1 or x.ndim != nd + 2:
+        raise ShapeError(f"conv: expected (B,*spatial,Ci) and (*kernel,Ci,Co), got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"conv: input channels differ, {x.shape} vs {w.shape}")
+    ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
+    st = (int(stride),) * nd if np.isscalar(stride) else tuple(int(v) for v in stride)
+    pd = (int(padding),) * nd if np.isscalar(padding) else tuple(int(v) for v in padding)
+    xp = np.pad(x.data, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),))
+    outs = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[1:-1], ks, st))
+    if min(outs) <= 0:
+        raise ShapeError(f"conv: kernel {w.shape} too large for input {x.shape} (pad {pd})")
+    spatial = tuple(range(1, nd + 1))
+    win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=spatial)
+    win = win[(slice(None),) + tuple(slice(None, None, s) for s in st)]
+    # win: (B, *outs, Ci, *kernel) -> cols (B*prod(outs), prod(kernel)*Ci)
+    kern = tuple(range(nd + 2, 2 * nd + 2))
+    cols = win.transpose((0,) + spatial + kern + (nd + 1,)).reshape(-1, w.size // co)
+    wmat = w.data.reshape(-1, co)
     y = cols @ wmat
     if b is not None:
         b = as_tensor(b)
         y = y + b.data
-    out = Tensor(y.reshape(do, ho, wo, co))
+    out = Tensor(y.reshape(x.shape[:1] + outs + (co,)))
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd():
-        g2 = out.grad.reshape(do * ho * wo, co)
+        g2 = out.grad.reshape(-1, co)
         if w.requires_grad:
             w.accumulate_grad((cols.T @ g2).reshape(w.shape))
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0))
         if x.requires_grad:
-            dcols = (g2 @ wmat.T).reshape(do, ho, wo, kd, kh, kw, ci)
+            dcols = (g2 @ wmat.T).reshape(x.shape[:1] + outs + ks + (ci,))
             gxp = np.zeros_like(xp)
-            for a_ in range(kd):
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[a_:a_ + do * sd:sd, i:i + ho * sh:sh, j:j + wo * sw:sw] += dcols[:, :, :, a_, i, j]
-            gx = gxp[pd:pd + x.shape[0], ph:ph + x.shape[1], pw:pw + x.shape[2]]
-            x.accumulate_grad(gx)
+            for off in np.ndindex(*ks):
+                hit = tuple(slice(o, o + n * s, s) for o, n, s in zip(off, outs, st))
+                gxp[(slice(None),) + hit] += dcols[(slice(None),) * (nd + 1) + off]
+            inner = tuple(slice(p, p + n) for p, n in zip(pd, x.shape[1:-1]))
+            x.accumulate_grad(gxp[(slice(None),) + inner])
 
-    return _record(out, parents, bwd, "conv3d")
+    return _record(out, parents, bwd, "conv")
 
 
 # ---------------------------------------------------------------------------
@@ -855,11 +816,11 @@ _BILINEAR_CACHE: dict = {}
 
 
 def upsample_bilinear2d(x, out_hw) -> Tensor:
-    """Bilinear 2D resize of (H,W,C) to (Ho,Wo), align_corners=False."""
+    """Bilinear 2D resize of (B,H,W,C) to (B,Ho,Wo,C), align_corners=False."""
     x = as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"upsample_bilinear2d: expected (H,W,C), got {x.shape}")
-    h, w, c = x.shape
+    if x.ndim != 4:
+        raise ShapeError(f"upsample_bilinear2d: expected (B,H,W,C), got {x.shape}")
+    _, h, w, c = x.shape
     ho, wo = int(out_hw[0]), int(out_hw[1])
     key = (h, ho, str(x.dtype))
     if key not in _BILINEAR_CACHE:
@@ -869,13 +830,13 @@ def upsample_bilinear2d(x, out_hw) -> Tensor:
     if key not in _BILINEAR_CACHE:
         _BILINEAR_CACHE[key] = _bilinear_matrix(w, wo, x.data.dtype)
     rw = _BILINEAR_CACHE[key]
-    # y[o,p,c] = sum_ij rh[o,i] rw[p,j] x[i,j,c]
-    y = np.einsum("oi,ijc,pj->opc", rh, x.data, rw, optimize=True)
+    # y[b,o,p,c] = sum_ij rh[o,i] rw[p,j] x[b,i,j,c]
+    y = np.einsum("oi,bijc,pj->bopc", rh, x.data, rw, optimize=True)
     out = Tensor(y)
 
     def bwd():
         if x.requires_grad:
-            x.accumulate_grad(np.einsum("oi,opc,pj->ijc", rh, out.grad, rw, optimize=True))
+            x.accumulate_grad(np.einsum("oi,bopc,pj->bijc", rh, out.grad, rw, optimize=True))
 
     return _record(out, (x,), bwd, "upsample_bilinear2d")
 

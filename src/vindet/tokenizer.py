@@ -1,5 +1,7 @@
 """Clip tokenization: one token grid per temporal view via strided 3D conv.
 
+Clips arrive as a batch (B,T,H,W,C) and leave as token grids (B,T',S,S,c).
+
 A view of length t turns the clip into non-overlapping t x h x w tubelets;
 trailing frames that do not fill a tubelet are dropped (floor semantics).
 Also holds the on-disk clip format: P6 frames plus a manifest, P5 masks.
@@ -72,7 +74,7 @@ class ViewSpec:
 
 @dataclass
 class TokenGrid:
-    tokens: Tensor  # (floor(T/t), H/h, W/w, c)
+    tokens: Tensor  # (B, floor(T/t), H/h, W/w, c)
     view: int
 
 
@@ -92,14 +94,14 @@ class TubeletEmbed(nn.Module):
                  rng: np.random.Generator):
         super().__init__()
         self.view, self.patch = view, patch
-        self.proj = nn.Conv3d(c_in, c_out, (view, patch, patch), rng,
-                              stride=(view, patch, patch), padding=0)
+        self.proj = nn.Conv(c_in, c_out, (view, patch, patch), rng,
+                            stride=(view, patch, patch))
 
     def __call__(self, frames: Tensor) -> TokenGrid:
-        t = frames.shape[0]
+        t = frames.shape[1]
         usable = (t // self.view) * self.view
         if usable != t:
-            frames = T.slice_axis(frames, 0, 0, usable)
+            frames = T.slice_axis(frames, 1, 0, usable)
         return TokenGrid(self.proj(frames), self.view)
 
 
@@ -110,9 +112,9 @@ def tokenize_view(clip: VideoClip, spec: ViewSpec, view: int,
         raise ValueError(
             f"embedding built for view {embed.view}/patch {embed.patch}, asked for {view}/{spec.patch}"
         )
-    grid = embed(Tensor(clip.frames))
+    grid = embed(Tensor(clip.frames[None]))
     expected = tubelet_count(clip.t, clip.h, clip.w, view, spec.patch, spec.patch)
-    n = grid.tokens.shape[0] * grid.tokens.shape[1] * grid.tokens.shape[2]
+    n = grid.tokens.shape[1] * grid.tokens.shape[2] * grid.tokens.shape[3]
     assert n == expected
     return grid
 

@@ -2,7 +2,9 @@
 
 Encoder and decoder parameters use separate learning rates. Batch selection
 is a stateless function of (seed, iteration) so resuming from a checkpoint
-replays the exact remaining trajectory.
+replays the exact remaining trajectory. A step runs the whole batch through
+the model as one stacked forward and one backward; evaluation runs clip by
+clip.
 """
 
 from __future__ import annotations
@@ -69,6 +71,34 @@ def _batch_indices(rng: np.random.Generator, n: int, batch: int,
     take_n = rng.choice(neg_idx, size=batch - n_pos,
                         replace=neg_idx.size < batch - n_pos)
     return np.concatenate([take_p, take_n])
+
+
+def _train_step(model: InpaintingDetector, dataset, batch: np.ndarray,
+                rng: np.random.Generator, cfg: ExperimentConfig, it: int) -> float:
+    """Forward the stacked batch, back-propagate the mean per-clip loss and
+    return its value. The tape lives only in this frame, so it is freed on
+    return."""
+    frames, masks = [], []
+    for bi in batch:
+        _, clip, mask = dataset[int(bi)]
+        f = clip.frames
+        if cfg.train.augment:
+            f, mask = _dihedral(f, mask, int(rng.integers(0, 8)))
+        frames.append(f)
+        masks.append(mask)
+    maps = model(np.stack(frames))
+    h, w = maps.shape[1:]
+    loss = None
+    for b, mask in enumerate(masks):
+        m = T.slice_axis(maps, 0, b, b + 1).reshape(h, w)
+        term = total_loss(m, Tensor(mask), cfg.loss)
+        loss = term if loss is None else loss + term
+    loss = loss * (1.0 / len(masks))
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite loss at iteration {it}")
+    backward(loss)
+    return value
 
 
 def _dihedral(frames: np.ndarray, mask: np.ndarray, k: int):
@@ -217,19 +247,7 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
 
         rng = np.random.default_rng([cfg.seed, 7919, it])
         batch = _batch_indices(rng, n, cfg.train.batch, positives)
-        loss = None
-        for bi in batch:
-            _, clip, mask = dataset[int(bi)]
-            frames = clip.frames
-            if cfg.train.augment:
-                frames, mask = _dihedral(frames, mask, int(rng.integers(0, 8)))
-            term = total_loss(model(frames), Tensor(mask), cfg.loss)
-            loss = term if loss is None else loss + term
-        loss = loss * (1.0 / len(batch))
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        backward(loss)
+        value = _train_step(model, dataset, batch, rng, cfg, it)
         sgd_step(registry, lr_of, cfg.optim.weight_decay, cfg.optim.momentum, velocities)
 
         done = it + 1

@@ -126,7 +126,8 @@ def test_criterion_4_dwti_degeneracy_and_locality():
         layer.b.tensor.data[:] = 0.0
     small = rng.normal(size=(8, 8, 6))
     large = rng.normal(size=(8, 8, 6))
-    got = attn(Tensor(small), Tensor(large)).data
+    # the module takes a batch of maps; run this pair as a batch of one
+    got = attn(Tensor(small[None]), Tensor(large[None])).data[0]
 
     # reference: plain windowed cross-attention at the grid points
     wq, bq = attn.wq.w.tensor.data, attn.wq.b.tensor.data
@@ -149,11 +150,11 @@ def test_criterion_4_dwti_degeneracy_and_locality():
 
     # locality: offsets bounded inside the window; outside perturbations inert
     attn2 = DeformableWindowCrossAttention(6, 4, 0.4, np.random.default_rng(42))
-    base = attn2(Tensor(small), Tensor(large)).data
+    base = attn2(Tensor(small[None]), Tensor(large[None])).data[0]
     small2 = small.copy()
     small2[4:, :, :] += 10.0
     small2[:4, 4:, :] += 10.0
-    bumped = attn2(Tensor(small2), Tensor(large)).data
+    bumped = attn2(Tensor(small2[None]), Tensor(large[None])).data[0]
     local_err = float(np.abs(bumped[:4, :4] - base[:4, :4]).max())
     ok = deg_err <= 1e-6 and local_err <= 1e-9
     _report("criterion 4: deformable attention degeneracy", ok,

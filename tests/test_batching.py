@@ -1,0 +1,220 @@
+"""The leading batch axis: batched layers equal stacked per-clip results,
+samples stay independent, and one batched train step gives the mean of the
+per-clip gradients."""
+
+import numpy as np
+import pytest
+
+from vindet import nn
+from vindet import tensor as T
+from vindet.config import ExperimentConfig
+from vindet.data import make_clip
+from vindet.decoder import PyramidDecoder, TffBlock
+from vindet.encoder import GlobalEncoder, StagePlan, ViewBranch
+from vindet.interaction import ViewInteraction
+from vindet.model import InpaintingDetector
+from vindet.objectives import total_loss
+from vindet.tensor import Tensor, backward, finite_diff_check
+from vindet.tokenizer import TubeletEmbed
+from vindet.train import _dihedral, _train_step
+
+TOL = 1e-10
+B = 3
+
+
+def _per_clip(fn, *batches):
+    """fn applied to each clip as a batch of one, results stacked."""
+    outs = [fn(*(Tensor(x.data[i:i + 1]) for x in batches)).data[0]
+            for i in range(batches[0].shape[0])]
+    return np.stack(outs)
+
+
+def _assert_matches(fn, *batches):
+    got = fn(*batches).data
+    want = _per_clip(fn, *batches)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= TOL
+
+
+def _live(model: InpaintingDetector, rng):
+    """Move the zero-initialized layers off zero so every path carries signal."""
+    head = model.decoder.head_out.w.tensor
+    head.data[:] = rng.normal(size=head.shape) * 0.2
+    for pairs in model.interaction.stages:
+        for p in pairs:
+            p.back.w.tensor.data[:] = rng.normal(size=p.back.w.tensor.shape) * 0.1
+            p.attn.theta.fc2.w.tensor.data[:] = rng.normal(
+                size=p.attn.theta.fc2.w.tensor.shape) * 0.1
+
+
+class TestLayersMatchPerClip:
+    def test_tubelet_embed(self):
+        emb = TubeletEmbed(2, 4, 3, 8, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).uniform(0, 1, size=(B, 3, 16, 16, 3)))
+        _assert_matches(lambda f: emb(f).tokens, x)
+
+    def test_view_branch_stages(self):
+        branch = ViewBranch(8, [StagePlan(1, 4, 2), StagePlan(1, 4, 2)],
+                            np.random.default_rng(2))
+        x = Tensor(np.random.default_rng(3).normal(size=(B, 3, 8, 8, 8)))
+        _assert_matches(lambda z: branch.run_stage(z, 0), x)
+        _assert_matches(lambda z: branch.run_stage(z, 1), x)
+
+    def test_view_interaction(self):
+        rng = np.random.default_rng(4)
+        inter = ViewInteraction([[4, 6, 8]], 4, 2, 1.0, np.random.default_rng(5))
+        for p in inter.stages[0]:
+            p.back.w.tensor.data[:] = rng.normal(size=p.back.w.tensor.shape) * 0.3
+            p.attn.theta.fc2.w.tensor.data[:] = rng.normal(
+                size=p.attn.theta.fc2.w.tensor.shape) * 0.3
+        views = [Tensor(rng.normal(size=(B, t, 8, 8, c)))
+                 for t, c in ((3, 4), (1, 6), (1, 8))]
+        for k in range(3):
+            _assert_matches(lambda *vs: inter(list(vs), 0)[k], *views)
+
+    def test_global_encoder(self):
+        enc = GlobalEncoder(3, 8, 16, 2, 2, np.random.default_rng(6))
+        x = Tensor(np.random.default_rng(7).uniform(0, 1, size=(B, 32, 32, 3)))
+        _assert_matches(enc, x)
+
+    def test_tff_block(self):
+        rng = np.random.default_rng(8)
+        tff = TffBlock(4 + 6, 8, np.random.default_rng(9))
+        views = [Tensor(rng.normal(size=(B, 3, 8, 8, 4))),
+                 Tensor(rng.normal(size=(B, 1, 8, 8, 6)))]
+        _assert_matches(lambda *vs: tff(list(vs)), *views)
+
+    def test_pyramid_decoder(self):
+        cfg = ExperimentConfig()
+        dec = PyramidDecoder(cfg, np.random.default_rng(10))
+        rng = np.random.default_rng(11)
+        dec.head_out.w.tensor.data[:] = rng.normal(size=dec.head_out.w.tensor.shape)
+        times = [cfg.geometry.frames // v for v in cfg.geometry.views]
+        views = [Tensor(rng.normal(size=(B, t, cfg.grid_side(l), cfg.grid_side(l), c)))
+                 for l in range(cfg.encoder.stages)
+                 for t, c in zip(times, cfg.view_channels(l))]
+        pyramid = [Tensor(rng.normal(size=(B, s, s, 9))) for s in cfg.stage_sides()]
+        f_high = Tensor(rng.normal(size=(B, 4, 4, cfg.glob.dim)))
+        nv = len(times)
+
+        def run(*xs):
+            sv = [list(xs[l * nv:(l + 1) * nv]) for l in range(cfg.encoder.stages)]
+            pyr = list(xs[len(views):len(views) + len(pyramid)])
+            return dec(sv, pyr, xs[-1], (32, 32))
+
+        _assert_matches(run, *views, *pyramid, f_high)
+
+    def test_full_model(self):
+        cfg = ExperimentConfig()
+        model = InpaintingDetector(cfg)
+        _live(model, np.random.default_rng(12))
+        clips = np.stack([make_clip(s, cfg).clip.frames for s in range(B)])
+        got = model(clips).data
+        assert got.shape == (B, 32, 32)
+        want = np.stack([model(c).data for c in clips])
+        assert np.max(np.abs(got - want)) <= TOL
+        assert np.ptp(got) > 1e-3  # the live head gives a non-constant map
+
+    def test_unbatched_call_is_batch_of_one(self):
+        cfg = ExperimentConfig()
+        model = InpaintingDetector(cfg)
+        _live(model, np.random.default_rng(13))
+        frames = make_clip(5, cfg).clip.frames
+        single = model(frames).data
+        assert single.shape == (32, 32)
+        np.testing.assert_array_equal(single, model(frames[None]).data[0])
+
+
+class TestSampleIndependence:
+    def test_group_norm_per_sample(self):
+        rng = np.random.default_rng(14)
+        g = Tensor(rng.uniform(0.5, 1.5, size=8))
+        b = Tensor(rng.normal(size=8))
+        x = rng.normal(size=(2, 3, 4, 8))
+        base = T.group_norm(Tensor(x), g, b, 4).data
+        x2 = x.copy()
+        x2[1] = rng.normal(size=x2[1].shape)
+        moved = T.group_norm(Tensor(x2), g, b, 4).data
+        np.testing.assert_array_equal(moved[0], base[0])
+        assert np.abs(moved[1] - base[1]).max() > 1e-3
+        # and a sample normalizes as it would alone
+        alone = T.group_norm(Tensor(x[1:]), g, b, 4).data
+        assert np.max(np.abs(alone[0] - base[1])) <= TOL
+
+
+class TestTrainStep:
+    def test_batched_step_gradients_are_mean_of_per_clip(self):
+        cfg = ExperimentConfig()
+        cfg.train.augment = True
+        model = InpaintingDetector(cfg)
+        _live(model, np.random.default_rng(15))
+        registry = model.registry()
+        dataset = [(f"c{i}", sc.clip, sc.gt_mask)
+                   for i, sc in enumerate(make_clip(s, cfg) for s in range(4))]
+        batch = np.array([2, 0, 3, 0])
+
+        nn.zero_grads(registry.values())
+        value = _train_step(model, dataset, batch, np.random.default_rng(16), cfg, 0)
+        batched = {n: p.grad.copy() for n, p in registry.items()}
+
+        # reference: the same augmentation draws, one graph per clip
+        rng = np.random.default_rng(16)
+        summed = {n: np.zeros_like(p.data) for n, p in registry.items()}
+        losses = []
+        for bi in batch:
+            _, clip, mask = dataset[bi]
+            frames, mask = _dihedral(clip.frames, mask, int(rng.integers(0, 8)))
+            nn.zero_grads(registry.values())
+            loss = total_loss(model(frames), Tensor(mask), cfg.loss)
+            backward(loss)
+            losses.append(loss.item())
+            for n, p in registry.items():
+                summed[n] += p.grad
+        assert abs(value - np.mean(losses)) <= TOL
+        worst = max(float(np.max(np.abs(batched[n] - summed[n] / len(batch))))
+                    for n in registry)
+        assert worst <= TOL
+        assert max(float(np.abs(g).max()) for g in batched.values()) > 1e-3
+
+
+def _gradcheck_cases():
+    rng = np.random.default_rng(17)
+    proj = lambda *s: Tensor(rng.normal(size=s))
+    # 2-D: stride 2 over a ragged 6x5 input with padding 1
+    w2 = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4)
+    b2 = Tensor(rng.normal(size=3) * 0.1)
+    x2 = Tensor(rng.uniform(-1, 1, size=(2, 6, 5, 2)))
+    r2 = proj(2, 3, 3, 3)
+    # 3-D: per-axis stride and padding
+    w3 = Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4)
+    b3 = Tensor(rng.normal(size=2) * 0.1)
+    x3 = Tensor(rng.uniform(-1, 1, size=(2, 3, 5, 4, 2)))
+    st3, pd3 = (1, 2, 1), (1, 1, 0)
+    r3 = proj(2, 4, 3, 2, 2)
+    gn_g = Tensor(rng.uniform(0.5, 1.5, size=8))
+    gn_b = Tensor(rng.normal(size=8) * 0.1)
+    rg = proj(2, 3, 3, 8)
+    return {
+        "conv2d_x": (lambda x: T.reduce_sum(T.conv(x, w2, b2, 2, 1) * r2), x2),
+        "conv2d_w": (lambda w: T.reduce_sum(T.conv(x2, w, b2, 2, 1) * r2), w2),
+        "conv2d_b": (lambda b: T.reduce_sum(T.conv(x2, w2, b, 2, 1) * r2), b2),
+        "conv3d_x": (lambda x: T.reduce_sum(T.conv(x, w3, b3, st3, pd3) * r3), x3),
+        "conv3d_w": (lambda w: T.reduce_sum(T.conv(x3, w, b3, st3, pd3) * r3), w3),
+        "group_norm": (lambda x: T.reduce_sum(T.group_norm(x, gn_g, gn_b, 4) * rg),
+                       Tensor(rng.uniform(-1, 1, size=(2, 3, 3, 8)))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_gradcheck_cases()))
+def test_batched_primitive_gradients(name):
+    f, x = _gradcheck_cases()[name]
+    rep = finite_diff_check(f, x, eps=1e-6, tol=1e-5, max_coords=200)
+    assert rep.passed, f"{name}: {rep}"
+
+
+def test_conv_output_shape_follows_stride_and_padding():
+    x = Tensor(np.zeros((2, 3, 5, 4, 2)))
+    w = Tensor(np.zeros((2, 3, 3, 2, 7)))
+    assert T.conv(x, w, None, (1, 2, 1), (1, 1, 0)).shape == (2, 4, 3, 2, 7)
+    with pytest.raises(T.ShapeError):
+        T.conv(Tensor(np.zeros((5, 5, 2))), Tensor(np.zeros((3, 3, 2, 1))))

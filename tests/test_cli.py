@@ -101,6 +101,25 @@ class TestTrainEval:
         assert main(["train", "--config", tiny_cfg_file,
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_zero_eval_every_exit_code(self, tmp_path, tiny_cfg_file):
+        with open(tiny_cfg_file, "a") as fh:
+            fh.write("train.eval_every = 0\n")
+        assert main(["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "o")]) == 1
+
+    def test_unknown_tensor_dtype_exit_code(self, tmp_path, tiny_cfg_file):
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.serialize import MAGIC
+        from vindet.train import save_checkpoint
+
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        buf = bytearray(ckpt.read_bytes())
+        first = buf.index(MAGIC)
+        buf[first + 4] = 7  # dtype code byte of the first blob
+        ckpt.write_bytes(bytes(buf))
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
+
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("geometry.depht = 4\n")

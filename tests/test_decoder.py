@@ -10,27 +10,27 @@ from vindet.tensor import Tensor
 
 
 def _views(rng, side=8, chans=(16, 24, 32), times=(3, 1, 1)):
-    return [Tensor(rng.normal(size=(t, side, side, c))) for t, c in zip(times, chans)]
+    return [Tensor(rng.normal(size=(1, t, side, side, c))) for t, c in zip(times, chans)]
 
 
 class TestTemporalExpand:
     def test_replicates_singletons(self):
-        x = Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
+        x = Tensor(np.arange(8.0).reshape(1, 1, 2, 2, 2))
         y = _expand_temporal(x, 3)
-        assert y.shape == (3, 2, 2, 2)
+        assert y.shape == (1, 3, 2, 2, 2)
         for j in range(3):
-            np.testing.assert_array_equal(y.data[j], x.data[0])
+            np.testing.assert_array_equal(y.data[:, j], x.data[:, 0])
 
     def test_identity_when_full(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 2, 2, 2)))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 2, 2, 2)))
         assert _expand_temporal(x, 3) is x
 
     def test_two_to_three(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 2, 1)))
+        x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 2, 2, 1)))
         y = _expand_temporal(x, 3)
-        np.testing.assert_array_equal(y.data[0], x.data[0])
-        np.testing.assert_array_equal(y.data[1], x.data[0])
-        np.testing.assert_array_equal(y.data[2], x.data[1])
+        np.testing.assert_array_equal(y.data[:, 0], x.data[:, 0])
+        np.testing.assert_array_equal(y.data[:, 1], x.data[:, 0])
+        np.testing.assert_array_equal(y.data[:, 2], x.data[:, 1])
 
 
 class TestTff:
@@ -38,22 +38,22 @@ class TestTff:
         rng = np.random.default_rng(2)
         tff = TffBlock(16 + 24 + 32, 32, np.random.default_rng(3))
         f = tff(_views(rng))
-        assert f.shape == (8, 8, 32)
+        assert f.shape == (1, 8, 8, 32)
 
     def test_single_view_degenerates_to_conv_norm(self):
         rng = np.random.default_rng(4)
         tff = TffBlock(16, 32, np.random.default_rng(5))
-        z = Tensor(rng.normal(size=(3, 8, 8, 16)))
+        z = Tensor(rng.normal(size=(1, 3, 8, 8, 16)))
         out = tff([z])
-        manual = tff.norm(tff.conv(z)).mean(axis=0)
+        manual = tff.norm(tff.conv(z)).mean(axis=1)
         np.testing.assert_array_equal(out.data, manual.data)
 
     def test_mismatched_sides_rejected(self):
         rng = np.random.default_rng(6)
         tff = TffBlock(8, 16, np.random.default_rng(7))
         with pytest.raises(T.ShapeError):
-            tff([Tensor(rng.normal(size=(1, 8, 8, 4))),
-                 Tensor(rng.normal(size=(1, 4, 4, 4)))])
+            tff([Tensor(rng.normal(size=(1, 1, 8, 8, 4))),
+                 Tensor(rng.normal(size=(1, 1, 4, 4, 4)))])
 
 
 class TestFrequencyFusion:
@@ -61,16 +61,16 @@ class TestFrequencyFusion:
         rng = np.random.default_rng(8)
         fuse = FrequencyFusion(16, 9, np.random.default_rng(9))
         fuse.ret.w.tensor.data[:] = 0.0
-        f_c = Tensor(rng.normal(size=(8, 8, 16)))
-        f_a = Tensor(rng.normal(size=(8, 8, 9)))
+        f_c = Tensor(rng.normal(size=(1, 8, 8, 16)))
+        f_a = Tensor(rng.normal(size=(1, 8, 8, 9)))
         np.testing.assert_array_equal(fuse(f_c, f_a).data, f_c.data)
 
     def test_zero_band_features_change_nothing(self):
         rng = np.random.default_rng(10)
         fuse = FrequencyFusion(16, 9, np.random.default_rng(11))
         fuse.ret.w.tensor.data[:] = rng.normal(size=fuse.ret.w.tensor.shape)
-        f_c = Tensor(rng.normal(size=(8, 8, 16)))
-        out = fuse(f_c, Tensor(np.zeros((8, 8, 9))))
+        f_c = Tensor(rng.normal(size=(1, 8, 8, 16)))
+        out = fuse(f_c, Tensor(np.zeros((1, 8, 8, 9))))
         np.testing.assert_allclose(out.data, f_c.data, atol=1e-12)
 
     def test_band_channel_count_is_triple_input(self):
@@ -82,7 +82,7 @@ class TestFrequencyFusion:
     def test_side_mismatch_rejected(self):
         fuse = FrequencyFusion(8, 9, np.random.default_rng(13))
         with pytest.raises(T.ShapeError):
-            fuse(Tensor(np.zeros((8, 8, 8))), Tensor(np.zeros((4, 4, 9))))
+            fuse(Tensor(np.zeros((1, 8, 8, 8))), Tensor(np.zeros((1, 4, 4, 9))))
 
 
 class TestAccumulate:
@@ -92,7 +92,7 @@ class TestAccumulate:
     def test_single_stage_passthrough(self):
         cfg = ExperimentConfig(decoder=DecoderConfig(use_tff=False))
         dec = PyramidDecoder(cfg, np.random.default_rng(15))
-        f = Tensor(np.random.default_rng(16).normal(size=(4, 4, 48)))
+        f = Tensor(np.random.default_rng(16).normal(size=(1, 4, 4, 48)))
         out = dec.accumulate([f])
         assert out[0] is f
 
@@ -101,7 +101,7 @@ class TestAccumulate:
         dec.gates[0].w.tensor.data[:] = 0.0
         dec.gates[0].b.tensor.data[:] = 20.0
         rng = np.random.default_rng(17)
-        fs = [Tensor(rng.normal(size=(8, 8, 32))), Tensor(rng.normal(size=(4, 4, 48)))]
+        fs = [Tensor(rng.normal(size=(1, 8, 8, 32))), Tensor(rng.normal(size=(1, 4, 4, 48)))]
         out = dec.accumulate(fs)
         assert np.max(np.abs(out[0].data - fs[0].data)) <= 1e-8
 
@@ -110,7 +110,7 @@ class TestAccumulate:
         dec.gates[0].w.tensor.data[:] = 0.0
         dec.gates[0].b.tensor.data[:] = 0.0
         rng = np.random.default_rng(18)
-        fs = [Tensor(rng.normal(size=(8, 8, 32))), Tensor(rng.normal(size=(4, 4, 48)))]
+        fs = [Tensor(rng.normal(size=(1, 8, 8, 32))), Tensor(rng.normal(size=(1, 4, 4, 48)))]
         out = dec.accumulate(fs)
         np.testing.assert_allclose(out[0].data, 0.5 * fs[0].data, atol=1e-12)
 
@@ -122,12 +122,12 @@ def _decoder_inputs(rng, cfg):
         chans = cfg.view_channels(l)
         times = [cfg.geometry.frames // v for v in cfg.geometry.views]
         stage_views.append(
-            [Tensor(rng.normal(size=(t, side, side, c))) for t, c in zip(times, chans)]
+            [Tensor(rng.normal(size=(1, t, side, side, c))) for t, c in zip(times, chans)]
         )
-    pyramid = [Tensor(rng.normal(size=(cfg.grid_side(l), cfg.grid_side(l),
+    pyramid = [Tensor(rng.normal(size=(1, cfg.grid_side(l), cfg.grid_side(l),
                                        3 * cfg.geometry.channels)))
                for l in range(cfg.encoder.stages)]
-    f_h = Tensor(rng.normal(size=(cfg.geometry.height // cfg.glob.patch,
+    f_h = Tensor(rng.normal(size=(1, cfg.geometry.height // cfg.glob.patch,
                                   cfg.geometry.width // cfg.glob.patch, cfg.glob.dim)))
     return stage_views, pyramid, f_h
 
@@ -139,7 +139,7 @@ class TestFullDecoder:
         rng = np.random.default_rng(20)
         sv, pyr, fh = _decoder_inputs(rng, cfg)
         m = dec(sv, pyr, fh, (32, 32))
-        assert m.shape == (32, 32)
+        assert m.shape == (1, 32, 32)
         assert np.all(m.data >= 0.0) and np.all(m.data <= 1.0)
 
     def test_zero_head_gives_half(self):
@@ -158,7 +158,7 @@ class TestFullDecoder:
         assert len(dec.gates) == 0 and len(dec.guide) == 0
         sv, pyr, fh = _decoder_inputs(np.random.default_rng(24), cfg)
         m = dec(sv, pyr, fh, (32, 32))
-        assert m.shape == (32, 32)
+        assert m.shape == (1, 32, 32)
 
     def test_neutral_values_reduce_to_plain_fpn(self):
         """Saturated gates + zeroed frequency path == reference top-down FPN."""
@@ -177,13 +177,13 @@ class TestFullDecoder:
         fs = [f.data for f in dec.fuse_stages(sv)]
         def conv(mod, x):
             b = mod.b.tensor if mod.b is not None else None
-            return T.conv2d(Tensor(x), mod.w.tensor, b, mod.stride, mod.padding).data
+            return T.conv(Tensor(x), mod.w.tensor, b, mod.stride, mod.padding).data
         high = conv(dec.proj_high, fh.data)
         g = conv(dec.fuse_high, np.concatenate([fs[1], high], axis=-1))
         up = T.upsample_bilinear2d(Tensor(g), (8, 8)).data
         g = conv(dec.guide[0], np.concatenate([fs[0], up], axis=-1))
         y = conv(dec.head_conv, g)
         y = T.upsample_bilinear2d(Tensor(y), (32, 32)).data
-        y = conv(dec.head_out, y)[:, :, 0]
+        y = conv(dec.head_out, y)[..., 0]
         ref = 1.0 / (1.0 + np.exp(-y))
         assert np.max(np.abs(got - ref)) <= 1e-8

@@ -95,11 +95,11 @@ class TestViewBranch:
         rng = np.random.default_rng(9)
         plans = [StagePlan(1, 4, 2), StagePlan(1, 4, 2)]
         branch = ViewBranch(8, plans, rng)
-        x = Tensor(np.random.default_rng(10).normal(size=(3, 8, 8, 8)))
+        x = Tensor(np.random.default_rng(10).normal(size=(1, 3, 8, 8, 8)))
         s0 = branch.run_stage(x, 0)
         s1 = branch.run_stage(s0, 1)
-        assert s0.shape == (3, 8, 8, 8)
-        assert s1.shape == (3, 4, 4, 16)
+        assert s0.shape == (1, 3, 8, 8, 8)
+        assert s1.shape == (1, 3, 4, 4, 16)
 
     def test_neutralized_stage_is_merged_input(self):
         rng = np.random.default_rng(11)
@@ -107,7 +107,7 @@ class TestViewBranch:
         branch = ViewBranch(8, plans, rng)
         for block in branch.stages[0]:
             _zero_residuals(block)
-        x = np.random.default_rng(12).normal(size=(1, 8, 8, 8))
+        x = np.random.default_rng(12).normal(size=(1, 1, 8, 8, 8))
         out = branch.run_stage(Tensor(x), 0)
         assert np.max(np.abs(out.data - x)) <= 1e-12
 
@@ -120,14 +120,14 @@ class TestViewBranch:
             s0 = branch.run_stage(x, 0)
             return T.reduce_sum(branch.run_stage(s0, 1) ** 2)
 
-        x0 = Tensor(np.random.default_rng(14).normal(size=(1, 4, 4, 4)) * 0.5)
+        x0 = Tensor(np.random.default_rng(14).normal(size=(1, 1, 4, 4, 4)) * 0.5)
         rep = finite_diff_check(f, x0, eps=1e-6, tol=1e-4)
         assert rep.passed, rep
 
     def test_too_small_side_rejected(self):
         branch = ViewBranch(4, [StagePlan(1, 4, 2)], np.random.default_rng(15))
         with pytest.raises(T.ShapeError):
-            branch.run_stage(Tensor(np.zeros((1, 2, 2, 4))), 0)
+            branch.run_stage(Tensor(np.zeros((1, 1, 2, 2, 4))), 0)
 
 
 class TestPatchMerging:
@@ -146,16 +146,16 @@ class TestGlobalEncoder:
     def test_depth_zero_is_patch_embedding(self):
         rng = np.random.default_rng(19)
         enc = GlobalEncoder(3, 8, 32, 0, 2, rng)
-        frame = Tensor(np.random.default_rng(20).uniform(0, 1, size=(32, 32, 3)))
+        frame = Tensor(np.random.default_rng(20).uniform(0, 1, size=(1, 32, 32, 3)))
         out = enc(frame)
         embed = enc.embed(frame)
-        assert out.shape == (4, 4, 32)
+        assert out.shape == (1, 4, 4, 32)
         np.testing.assert_array_equal(out.data, embed.data)
 
     def test_desk_shape(self):
         enc = GlobalEncoder(3, 8, 32, 2, 2, np.random.default_rng(21))
-        out = enc(Tensor(np.random.default_rng(22).uniform(0, 1, size=(32, 32, 3))))
-        assert out.shape == (4, 4, 32)
+        out = enc(Tensor(np.random.default_rng(22).uniform(0, 1, size=(1, 32, 32, 3))))
+        assert out.shape == (1, 4, 4, 32)
 
     def test_permutation_equivariance(self):
         # no positional term: swapping two patch contents swaps their outputs
@@ -164,15 +164,15 @@ class TestGlobalEncoder:
         frame = np.random.default_rng(24).uniform(0, 1, size=(16, 16, 3))
         swapped = frame.copy()
         swapped[:8, :8], swapped[:8, 8:] = frame[:8, 8:].copy(), frame[:8, :8].copy()
-        a = enc(Tensor(frame)).data
-        b = enc(Tensor(swapped)).data
+        a = enc(Tensor(frame[None])).data[0]
+        b = enc(Tensor(swapped[None])).data[0]
         np.testing.assert_allclose(b[0, 0], a[0, 1], atol=1e-10)
         np.testing.assert_allclose(b[0, 1], a[0, 0], atol=1e-10)
         np.testing.assert_allclose(b[1, :], a[1, :], atol=1e-10)
 
     def test_gradient_reaches_all_blocks(self):
         enc = GlobalEncoder(3, 4, 8, 1, 2, np.random.default_rng(25))
-        frame = Tensor(np.random.default_rng(26).uniform(0, 1, size=(8, 8, 3)))
+        frame = Tensor(np.random.default_rng(26).uniform(0, 1, size=(1, 8, 8, 3)))
         backward(T.reduce_sum(enc(frame) ** 2))
         for name, p in enc.named_parameters():
             assert p.grad is not None, name

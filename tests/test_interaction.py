@@ -21,6 +21,11 @@ def _zero_theta(attn: DeformableWindowCrossAttention):
     attn.theta.fc2.b.tensor.data[:] = 0.0
 
 
+def _attend(attn, small, large):
+    """Run the batched module on one (S,S,c) map pair."""
+    return attn(Tensor(small[None]), Tensor(large[None])).data[0]
+
+
 def _plain_window_cross_attention(small, large, attn):
     """Reference: window cross-attention at grid points, no sampling."""
     s, _, c = small.shape
@@ -60,7 +65,7 @@ class TestDeformableAttention:
         _zero_theta(attn)
         small = rng.normal(size=(8, 8, 6))
         large = rng.normal(size=(8, 8, 6))
-        got = attn(Tensor(small), Tensor(large)).data
+        got = _attend(attn, small, large)
         want = _plain_window_cross_attention(small, large, attn)
         assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -70,7 +75,7 @@ class TestDeformableAttention:
         _zero_theta(attn)
         small = rng.normal(size=(2, 2, 4))
         large = rng.normal(size=(2, 2, 4))
-        got = attn(Tensor(small), Tensor(large)).data
+        got = _attend(attn, small, large)
         want = small @ attn.wv.w.tensor.data + attn.wv.b.tensor.data
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -81,7 +86,7 @@ class TestDeformableAttention:
         attn.theta.fc2.w.tensor.data[:] = rng.normal(size=attn.theta.fc2.w.tensor.shape)
         small = np.broadcast_to(rng.normal(size=5), (8, 8, 5)).copy()
         large = rng.normal(size=(8, 8, 5))
-        got = attn(Tensor(small), Tensor(large)).data
+        got = _attend(attn, small, large)
         want = small[0, 0] @ attn.wv.w.tensor.data + attn.wv.b.tensor.data
         np.testing.assert_allclose(got, np.broadcast_to(want, (8, 8, 5)), atol=1e-10)
 
@@ -91,37 +96,37 @@ class TestDeformableAttention:
         attn = DeformableWindowCrossAttention(4, 4, 0.4, np.random.default_rng(7))
         small = rng.normal(size=(8, 8, 4))
         large = rng.normal(size=(8, 8, 4))
-        base = attn(Tensor(small), Tensor(large)).data
+        base = _attend(attn, small, large)
         small2 = small.copy()
         small2[4:, :, :] += 10.0
         small2[:4, 4:, :] += 10.0
-        bumped = attn(Tensor(small2), Tensor(large)).data
+        bumped = _attend(attn, small2, large)
         np.testing.assert_allclose(bumped[:4, :4], base[:4, :4], atol=1e-12)
 
     def test_mismatched_maps_rejected(self):
         attn = DeformableWindowCrossAttention(4, 2, 1.0, np.random.default_rng(8))
         with pytest.raises(T.ShapeError):
-            attn(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((8, 8, 4))))
+            attn(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 8, 8, 4))))
 
     def test_gradient_through_offsets_sampling_attention(self):
         rng = np.random.default_rng(9)
         attn = DeformableWindowCrossAttention(4, 2, 0.9, np.random.default_rng(10))
         # give theta non-zero weights so coordinate gradients are live
         attn.theta.fc2.w.tensor.data[:] = rng.normal(size=attn.theta.fc2.w.tensor.shape) * 0.5
-        large = Tensor(rng.normal(size=(4, 4, 4)) * 0.5)
+        large = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
 
         def f(small):
             return T.reduce_sum(attn(small, large) ** 2)
 
-        x0 = Tensor(rng.normal(size=(4, 4, 4)) * 0.5)
+        x0 = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
         rep = finite_diff_check(f, x0, eps=1e-6, tol=1e-4)
         assert rep.passed, rep
 
     def test_gradient_wrt_theta_weights(self):
         rng = np.random.default_rng(11)
         attn = DeformableWindowCrossAttention(4, 2, 0.9, np.random.default_rng(12))
-        small = Tensor(rng.normal(size=(4, 4, 4)) * 0.5)
-        large = Tensor(rng.normal(size=(4, 4, 4)) * 0.5)
+        small = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
+        large = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
         w2 = attn.theta.fc2.w.tensor
 
         def f(w):
@@ -138,12 +143,12 @@ class TestDeformableAttention:
 
 class TestAdjacentChain:
     def _views(self, rng, chans=(4, 6, 8)):
-        shapes = [(3, 8, 8, chans[0]), (1, 8, 8, chans[1]), (1, 8, 8, chans[2])]
+        shapes = [(1, 3, 8, 8, chans[0]), (1, 1, 8, 8, chans[1]), (1, 1, 8, 8, chans[2])]
         return [Tensor(rng.normal(size=s)) for s in shapes]
 
     def test_single_view_noop(self):
         inter = ViewInteraction([[4]], 4, 2, 1.0, np.random.default_rng(13))
-        v = [Tensor(np.random.default_rng(14).normal(size=(3, 8, 8, 4)))]
+        v = [Tensor(np.random.default_rng(14).normal(size=(1, 3, 8, 8, 4)))]
         out = inter(v, 0)
         assert out[0] is v[0]
 
@@ -174,15 +179,15 @@ class TestAdjacentChain:
     def test_temporal_collapse_mean(self):
         rng = np.random.default_rng(19)
         pair = AdjacentPair(4, 6, 5, 2, 1.0, np.random.default_rng(20))
-        z_small = Tensor(rng.normal(size=(3, 4, 4, 4)))
-        z_large = Tensor(rng.normal(size=(1, 4, 4, 6)))
+        z_small = Tensor(rng.normal(size=(1, 3, 4, 4, 4)))
+        z_large = Tensor(rng.normal(size=(1, 1, 4, 4, 6)))
         small2d, large2d = pair.align(z_small, z_large)
-        assert small2d.shape == (4, 4, 5)
-        assert large2d.shape == (4, 4, 5)
-        want = z_small.data.mean(axis=0) @ pair.align_small.w.tensor.data + pair.align_small.b.tensor.data
+        assert small2d.shape == (1, 4, 4, 5)
+        assert large2d.shape == (1, 4, 4, 5)
+        want = z_small.data.mean(axis=1) @ pair.align_small.w.tensor.data + pair.align_small.b.tensor.data
         np.testing.assert_allclose(small2d.data, want, atol=1e-12)
 
     def test_mismatched_sides_rejected(self):
         pair = AdjacentPair(4, 4, 4, 2, 1.0, np.random.default_rng(21))
         with pytest.raises(T.ShapeError):
-            pair(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 8, 8, 4))))
+            pair(Tensor(np.zeros((1, 1, 4, 4, 4))), Tensor(np.zeros((1, 1, 8, 8, 4))))

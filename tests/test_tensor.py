@@ -120,7 +120,7 @@ class TestSampling:
 
     def test_upsample_identity(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 7, 2))
+        x = rng.normal(size=(1, 5, 7, 2))
         out = T.upsample_bilinear2d(t(x), (5, 7))
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
@@ -166,25 +166,25 @@ def _fd_cases():
         "layer_norm": None,
         "group_norm": None,
         "avg_pool2d": mk(lambda x: sum_(T.avg_pool2d(x, 2) ** 2), (4, 4, 2)),
-        "upsample": mk(lambda x: sum_(T.upsample_bilinear2d(x, (7, 5)) ** 2), (4, 4, 2)),
+        "upsample": mk(lambda x: sum_(T.upsample_bilinear2d(x, (7, 5)) ** 2), (1, 4, 4, 2)),
     }
 
     def conv2d_case(rng):
         k = Tensor(rng.normal(size=(3, 3, 2, 4)) * 0.3)
         b = Tensor(rng.normal(size=(4,)) * 0.1)
-        return (lambda x: sum_(T.conv2d(x, k, b, stride=1, padding=1) ** 2),
-                Tensor(rng.uniform(-1, 1, size=(5, 5, 2))))
+        return (lambda x: sum_(T.conv(x, k, b, stride=1, padding=1) ** 2),
+                Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2))))
 
     def conv2d_weight_case(rng):
-        x = Tensor(rng.uniform(-1, 1, size=(5, 5, 2)))
-        return (lambda w: sum_(T.conv2d(x, w, None, stride=2, padding=0) ** 2),
+        x = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
+        return (lambda w: sum_(T.conv(x, w, None, stride=2, padding=0) ** 2),
                 Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.3))
 
     def conv3d_case(rng):
         k = Tensor(rng.normal(size=(3, 3, 3, 2, 3)) * 0.3)
         b = Tensor(rng.normal(size=(3,)) * 0.1)
-        return (lambda x: sum_(T.conv3d(x, k, b, stride=1, padding=1) ** 2),
-                Tensor(rng.uniform(-1, 1, size=(3, 4, 4, 2))))
+        return (lambda x: sum_(T.conv(x, k, b, stride=1, padding=1) ** 2),
+                Tensor(rng.uniform(-1, 1, size=(1, 3, 4, 4, 2))))
 
     def grid_data_case(rng):
         grid = Tensor(rng.uniform(-0.85, 0.85, size=(6, 2)))
@@ -304,3 +304,41 @@ def test_bit_identical_repeat_runs():
     b = run()
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
+
+
+def test_backward_frees_graph_without_cyclic_gc():
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        x = t(np.arange(3.0), rg=True)
+        mid = T.tanh(x * 2.0)
+        ref = weakref.ref(mid)
+        loss = T.reduce_sum(mid * mid)
+        del mid
+        backward(loss)
+        assert ref() is not None
+        del loss
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_second_backward_on_consumed_graph_rejected():
+    x = t([1.0, 2.0], rg=True)
+    loss = T.reduce_sum(x * x)
+    backward(loss)
+    with pytest.raises(ValueError, match="already"):
+        backward(loss)
+    np.testing.assert_allclose(x.grad, [2.0, 4.0])
+
+
+def test_first_gradient_is_a_private_copy():
+    # add's backward hands one array to both inputs; neither may adopt it
+    a = t(np.ones((2, 3)), rg=True)
+    b = t(np.ones((2, 3)), rg=True)
+    backward(T.reduce_sum((a + b) * 3.0))
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 3.0))

@@ -56,14 +56,14 @@ class TestTokenizeView:
         clip = _clip()
         emb = TubeletEmbed(3, 4, 3, 8, np.random.default_rng(1))
         grid = tokenize_view(clip, _spec(), 3, emb)
-        assert grid.tokens.shape == (1, 4, 4, 8)
+        assert grid.tokens.shape == (1, 1, 4, 4, 8)
 
     def test_three_view_temporal_axes(self):
         clip = _clip()
         for view, expect in [(1, 3), (2, 1), (3, 1)]:
             emb = TubeletEmbed(view, 4, 3, 8, np.random.default_rng(view))
             grid = tokenize_view(clip, _spec(), view, emb)
-            assert grid.tokens.shape[0] == expect
+            assert grid.tokens.shape[1] == expect
 
     def test_kernel_view_mismatch_rejected(self):
         clip = _clip()
@@ -76,8 +76,8 @@ class TestTokenizeView:
         emb = TubeletEmbed(2, 4, 3, 8, rng)
         emb.proj.b.tensor.data[:] = 0.0
         a, b = 1.7, -0.4
-        f1 = rng.uniform(0, 1, size=(3, 16, 16, 3))
-        f2 = rng.uniform(0, 1, size=(3, 16, 16, 3))
+        f1 = rng.uniform(0, 1, size=(1, 3, 16, 16, 3))
+        f2 = rng.uniform(0, 1, size=(1, 3, 16, 16, 3))
         mix = emb(Tensor(a * f1 + b * f2)).tokens.data
         sep = a * emb(Tensor(f1)).tokens.data + b * emb(Tensor(f2)).tokens.data
         np.testing.assert_allclose(mix, sep, atol=1e-10)
@@ -85,7 +85,7 @@ class TestTokenizeView:
     def test_gradient(self):
         rng = np.random.default_rng(4)
         emb = TubeletEmbed(2, 4, 3, 4, rng)
-        x0 = Tensor(rng.uniform(0, 1, size=(3, 8, 8, 3)))
+        x0 = Tensor(rng.uniform(0, 1, size=(1, 3, 8, 8, 3)))
         rep = finite_diff_check(
             lambda x: T.reduce_sum(emb(x).tokens ** 2), x0, eps=1e-6, tol=1e-5
         )
@@ -94,7 +94,7 @@ class TestTokenizeView:
     def test_kernel_gradient_reaches_weights(self):
         rng = np.random.default_rng(5)
         emb = TubeletEmbed(1, 4, 3, 4, rng)
-        backward(T.reduce_sum(emb(Tensor(_clip().frames)).tokens ** 2))
+        backward(T.reduce_sum(emb(Tensor(_clip().frames[None])).tokens ** 2))
         assert np.any(emb.proj.w.grad != 0)
 
 
