@@ -159,6 +159,16 @@ class ExperimentConfig:
             raise ValueError("train.batch >= 1 and train.iters >= 0 required")
         if self.train.eval_every < 1:
             raise ValueError(f"train.eval_every must be >= 1, got {self.train.eval_every}")
+        o, d = self.optim, self.dwti
+        if not 0.0 <= o.momentum < 1.0:
+            raise ValueError(f"optim.momentum must be in [0, 1), got {o.momentum}")
+        if not 0.0 <= o.min_lr <= min(o.lr_encoder, o.lr_decoder):
+            raise ValueError(f"optim.min_lr must be in [0, min(lr_encoder, lr_decoder)], "
+                             f"got {o.min_lr}")
+        if not d.max_offset > 0.0:
+            raise ValueError(f"dwti.max_offset must be > 0, got {d.max_offset}")
+        if d.common_dim < 1:
+            raise ValueError(f"dwti.common_dim must be >= 1, got {d.common_dim}")
         if self.perturb.kind not in ("none", "jpeg", "gaussian"):
             raise ValueError(f"unknown perturbation {self.perturb.kind!r}")
         if not 1 <= self.perturb.jpeg_quality <= 100:

@@ -24,8 +24,26 @@ from .tensor import Tensor
 MASK_NEG = -1e9
 
 
-def window_partition(x: Tensor, m: int):
-    """(B,S,S,c) -> windows (B*K, m*m, c); zero-pads ragged sides.
+@lru_cache(maxsize=64)
+def _window_index(s: int, m: int, shift: int):
+    """(gather, scatter) indices between an (S,S) grid and its m x m windows.
+
+    The grid is cyclically shifted by ``-shift`` and zero-padded at the end
+    to a multiple of m. Window cell j (over all windows in order) takes
+    padded-grid cell ``gather[j]``; grid cell p takes back window cell
+    ``scatter[p]``, which also undoes the shift and drops the padding.
+    """
+    sp = s + (m - s % m) % m
+    r = np.arange(sp)
+    src = np.where(r < s, (r + shift) % s, r)
+    cells = (src[:, None] * sp + src[None, :]).reshape(sp // m, m, sp // m, m)
+    gather = cells.transpose(0, 2, 1, 3).reshape(-1)
+    return gather, np.argsort(gather).reshape(sp, sp)[:s, :s].reshape(-1)
+
+
+def window_partition(x: Tensor, m: int, shift: int = 0):
+    """(B,S,S,c) -> windows (B*K, m*m, c) of the grid cyclically shifted by
+    ``-shift``; zero-pads ragged sides.
 
     Returns (windows, meta); feed meta to :func:`window_merge` to invert.
     """
@@ -35,23 +53,14 @@ def window_partition(x: Tensor, m: int):
     pad = (m - s % m) % m
     if pad:
         x = T.pad(x, ((0, 0), (0, pad), (0, pad), (0, 0)))
-    sp = s + pad
-    k = sp // m
-    y = x.reshape(b, k, m, k, m, c)
-    y = T.permute(y, (0, 1, 3, 2, 4, 5))
-    windows = y.reshape(b * k * k, m * m, c)
-    return windows, (b, s, sp, m, c)
+    gather, scatter = _window_index(s, m, shift)
+    return T.take_tokens(x, gather, b, (-1, m * m, c)), (b, s, s + pad, scatter)
 
 
 def window_merge(windows: Tensor, meta) -> Tensor:
-    b, s, sp, m, c = meta
-    k = sp // m
-    y = windows.reshape(b, k, k, m, m, c)
-    y = T.permute(y, (0, 1, 3, 2, 4, 5))
-    y = y.reshape(b, sp, sp, c)
-    if sp != s:
-        y = T.slice_axis(T.slice_axis(y, 1, 0, s), 2, 0, s)
-    return y
+    """Windows back to the (B,S,S,c) grid, unshifted and unpadded."""
+    b, s, _, scatter = meta
+    return T.take_tokens(windows, scatter, b, (b, s, s, windows.shape[-1]))
 
 
 @lru_cache(maxsize=64)
@@ -86,8 +95,7 @@ def _shift_mask(s_pad: int, m: int, shift: int, s_real: int):
         region = np.roll(region, (-shift, -shift), axis=(0, 1))
     else:
         region[:s_real, :s_real] = 0.0
-    k = s_pad // m
-    win = region.reshape(k, m, k, m).transpose(0, 2, 1, 3).reshape(k * k, m * m)
+    win = region.reshape(-1)[_window_index(s_pad, m, 0)[0]].reshape(-1, m * m)
     diff = win[:, :, None] != win[:, None, :]
     return np.where(diff, MASK_NEG, 0.0)
 
@@ -104,8 +112,7 @@ class WindowAttention(nn.Module):
         if c % heads:
             raise ValueError(f"channels {c} not divisible by heads {heads}")
         self.c, self.heads, self.window = c, heads, window
-        self.head_dim = c // heads
-        self.scale = self.head_dim ** -0.5
+        self.scale = (c // heads) ** -0.5
         self.wq = nn.Linear(c, c, rng)
         self.wk = nn.Linear(c, c, rng)
         self.wv = nn.Linear(c, c, rng)
@@ -115,29 +122,15 @@ class WindowAttention(nn.Module):
                 rng.normal(0.0, 0.02, size=((2 * window - 1) ** 2, heads)))
         self.last_attn: np.ndarray | None = None
 
-    def _split_heads(self, x: Tensor, n: int, q: int) -> Tensor:
-        return T.permute(x.reshape(n, q, self.heads, self.head_dim), (0, 2, 1, 3))
-
     def __call__(self, windows: Tensor, mask: np.ndarray | None = None,
                  keep_attn: bool = False) -> Tensor:
-        n, q, c = windows.shape
-        qh = self._split_heads(self.wq(windows), n, q)
-        kh = self._split_heads(self.wk(windows), n, q)
-        vh = self._split_heads(self.wv(windows), n, q)
-        scores = T.matmul(qh, T.permute(kh, (0, 1, 3, 2))) * self.scale
+        table = index = None
         if self.window is not None:
-            bias = T.gather_rows(self.bias_table.tensor, _relative_index(self.window))
-            bias = T.permute(bias.reshape(q, q, self.heads), (2, 0, 1)).reshape(1, self.heads, q, q)
-            scores = scores + bias
-        if mask is not None:
-            k = mask.shape[0]
-            tiled = np.broadcast_to(mask[None, :, None], (n // k, k, 1, q, q)).reshape(n, 1, q, q)
-            scores = scores + Tensor(tiled)
-        attn = T.softmax(scores, axis=-1)
+            table, index = self.bias_table.tensor, _relative_index(self.window)
+        out, attn = T.attention(self.wq(windows), self.wk(windows), self.wv(windows),
+                                self.heads, self.scale, table, index, mask)
         if keep_attn:
-            self.last_attn = attn.data.copy()
-        out = T.matmul(attn, vh)
-        out = T.permute(out, (0, 2, 1, 3)).reshape(n, q, c)
+            self.last_attn = attn.copy()
         return self.wo(out)
 
 
@@ -161,15 +154,9 @@ class SwinBlock(nn.Module):
             raise T.ShapeError(f"grid side {s} smaller than window {m}")
         # a single-window grid has nothing to shift across
         shift = m // 2 if self.shifted and s > m else 0
-        y = self.ln1(x)
-        if shift:
-            y = T.roll(T.roll(y, -shift, 1), -shift, 2)
-        windows, meta = window_partition(y, m)
+        windows, meta = window_partition(self.ln1(x), m, shift)
         mask = _shift_mask(meta[2], m, shift, s)
-        y = window_merge(self.attn(windows, mask, keep_attn), meta)
-        if shift:
-            y = T.roll(T.roll(y, shift, 1), shift, 2)
-        x = x + y
+        x = x + window_merge(self.attn(windows, mask, keep_attn), meta)
         return x + self.mlp(self.ln2(x))
 
 
@@ -185,8 +172,7 @@ class PatchMerging(nn.Module):
         b, s, _, c = x.shape
         if s % 2:
             raise T.ShapeError(f"patch merging needs even side, got {s}")
-        y = x.reshape(b, s // 2, 2, s // 2, 2, c)
-        y = T.permute(y, (0, 1, 3, 2, 4, 5)).reshape(b, s // 2, s // 2, 4 * c)
+        y = T.take_tokens(x, _window_index(s, 2, 0)[0], b, (b, s // 2, s // 2, 4 * c))
         return self.reduce(self.ln(y))
 
 
@@ -232,7 +218,6 @@ class GlobalEncoder(nn.Module):
     def __init__(self, c_in: int, patch: int, dim: int, depth: int, heads: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.patch, self.dim = patch, dim
         self.embed = nn.Conv(c_in, dim, (patch, patch), rng, stride=patch)
         self.blocks = nn.ModuleList()
         for _ in range(depth):

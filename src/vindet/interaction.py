@@ -68,19 +68,15 @@ class DeformableWindowCrossAttention(nn.Module):
         m = self.window
         wins_small, _ = window_partition(small, m)
         wins_large, meta_l = window_partition(large, m)
-        n_windows = wins_small.shape[0]              # B*K
 
         q = self.wq(wins_large)                      # (B*K, m*m, c)
         # one deformed point per query position, bounded to max_offset cells
         offsets = self.theta(q) * (self.max_offset * 2.0 / m)
         points = Tensor(_cell_center_grid(m)[None]) + offsets
         sampled = T.grid_sample_bilinear(
-            wins_small.reshape(n_windows, m, m, self.c), points
+            wins_small.reshape(-1, m, m, self.c), points
         )                                            # (B*K, m*m, c)
-        k = self.wk(sampled)
-        v = self.wv(sampled)
-        scores = T.matmul(q, T.permute(k, (0, 2, 1))) * self.scale
-        h = T.matmul(T.softmax(scores, axis=-1), v)
+        h, _ = T.attention(q, self.wk(sampled), self.wv(sampled), 1, self.scale)
         return window_merge(h, meta_l)
 
 

@@ -99,10 +99,6 @@ def zero_grads(params) -> None:
         p.tensor.zero_grad()
 
 
-def param_count(model: Module) -> int:
-    return sum(p.size for p in model.parameters())
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
@@ -122,17 +118,12 @@ class Linear(Module):
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator,
                  bias: bool = True, zero_init: bool = False):
         super().__init__()
-        self.c_in, self.c_out = c_in, c_out
         w = np.zeros((c_in, c_out)) if zero_init else _normal(rng, (c_in, c_out))
         self.w = Parameter(w)
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        lead = x.shape[:-1]
-        y = T.matmul(x.reshape(-1, self.c_in), self.w.tensor)
-        if self.b is not None:
-            y = y + self.b.tensor
-        return y.reshape(*lead, self.c_out)
+        return T.linear(x, self.w.tensor, self.b.tensor if self.b is not None else None)
 
 
 class LayerNorm(Module):

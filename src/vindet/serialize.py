@@ -7,6 +7,7 @@ A checkpoint is a single indexed container of named snapshots.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict
 
@@ -30,18 +31,26 @@ def encode_tensor(arr: np.ndarray) -> bytes:
     return head + dims + payload
 
 
+def _unpack(fmt: str, buf: bytes, offset: int, what: str) -> tuple:
+    if offset + struct.calcsize(fmt) > len(buf):
+        raise ValueError(f"truncated {what}")
+    return struct.unpack_from(fmt, buf, offset)
+
+
 def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one snapshot; returns (array, bytes consumed)."""
-    if buf[offset:offset + 4] != MAGIC:
+    """Decode one snapshot; returns (array, bytes consumed). A bad magic, an
+    unknown dtype or a snapshot running past the end of ``buf`` raise ValueError."""
+    magic, code, rank = _unpack("<4sBB", buf, offset, "tensor header")
+    if magic != MAGIC:
         raise ValueError("bad tensor magic")
-    code, rank = struct.unpack_from("<BB", buf, offset + 4)
     if code not in _CODE_DTYPES:
         raise ValueError(f"unknown tensor dtype code {code}")
-    dims = struct.unpack_from(f"<{rank}I", buf, offset + 6)
+    dims = _unpack(f"<{rank}I", buf, offset + 6, "tensor dims")
     dtype = _CODE_DTYPES[code]
-    n = int(np.prod(dims)) if rank else 1
     start = offset + 6 + 4 * rank
-    end = start + n * dtype.itemsize
+    end = start + math.prod(dims) * dtype.itemsize
+    if end > len(buf):
+        raise ValueError(f"truncated tensor payload of {end - start} bytes")
     arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(dims).copy()
     return arr, end - offset
 
@@ -70,23 +79,29 @@ def save_container(path, tensors: Dict[str, np.ndarray]):
 
 
 def load_container(path) -> Dict[str, np.ndarray]:
+    """Read a container; any malformed or truncated part raises ValueError
+    naming ``path`` and the entry."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CONTAINER_MAGIC:
         raise ValueError(f"{path}: not a checkpoint container")
-    (count,) = struct.unpack_from("<I", buf, 4)
+    (count,) = _unpack("<I", buf, 4, f"{path}: container header")
+    view = memoryview(buf)  # bounds each blob without copying
     off = 8
     out: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off:off + nlen].decode("utf-8")
-        off += nlen
-        (blen,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        arr, used = decode_tensor(buf, off)
-        if used != blen:
-            raise ValueError(f"{path}: corrupt entry {name}")
+    for i in range(count):
+        name = None
+        try:
+            (nlen,) = _unpack("<H", buf, off, "name length")
+            name = _unpack(f"<{nlen}s", buf, off + 2, "name")[0].decode("utf-8")
+            (blen,) = _unpack("<I", buf, off + 2 + nlen, "blob length")
+            off += 6 + nlen
+            arr, used = decode_tensor(view[:off + blen], off)
+            if used != blen:
+                raise ValueError(f"blob holds {blen} bytes, its tensor {used}")
+        except ValueError as err:
+            entry = f"entry {i}" if name is None else f"entry {i} ({name})"
+            raise ValueError(f"{path}: {entry}: {err}") from None
         off += blen
         out[name] = arr
     return out

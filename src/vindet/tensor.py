@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -94,9 +95,6 @@ class Tensor:
             raise ShapeError(f"item: tensor of shape {self.shape} is not scalar")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 
@@ -140,9 +138,6 @@ class Tensor:
     def __pow__(self, p):
         return pow_scalar(self, p)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -159,10 +154,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable, name: str) -> Tensor:
-    if _GradMode.enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._entry = TapeEntry(tuple(inputs), backward_fn, name)
+def _record(out: Tensor, inputs: tuple, backward_fn: Callable, name: str) -> Tensor:
+    if _GradMode.enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._entry = TapeEntry(inputs, backward_fn, name)
+                break
     return out
 
 
@@ -313,17 +311,6 @@ def pow_scalar(a, p: float) -> Tensor:
 # transcendental / activation
 # ---------------------------------------------------------------------------
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.exp(a.data))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out.data)
-
-    return _record(out, (a,), bwd, "exp")
-
-
 def log(a) -> Tensor:
     """Natural log. Domain: strictly positive values."""
     a = as_tensor(a)
@@ -334,17 +321,6 @@ def log(a) -> Tensor:
             a.accumulate_grad(out.grad / a.data)
 
     return _record(out, (a,), bwd, "log")
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.sqrt(a.data))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * 0.5 / out.data)
-
-    return _record(out, (a,), bwd, "sqrt")
 
 
 def tanh(a) -> Tensor:
@@ -435,6 +411,91 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd, "matmul")
 
 
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``; the leading axes flatten
+    internally, so any (..., Ci) input gives (..., Co)."""
+    x, w = as_tensor(x), as_tensor(w)
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    co = w.shape[1]
+    x2 = x.data.reshape(-1, w.shape[0])
+    y = np.matmul(x2, w.data)
+    if b is not None:
+        b = as_tensor(b)
+        y = y + b.data
+    out = Tensor(y.reshape(x.shape[:-1] + (co,)))
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bwd():
+        g = out.grad.reshape(-1, co)
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(g, w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w.accumulate_grad(np.matmul(x2.T, g))
+
+    return _record(out, parents, bwd, "linear")
+
+
+def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=None):
+    """Multi-head scaled dot-product attention over a batch of token sets.
+
+    ``q``, ``k`` and ``v`` are (N, Q, C) with C split into ``heads`` heads.
+    ``table`` (R, heads) is a learned bias looked up by ``index`` (Q*Q,) and
+    added to every set's scores; ``mask`` (K, Q, Q) is an additive mask
+    tiled over consecutive groups of K sets. Returns the (N, Q, C) output
+    and the (N, heads, Q, Q) attention weights.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    n, nq, c = q.shape
+    if k.shape != q.shape or v.shape != q.shape or c % heads:
+        raise ShapeError(f"attention: q/k/v {q.shape}/{k.shape}/{v.shape} with {heads} heads")
+    d = c // heads
+    qh = q.data.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
+    kt = k.data.reshape(n, nq, heads, d).transpose(0, 2, 3, 1)
+    vh = v.data.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
+    s = np.matmul(qh, kt)
+    s *= scale
+    if table is not None:
+        table = as_tensor(table)
+        s += np.take(table.data, index, axis=0).reshape(nq, nq, heads).transpose(2, 0, 1)
+    if mask is not None:
+        tiles = s.reshape(-1, mask.shape[0], heads, nq, nq)
+        tiles += mask[:, None]
+    s -= np.max(s, axis=-1, keepdims=True)
+    y = np.exp(s, out=s)
+    y /= np.sum(y, axis=-1, keepdims=True)
+    out = Tensor(np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(n, nq, c))
+    parents = (q, k, v) if table is None else (q, k, v, table)
+
+    # the backward makes the numpy calls of the unfused reshape/permute/
+    # matmul/softmax chain, on the same memory layouts, so its gradients are
+    # bit-identical to that chain's
+    def bwd():
+        go = out.grad.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
+        ga = np.matmul(go, np.swapaxes(vh, -1, -2))
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(y, -1, -2), go)
+            v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(n, nq, c))
+        gs = (ga - np.sum(ga * y, axis=-1, keepdims=True)) * y
+        if table is not None and table.requires_grad:
+            gb = gs.sum(axis=0) if n > 1 else gs[0]
+            gb = gb.transpose(1, 2, 0).reshape(nq * nq, heads)
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, index, gb)
+            table.accumulate_grad(gt)
+        gs = gs * scale
+        if q.requires_grad:
+            gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+            q.accumulate_grad(gq.transpose(0, 2, 1, 3).reshape(n, nq, c))
+        if k.requires_grad:
+            gk = np.matmul(np.swapaxes(qh, -1, -2), gs)
+            k.accumulate_grad(gk.transpose(0, 3, 1, 2).reshape(n, nq, c))
+
+    return _record(out, parents, bwd, "attention"), y
+
+
 # ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
@@ -511,19 +572,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     return _record(out, (a,), bwd, "slice")
 
 
-def split(a, sizes: Sequence[int], axis: int = 0) -> list:
-    """Split into consecutive chunks of the given sizes along an axis."""
-    a = as_tensor(a)
-    if sum(sizes) != a.shape[axis % a.ndim]:
-        raise ShapeError(f"split: sizes {tuple(sizes)} do not cover axis of shape {a.shape}")
-    pieces = []
-    off = 0
-    for s in sizes:
-        pieces.append(slice_axis(a, axis, off, off + s))
-        off += s
-    return pieces
-
-
 def pad(a, pad_width) -> Tensor:
     """Zero padding; pad_width is ((before, after), ...) per axis."""
     a = as_tensor(a)
@@ -540,17 +588,6 @@ def pad(a, pad_width) -> Tensor:
     return _record(out, (a,), bwd, "pad")
 
 
-def roll(a, shift: int, axis: int) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.roll(a.data, shift, axis=axis))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(np.roll(out.grad, -shift, axis=axis))
-
-    return _record(out, (a,), bwd, "roll")
-
-
 def gather_rows(table, indices: np.ndarray, axis: int = 0) -> Tensor:
     """Lookup of ``indices`` along ``axis`` (rows by default); backward
     scatter-adds into the table."""
@@ -565,6 +602,25 @@ def gather_rows(table, indices: np.ndarray, axis: int = 0) -> Tensor:
             table.accumulate_grad(g)
 
     return _record(out, (table,), bwd, "gather_rows")
+
+
+def take_tokens(x, index: np.ndarray, batch: int, shape) -> Tensor:
+    """Move the tokens (last-axis vectors) of each of ``batch`` samples:
+    output token j of a sample is its input token ``index[j]``; the result
+    takes ``shape``. ``index`` holds no repeats, so the backward writes each
+    gradient back to one place, and tokens it leaves out get zero gradient.
+    Cutting a grid into windows and merging them back are such moves."""
+    x = as_tensor(x)
+    c = x.shape[-1]
+    out = Tensor(np.take(x.data.reshape(batch, -1, c), index, axis=1).reshape(shape))
+
+    def bwd():
+        if x.requires_grad:
+            g = np.zeros((batch, x.size // (batch * c), c), dtype=x.dtype)
+            g[:, index] = out.grad.reshape(batch, -1, c)
+            x.accumulate_grad(g.reshape(x.shape))
+
+    return _record(out, (x,), bwd, "take_tokens")
 
 
 # ---------------------------------------------------------------------------
@@ -609,36 +665,6 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
             a.accumulate_grad(np.broadcast_to(g, a.shape) / n)
 
     return _record(out, (a,), bwd, "mean")
-
-
-def reduce_max(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; ties route the gradient to the first occurrence."""
-    a = as_tensor(a)
-    ax = _norm_axis(axis, a.ndim)
-    out_data = np.max(a.data, axis=ax, keepdims=keepdims)
-    out = Tensor(out_data)
-
-    def bwd():
-        if a.requires_grad:
-            g = out.grad
-            ref = out_data
-            if ax is not None and not keepdims:
-                g = np.expand_dims(g, ax)
-                ref = np.expand_dims(ref, ax)
-            hit = a.data == ref
-            if ax is None:
-                flat = hit.reshape(-1)
-                first = np.zeros_like(flat)
-                first[np.argmax(flat)] = True
-                mask = first.reshape(a.shape)
-            elif len(ax) == 1:
-                # first occurrence wins along the reduced axis
-                mask = hit & (np.cumsum(hit, axis=ax[0]) == 1)
-            else:
-                mask = hit  # multi-axis reduction: ties share the gradient
-            a.accumulate_grad(np.where(mask, np.broadcast_to(g, a.shape), 0.0))
-
-    return _record(out, (a,), bwd, "max")
 
 
 # ---------------------------------------------------------------------------
@@ -779,24 +805,7 @@ def conv(x, w, b=None, stride=1, padding=0) -> Tensor:
 # pooling / resampling
 # ---------------------------------------------------------------------------
 
-def avg_pool2d(x, k: int = 2) -> Tensor:
-    """Non-overlapping k x k average pooling on (H,W,C); sides must divide."""
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"avg_pool2d: expected (H,W,C), got {x.shape}")
-    h, w, c = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"avg_pool2d: {h}x{w} not divisible by {k}")
-    out = Tensor(x.data.reshape(h // k, k, w // k, k, c).mean(axis=(1, 3)))
-
-    def bwd():
-        if x.requires_grad:
-            g = out.grad[:, None, :, None, :] / (k * k)
-            x.accumulate_grad(np.broadcast_to(g, (h // k, k, w // k, k, c)).reshape(h, w, c))
-
-    return _record(out, (x,), bwd, "avg_pool2d")
-
-
+@lru_cache(maxsize=64)
 def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic 1D resampling matrix, align_corners=False convention."""
     m = np.zeros((n_out, n_in), dtype=dtype)
@@ -812,9 +821,6 @@ def _bilinear_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     return m
 
 
-_BILINEAR_CACHE: dict = {}
-
-
 def upsample_bilinear2d(x, out_hw) -> Tensor:
     """Bilinear 2D resize of (B,H,W,C) to (B,Ho,Wo,C), align_corners=False."""
     x = as_tensor(x)
@@ -822,14 +828,7 @@ def upsample_bilinear2d(x, out_hw) -> Tensor:
         raise ShapeError(f"upsample_bilinear2d: expected (B,H,W,C), got {x.shape}")
     _, h, w, c = x.shape
     ho, wo = int(out_hw[0]), int(out_hw[1])
-    key = (h, ho, str(x.dtype))
-    if key not in _BILINEAR_CACHE:
-        _BILINEAR_CACHE[key] = _bilinear_matrix(h, ho, x.data.dtype)
-    rh = _BILINEAR_CACHE[key]
-    key = (w, wo, str(x.dtype))
-    if key not in _BILINEAR_CACHE:
-        _BILINEAR_CACHE[key] = _bilinear_matrix(w, wo, x.data.dtype)
-    rw = _BILINEAR_CACHE[key]
+    rh, rw = _bilinear_matrix(h, ho, x.dtype), _bilinear_matrix(w, wo, x.dtype)
     # y[b,o,p,c] = sum_ij rh[o,i] rw[p,j] x[b,i,j,c]
     y = np.einsum("oi,bijc,pj->bopc", rh, x.data, rw, optimize=True)
     out = Tensor(y)
@@ -929,6 +928,31 @@ def _rel_err(g_ad: float, g_fd: float) -> float:
     return abs(g_ad - g_fd) / max(1e-8, abs(g_ad) + abs(g_fd))
 
 
+def _compare(loss_fn: Callable[[], Tensor], probes: list, eps: float,
+             tol: float) -> GradCheckReport:
+    """Central differences of ``loss_fn`` in each probed scalar ``buf[i]``
+    against its autodiff gradient; probes are (coord, buf, i, g_ad) and
+    ``coord`` labels the scalar in the report."""
+    worst, worst_coord, non_finite = 0.0, None, []
+    for coord, buf, i, g_ad in probes:
+        orig = buf[i]
+        with no_grad():
+            buf[i] = orig + eps
+            fp = loss_fn().item()
+            buf[i] = orig - eps
+            fm = loss_fn().item()
+        buf[i] = orig
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            non_finite.append(coord)
+            continue
+        g_fd = (fp - fm) / (2.0 * eps)
+        r = _rel_err(g_ad, g_fd)
+        if r > worst:
+            worst, worst_coord = r, (coord, g_ad, g_fd)
+    return GradCheckReport(worst, worst <= tol and not non_finite, len(probes),
+                           worst_coord, non_finite)
+
+
 def finite_diff_check(
     f: Callable[[Tensor], Tensor],
     x: Tensor,
@@ -958,29 +982,9 @@ def finite_diff_check(
         coords = rng.choice(n, size=max_coords, replace=False)
         coords.sort()
 
-    flat = xt.data.reshape(-1)
-    ad_flat = g_ad.reshape(-1)
-    worst = 0.0
-    worst_coord = None
-    non_finite = []
-    for i in coords:
-        orig = flat[i]
-        with no_grad():
-            flat[i] = orig + eps
-            fp = f(xt).item()
-            flat[i] = orig - eps
-            fm = f(xt).item()
-        flat[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            non_finite.append(int(i))
-            continue
-        g_fd = (fp - fm) / (2.0 * eps)
-        r = _rel_err(ad_flat[i], g_fd)
-        if r > worst:
-            worst = r
-            worst_coord = (int(i), float(ad_flat[i]), float(g_fd))
-    passed = worst <= tol and not non_finite
-    return GradCheckReport(worst, passed, len(coords), worst_coord, non_finite)
+    flat, ad_flat = xt.data.reshape(-1), g_ad.reshape(-1)
+    probes = [(int(i), flat, i, float(ad_flat[i])) for i in coords]
+    return _compare(lambda: f(xt), probes, eps, tol)
 
 
 def finite_diff_check_params(
@@ -1011,29 +1015,11 @@ def finite_diff_check_params(
     flat_ids.sort()
     bounds = np.cumsum(sizes)
 
-    worst = 0.0
-    worst_coord = None
-    non_finite = []
+    probes = []
     for fid in flat_ids:
         ti = int(np.searchsorted(bounds, fid, side="right"))
         local = int(fid - (bounds[ti - 1] if ti else 0))
         t = tensors[ti]
-        buf = t.data.reshape(-1)
         g_ad = 0.0 if t.grad is None else float(t.grad.reshape(-1)[local])
-        orig = buf[local]
-        with no_grad():
-            buf[local] = orig + eps
-            fp = loss_fn().item()
-            buf[local] = orig - eps
-            fm = loss_fn().item()
-        buf[local] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            non_finite.append((ti, local))
-            continue
-        g_fd = (fp - fm) / (2.0 * eps)
-        r = _rel_err(g_ad, g_fd)
-        if r > worst:
-            worst = r
-            worst_coord = (ti, local, g_ad, g_fd)
-    passed = worst <= tol and not non_finite
-    return GradCheckReport(worst, passed, n_coords, worst_coord, non_finite)
+        probes.append(((ti, local), t.data.reshape(-1), local, g_ad))
+    return _compare(loss_fn, probes, eps, tol)

@@ -120,6 +120,37 @@ class TestTrainEval:
         ckpt.write_bytes(bytes(buf))
         assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
 
+    @pytest.mark.parametrize("cut", [6, "blob+5"])
+    def test_truncated_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys, cut):
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.serialize import MAGIC
+        from vindet.train import save_checkpoint
+
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        buf = ckpt.read_bytes()
+        end = cut if isinstance(cut, int) else buf.index(MAGIC) + 5
+        ckpt.write_bytes(buf[:end])
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "truncated" in err
+
+    @pytest.mark.parametrize("line", [
+        "optim.momentum = 1.0",
+        "optim.momentum = -0.1",
+        "optim.min_lr = -0.00001",
+        "optim.min_lr = 0.002",
+        "dwti.max_offset = 0",
+        "dwti.max_offset = -1.0",
+        "dwti.common_dim = 0",
+    ])
+    def test_out_of_range_optim_and_dwti_exit_code(self, tmp_path, tiny_cfg_file, capsys, line):
+        with open(tiny_cfg_file, "a") as fh:
+            fh.write(line + "\n")
+        assert main(["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "o")]) == 1
+        assert line.split(" =")[0] in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("geometry.depht = 4\n")

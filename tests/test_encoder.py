@@ -67,10 +67,13 @@ class TestSwinBlock:
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_cyclic_shift_roundtrip(self):
+        # the shift lives in the window index: windows of the rolled grid,
+        # and merging them back undoes the roll
         x = np.random.default_rng(6).normal(size=(1, 8, 8, 2))
-        y = T.roll(T.roll(Tensor(x), -2, 1), -2, 2)
-        z = T.roll(T.roll(y, 2, 1), 2, 2)
-        assert np.array_equal(z.data, x)
+        windows, meta = window_partition(Tensor(x), 4, shift=2)
+        rolled, _ = window_partition(Tensor(np.roll(x, (-2, -2), axis=(1, 2))), 4)
+        assert np.array_equal(windows.data, rolled.data)
+        assert np.array_equal(window_merge(windows, meta).data, x)
 
     def test_shifted_mask_confines_attention_to_regions(self):
         # two-region construction: rows sum to one over the own pre-shift region

@@ -76,3 +76,27 @@ class TestContainer:
         (tmp_path / "junk").write_bytes(b"not a container")
         with pytest.raises(ValueError):
             load_container(tmp_path / "junk")
+
+    def test_every_truncation_is_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "ck.mpci"
+        save_container(path, {"a": np.arange(3.0), "bb": np.ones((2, 1), dtype=np.float32),
+                              "s": np.array(1.5)})
+        full = path.read_bytes()
+        load_container(path)
+        for cut in range(len(full)):
+            path.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match="ck.mpci") as err:
+                load_container(path)
+            msg = str(err.value)
+            assert ("truncated" if cut >= 4 else "not a checkpoint") in msg, (cut, msg)
+            if cut >= 8:  # past the container header, the entry is named too
+                assert "entry" in msg, (cut, msg)
+
+    def test_blob_length_disagreeing_with_its_tensor_rejected(self, tmp_path):
+        path = tmp_path / "ck.mpci"
+        save_container(path, {"w": np.zeros(2)})
+        buf = bytearray(path.read_bytes())
+        buf[8 + 2 + 1] += 1  # blob length of entry "w"
+        path.write_bytes(bytes(buf) + b"\x00")
+        with pytest.raises(ValueError, match=r"entry 0 \(w\)"):
+            load_container(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vindet import tensor as T
+from vindet.gradcheck import primitive_case_names, primitive_cases
 from vindet.tensor import Tensor, ShapeError, backward, finite_diff_check
 
 
@@ -78,7 +79,7 @@ class TestShapeOps:
     def test_concat_split_roundtrip(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 5))
-        parts = T.split(t(a), [2, 3], axis=1)
+        parts = [T.slice_axis(t(a), 1, 0, 2), T.slice_axis(t(a), 1, 2, 5)]
         back = T.concat(parts, axis=1)
         np.testing.assert_array_equal(back.data, a)
 
@@ -94,11 +95,6 @@ class TestShapeOps:
         pdd = T.pad(t(a), ((1, 1), (0, 2)))
         assert pdd.shape == (4, 4)
         assert pdd.data.sum() == 4.0
-
-    def test_roll_inverse(self):
-        a = np.arange(12.0).reshape(3, 4)
-        r = T.roll(T.roll(t(a), 2, axis=1), -2, axis=1)
-        np.testing.assert_array_equal(r.data, a)
 
 
 class TestSampling:
@@ -124,12 +120,6 @@ class TestSampling:
         out = T.upsample_bilinear2d(t(x), (5, 7))
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
-    def test_avg_pool_preserves_mean(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(8, 8, 3))
-        out = T.avg_pool2d(t(x), 2)
-        np.testing.assert_allclose(out.data.mean(), x.mean(), atol=1e-12)
-
 
 def _fd_cases():
     """(name, builder) pairs; builder(rng) -> (f, x) with scalar-valued f."""
@@ -147,9 +137,7 @@ def _fd_cases():
         "div": mk(lambda x: sum_(1.0 / x), (3, 4), lo=0.5, hi=1.5),
         "neg": mk(lambda x: sum_(-x), (4,)),
         "pow": mk(lambda x: sum_(x ** 3), (3, 3)),
-        "exp": mk(lambda x: sum_(T.exp(x)), (3, 3)),
         "log": mk(lambda x: sum_(T.log(x)), (3, 3), lo=0.5, hi=2.0),
-        "sqrt": mk(lambda x: sum_(T.sqrt(x)), (3, 3), lo=0.5, hi=2.0),
         "tanh": mk(lambda x: sum_(T.tanh(x)), (3, 3)),
         "sigmoid": mk(lambda x: sum_(T.sigmoid(x)), (3, 3)),
         "gelu": mk(lambda x: sum_(T.gelu(x)), (3, 3)),
@@ -160,12 +148,9 @@ def _fd_cases():
         "concat": mk(lambda x: sum_(T.concat([x, x * 2.0], axis=0) ** 2), (2, 3)),
         "slice": mk(lambda x: sum_(T.slice_axis(x, 0, 1, 3) ** 2), (4, 3)),
         "pad": mk(lambda x: sum_(T.pad(x, ((1, 1), (1, 1))) ** 2), (3, 3)),
-        "roll": mk(lambda x: sum_(T.roll(x, 1, 0) * x), (4, 3)),
         "mean": mk(lambda x: T.reduce_mean(x * x), (3, 4)),
-        "max": mk(lambda x: sum_(T.reduce_max(x, axis=1) ** 2), (4, 5)),
         "layer_norm": None,
         "group_norm": None,
-        "avg_pool2d": mk(lambda x: sum_(T.avg_pool2d(x, 2) ** 2), (4, 4, 2)),
         "upsample": mk(lambda x: sum_(T.upsample_bilinear2d(x, (7, 5)) ** 2), (1, 4, 4, 2)),
     }
 
@@ -224,6 +209,10 @@ def _fd_cases():
     cases["grid_sample_data"] = grid_data_case
     cases["grid_sample_coords"] = grid_coord_case
     cases["gather_rows"] = gather_case
+    # the fused primitives' cases are the ones in gradcheck.py
+    for name in primitive_case_names():
+        if name.startswith(("linear", "attention", "take_tokens")):
+            cases[name] = lambda rng, name=name: primitive_cases(rng)[name]
     return cases
 
 
