@@ -67,7 +67,7 @@ def cmd_eval(args) -> int:
     cfg.validate()
     model = InpaintingDetector(cfg)
     load_checkpoint(args.ckpt, model)
-    dataset = load_dataset(args.data or cfg.data.dir)
+    dataset = load_dataset(args.data or cfg.data.dir, cfg)
     report = evaluate_model(model, dataset, cfg, perturb=cfg.perturb.kind != "none",
                             dump_dir=args.dump)
     sys.stdout.write(report.text())

@@ -82,7 +82,6 @@ class TrainConfig:
 @dataclass
 class DataConfig:
     dir: str = "data"
-    n_clips: int = 8
 
 
 @dataclass

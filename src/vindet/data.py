@@ -161,16 +161,29 @@ def save_dataset(dirpath, clips: list[SyntheticClip]):
         save_clip(os.path.join(dirpath, f"clip_{i:04d}"), sc.clip, sc.gt_mask)
 
 
-def load_dataset(dirpath) -> list[tuple[str, VideoClip, np.ndarray]]:
+def load_dataset(dirpath, cfg: ExperimentConfig | None = None
+                 ) -> list[tuple[str, VideoClip, np.ndarray]]:
+    """(name, clip, mask) for every clip directory under ``dirpath``. Each
+    mask must match its frames' (H,W); with ``cfg``, the frames must also
+    have the config's (T,H,W,C), so that any of the clips stack into a batch."""
     names = sorted(d for d in os.listdir(dirpath)
                    if os.path.isdir(os.path.join(dirpath, d)))
     if not names:
         raise ValueError(f"{dirpath}: no clip directories found")
     out = []
     for name in names:
-        clip, mask = load_clip(os.path.join(dirpath, name))
+        path = os.path.join(dirpath, name)
+        clip, mask = load_clip(path)
         if mask is None:
-            raise ValueError(f"{dirpath}/{name}: missing gt.pgm")
+            raise ValueError(f"{path}: missing gt.pgm")
+        if cfg is not None:
+            g = cfg.geometry
+            want = (g.frames, g.height, g.width, g.channels)
+            if clip.frames.shape != want:
+                raise ValueError(f"{path}: frames are {clip.frames.shape} (T,H,W,C), "
+                                 f"the config needs {want}")
+        if mask.shape != clip.frames.shape[1:3]:
+            raise ValueError(f"{path}: mask is {mask.shape}, frames are {clip.h}x{clip.w}")
         out.append((name, clip, mask))
     return out
 

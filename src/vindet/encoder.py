@@ -75,27 +75,26 @@ def _relative_index(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _shift_mask(s_pad: int, m: int, shift: int, s_real: int):
-    """Additive attention mask (K, m*m, m*m) for a shifted, padded grid.
+    """Additive attention mask (K, m*m, m*m) for the windows that
+    :func:`window_partition` cuts from an (s_real, s_real) grid shifted by
+    ``-shift`` and padded to ``s_pad``.
 
     Tokens attend only within their pre-shift region; padded cells form a
-    region of their own. Returns None when no mask is needed.
+    region of their own. The region map is laid out on the unshifted, padded
+    grid and moved into windows by the same index as the data, so each
+    window cell's label is that of the token it holds. Returns None when no
+    mask is needed.
     """
     if shift == 0 and s_pad == s_real:
         return None
-    region = np.full((s_pad, s_pad), -1.0)
+    band = np.full(s_pad, -1)           # region band per row/column, -1 = pad
+    band[:s_real] = 0
     if shift:
-        bounds = (slice(0, -m), slice(-m, -shift), slice(-shift, None))
-        rid = 0
-        for hs in bounds:
-            for ws in bounds:
-                region[hs, ws] = rid
-                rid += 1
-        region[s_real:, :] = -1.0
-        region[:, s_real:] = -1.0
-        region = np.roll(region, (-shift, -shift), axis=(0, 1))
-    else:
-        region[:s_real, :s_real] = 0.0
-    win = region.reshape(-1)[_window_index(s_pad, m, 0)[0]].reshape(-1, m * m)
+        band[s_real - m:s_real - shift] = 1
+        band[s_real - shift:s_real] = 2
+    pad = (band[:, None] < 0) | (band[None, :] < 0)
+    region = np.where(pad, -1, 3 * band[:, None] + band[None, :])
+    win = region.reshape(-1)[_window_index(s_real, m, shift)[0]].reshape(-1, m * m)
     diff = win[:, :, None] != win[:, None, :]
     return np.where(diff, MASK_NEG, 0.0)
 
@@ -218,7 +217,7 @@ class GlobalEncoder(nn.Module):
     def __init__(self, c_in: int, patch: int, dim: int, depth: int, heads: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.embed = nn.Conv(c_in, dim, (patch, patch), rng, stride=patch)
+        self.embed = nn.PatchEmbed(c_in, dim, (patch, patch), rng)
         self.blocks = nn.ModuleList()
         for _ in range(depth):
             blk = nn.Module()

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .config import ExperimentConfig
 from .data import generate_dataset
 from .model import InpaintingDetector
 from .objectives import f1_metric, frame_score, frame_score_auc, miou_metric
 from .tokenizer import VideoClip
-from .train import evaluate_model, load_checkpoint, train
+from .train import load_checkpoint, predict_maps, train
 
 
 @dataclass
@@ -36,17 +35,13 @@ class OverfitResult:
     history: list[str] = field(default_factory=list)
 
 
-def _measure(model: InpaintingDetector, inpainted, twins):
-    ious, f1s, pos_scores, neg_scores = [], [], [], []
-    for _, clip, mask in inpainted:
-        with T.no_grad():
-            m = model(clip.frames).data
-        ious.append(miou_metric(m, mask))
-        f1s.append(f1_metric(m, mask))
-        pos_scores.append(frame_score(m))
-    for _, clip, _ in twins:
-        with T.no_grad():
-            neg_scores.append(frame_score(model(clip.frames).data))
+def _measure(model: InpaintingDetector, inpainted, twins, batch: int):
+    maps = predict_maps(model, [clip for _, clip, _ in inpainted + twins], batch)
+    pos, neg = maps[:len(inpainted)], maps[len(inpainted):]
+    ious = [miou_metric(m, mask) for m, (_, _, mask) in zip(pos, inpainted)]
+    f1s = [f1_metric(m, mask) for m, (_, _, mask) in zip(pos, inpainted)]
+    pos_scores = [frame_score(m) for m in pos]
+    neg_scores = [frame_score(m) for m in neg]
     auc = frame_score_auc(pos_scores + neg_scores,
                           [1] * len(pos_scores) + [0] * len(neg_scores))
     return float(np.mean(ious)), float(np.mean(f1s)), auc, pos_scores, neg_scores
@@ -81,7 +76,7 @@ def run_overfit_experiment(cfg: ExperimentConfig, work_dir: str,
         res = train(cfg, seg_dir, resume=resume, dataset=train_set, stop_iter=stop)
         resume = res.checkpoint
         load_checkpoint(res.checkpoint, model)
-        miou, f1, auc, pos, neg = _measure(model, inpainted, twins)
+        miou, f1, auc, pos, neg = _measure(model, inpainted, twins, cfg.train.batch)
         history.append(f"iter={res.final_iter} miou={miou:.4f} f1={f1:.4f} auc={auc:.4f}")
         cand = OverfitResult(res.final_iter, miou, f1, auc, res.checkpoint, pos, neg)
         if best is None or cand.train_miou > best.train_miou:

@@ -103,16 +103,16 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     k2 = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4)
     b2 = Tensor(rng.normal(size=3) * 0.1)
     r553 = proj(1, 5, 5, 3)
-    case("conv2d", lambda x: T.reduce_sum(T.conv(x, k2, b2, 1, 1) * r553), u(1, 5, 5, 2))
+    case("conv2d", lambda x: T.reduce_sum(T.conv(x, k2, b2, 1) * r553), u(1, 5, 5, 2))
     cx = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
-    r223 = proj(1, 2, 2, 3)
+    r333 = proj(1, 3, 3, 3)
     case("conv2d_weight",
-         lambda w: T.reduce_sum(T.conv(cx, w, None, 2, 0) * r223),
+         lambda w: T.reduce_sum(T.conv(cx, w, None, 0) * r333),
          Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4))
     k3 = Tensor(rng.normal(size=(3, 3, 3, 2, 2)) * 0.4)
     b3 = Tensor(rng.normal(size=2) * 0.1)
     r3442 = proj(1, 3, 4, 4, 2)
-    case("conv3d", lambda x: T.reduce_sum(T.conv(x, k3, b3, 1, 1) * r3442),
+    case("conv3d", lambda x: T.reduce_sum(T.conv(x, k3, b3, 1) * r3442),
          u(1, 3, 4, 4, 2))
 
     r752 = proj(1, 7, 5, 2)

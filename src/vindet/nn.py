@@ -148,20 +148,46 @@ class GroupNorm(Module):
 
 
 class Conv(Module):
-    """Channels-last convolution over a batch; ``kernel`` holds one size per
-    spatial axis, so its length sets the dimensionality."""
+    """Channels-last stride-1 convolution over a batch; ``kernel`` holds one
+    size per spatial axis, so its length sets the dimensionality."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple, rng: np.random.Generator,
-                 stride=1, padding=0, zero_init: bool = False, bias: bool = True):
+                 padding=0, zero_init: bool = False, bias: bool = True):
         super().__init__()
-        self.stride, self.padding = stride, padding
+        self.padding = padding
         shape = (*kernel, c_in, c_out)
         self.w = Parameter(np.zeros(shape) if zero_init else _normal(rng, shape))
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         b = self.b.tensor if self.b is not None else None
-        return T.conv(x, self.w.tensor, b, self.stride, self.padding)
+        return T.conv(x, self.w.tensor, b, self.padding)
+
+
+class PatchEmbed(Module):
+    """The convolution whose stride equals its kernel, as patchify plus one
+    ``linear``: each non-overlapping patch of a (B, *spatial, Ci) input,
+    flattened in (*kernel, Ci) order, times the (*kernel, Ci, Co) weight
+    flattened the same way. ``kernel`` must divide every spatial side."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: tuple, rng: np.random.Generator):
+        super().__init__()
+        self.kernel = tuple(kernel)
+        shape = (*kernel, c_in, c_out)
+        self.w = Parameter(_normal(rng, shape))
+        self.b = Parameter(np.zeros(c_out))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        b, *sides, c = x.shape
+        if len(sides) != len(self.kernel) or any(n % k for n, k in zip(sides, self.kernel)):
+            raise T.ShapeError(f"patch embed: kernel {self.kernel} does not tile input {x.shape}")
+        grid = tuple(n // k for n, k in zip(sides, self.kernel))
+        nd = len(grid)
+        # (B, g0, k0, g1, k1, ..., C) -> (B, g0, g1, ..., k0, k1, ..., C)
+        x = x.reshape(b, *(v for gk in zip(grid, self.kernel) for v in gk), c)
+        x = T.permute(x, (0, *range(1, 2 * nd, 2), *range(2, 2 * nd + 1, 2), 2 * nd + 1))
+        w = self.w.tensor
+        return T.linear(x.reshape(b, *grid, -1), w.reshape(-1, w.shape[-1]), self.b.tensor)
 
 
 class Mlp(Module):

@@ -749,12 +749,15 @@ def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv(x, w, b=None, stride=1, padding=0) -> Tensor:
-    """N-d convolution by im2col, channels-last with a leading batch axis.
+def conv(x, w, b=None, padding=0) -> Tensor:
+    """N-d stride-1 convolution, channels-last with a leading batch axis.
 
     ``x`` is (B, *spatial, Ci) and ``w`` is (*kernel, Ci, Co), with one kernel
-    axis per spatial axis; ``b`` is (Co,). ``stride`` and ``padding`` are an
-    int or one value per spatial axis; padding adds zeros on both sides.
+    axis per spatial axis; ``b`` is (Co,). ``padding`` is an int or one value
+    per spatial axis and adds zeros on both sides. Each kernel offset adds
+    one (M, Ci) x (Ci, Co) product over the slice of the padded input it
+    sees, so no im2col matrix is built: the peak memory stays near the
+    padded input plus the output. The backward runs the same per offset.
     """
     x, w = as_tensor(x), as_tensor(w)
     nd = w.ndim - 2
@@ -763,38 +766,35 @@ def conv(x, w, b=None, stride=1, padding=0) -> Tensor:
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"conv: input channels differ, {x.shape} vs {w.shape}")
     ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
-    st = (int(stride),) * nd if np.isscalar(stride) else tuple(int(v) for v in stride)
     pd = (int(padding),) * nd if np.isscalar(padding) else tuple(int(v) for v in padding)
-    xp = np.pad(x.data, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),))
-    outs = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[1:-1], ks, st))
+    xp = np.pad(x.data, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),)) if any(pd) else x.data
+    outs = tuple(n - k + 1 for n, k in zip(xp.shape[1:-1], ks))
     if min(outs) <= 0:
         raise ShapeError(f"conv: kernel {w.shape} too large for input {x.shape} (pad {pd})")
-    spatial = tuple(range(1, nd + 1))
-    win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=spatial)
-    win = win[(slice(None),) + tuple(slice(None, None, s) for s in st)]
-    # win: (B, *outs, Ci, *kernel) -> cols (B*prod(outs), prod(kernel)*Ci)
-    kern = tuple(range(nd + 2, 2 * nd + 2))
-    cols = win.transpose((0,) + spatial + kern + (nd + 1,)).reshape(-1, w.size // co)
-    wmat = w.data.reshape(-1, co)
-    y = cols @ wmat
+    offsets = [(off, (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, outs)))
+               for off in np.ndindex(*ks)]
+    y = 0.0
+    for off, hit in offsets:
+        y += xp[hit].reshape(-1, ci) @ w.data[off]
     if b is not None:
         b = as_tensor(b)
-        y = y + b.data
+        y += b.data
     out = Tensor(y.reshape(x.shape[:1] + outs + (co,)))
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd():
         g2 = out.grad.reshape(-1, co)
         if w.requires_grad:
-            w.accumulate_grad((cols.T @ g2).reshape(w.shape))
+            gw = np.empty_like(w.data)
+            for off, hit in offsets:
+                gw[off] = xp[hit].reshape(-1, ci).T @ g2
+            w.accumulate_grad(gw)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0))
         if x.requires_grad:
-            dcols = (g2 @ wmat.T).reshape(x.shape[:1] + outs + ks + (ci,))
             gxp = np.zeros_like(xp)
-            for off in np.ndindex(*ks):
-                hit = tuple(slice(o, o + n * s, s) for o, n, s in zip(off, outs, st))
-                gxp[(slice(None),) + hit] += dcols[(slice(None),) * (nd + 1) + off]
+            for off, hit in offsets:
+                gxp[hit] += (g2 @ w.data[off].T).reshape(x.shape[:1] + outs + (ci,))
             inner = tuple(slice(p, p + n) for p, n in zip(pd, x.shape[1:-1]))
             x.accumulate_grad(gxp[(slice(None),) + inner])
 

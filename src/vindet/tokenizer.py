@@ -1,4 +1,4 @@
-"""Clip tokenization: one token grid per temporal view via strided 3D conv.
+"""Clip tokenization: one token grid per temporal view, one token per tubelet.
 
 Clips arrive as a batch (B,T,H,W,C) and leave as token grids (B,T',S,S,c).
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,50 +52,20 @@ class VideoClip:
 
 
 @dataclass
-class ViewSpec:
-    views: tuple            # ascending tubelet lengths
-    patch: int              # spatial patch side (h == w)
-    dims: tuple             # per-view embedding width
-
-    def validate(self, t: int, h: int, w: int) -> "ViewSpec":
-        vs = tuple(self.views)
-        if not vs or any(v < 1 for v in vs):
-            raise ValueError(f"views must be positive, got {vs}")
-        if any(a >= b for a, b in zip(vs, vs[1:])):
-            raise ValueError(f"views must be strictly ascending, got {vs}")
-        if vs[-1] > t:
-            raise ValueError(f"view {vs[-1]} exceeds clip length {t}")
-        if h % self.patch or w % self.patch:
-            raise ValueError(f"patch {self.patch} must divide frame size {h}x{w}")
-        if len(self.dims) != len(vs):
-            raise ValueError("need one embedding width per view")
-        return self
-
-
-@dataclass
 class TokenGrid:
     tokens: Tensor  # (B, floor(T/t), H/h, W/w, c)
     view: int
 
 
-def tubelet_count(t: int, h: int, w: int, vt: int, vh: int, vw: int) -> int:
-    """Number of t x h x w tubelets in a T x H x W clip (floor division)."""
-    if vt < 1 or vh < 1 or vw < 1:
-        raise ValueError("tubelet dims must be positive")
-    if vt > t or vh > h or vw > w:
-        raise ValueError(f"tubelet ({vt},{vh},{vw}) larger than clip ({t},{h},{w})")
-    return (t // vt) * (h // vh) * (w // vw)
-
-
 class TubeletEmbed(nn.Module):
-    """Strided 3D convolution embedding one temporal view."""
+    """Embeds one temporal view: each view x patch x patch tubelet times one
+    linear map (a 3D convolution with stride equal to its kernel)."""
 
     def __init__(self, view: int, patch: int, c_in: int, c_out: int,
                  rng: np.random.Generator):
         super().__init__()
         self.view, self.patch = view, patch
-        self.proj = nn.Conv(c_in, c_out, (view, patch, patch), rng,
-                            stride=(view, patch, patch))
+        self.proj = nn.PatchEmbed(c_in, c_out, (view, patch, patch), rng)
 
     def __call__(self, frames: Tensor) -> TokenGrid:
         t = frames.shape[1]
@@ -103,20 +73,6 @@ class TubeletEmbed(nn.Module):
         if usable != t:
             frames = T.slice_axis(frames, 1, 0, usable)
         return TokenGrid(self.proj(frames), self.view)
-
-
-def tokenize_view(clip: VideoClip, spec: ViewSpec, view: int,
-                  embed: TubeletEmbed) -> TokenGrid:
-    spec.validate(clip.t, clip.h, clip.w)
-    if embed.view != view or embed.patch != spec.patch:
-        raise ValueError(
-            f"embedding built for view {embed.view}/patch {embed.patch}, asked for {view}/{spec.patch}"
-        )
-    grid = embed(Tensor(clip.frames[None]))
-    expected = tubelet_count(clip.t, clip.h, clip.w, view, spec.patch, spec.patch)
-    n = grid.tokens.shape[1] * grid.tokens.shape[2] * grid.tokens.shape[3]
-    assert n == expected
-    return grid
 
 
 # ---------------------------------------------------------------------------

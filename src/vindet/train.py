@@ -3,8 +3,8 @@
 Encoder and decoder parameters use separate learning rates. Batch selection
 is a stateless function of (seed, iteration) so resuming from a checkpoint
 replays the exact remaining trajectory. A step runs the whole batch through
-the model as one stacked forward and one backward; evaluation runs clip by
-clip.
+the model as one stacked forward and one backward; evaluation stacks
+``train.batch`` clips per no-grad forward.
 """
 
 from __future__ import annotations
@@ -148,6 +148,17 @@ def load_checkpoint(path, model: InpaintingDetector):
 # evaluation
 # ---------------------------------------------------------------------------
 
+def predict_maps(model: InpaintingDetector, clips, batch: int) -> list[np.ndarray]:
+    """No-grad (H,W) detection maps of ``clips`` (a list of VideoClip), run
+    ``batch`` clips per forward. Every layer keeps its samples apart, so a
+    clip's map does not depend on the clips batched with it."""
+    maps = []
+    with T.no_grad():
+        for lo in range(0, len(clips), batch):
+            maps.extend(model(np.stack([c.frames for c in clips[lo:lo + batch]])).data)
+    return maps
+
+
 @dataclass
 class EvalReport:
     lines: list[str]
@@ -169,13 +180,11 @@ def evaluate_model(model: InpaintingDetector, dataset, cfg: ExperimentConfig,
     """
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
+    clips = [apply_perturbation(clip, cfg, cfg.seed * 1009 + idx) if perturb else clip
+             for idx, (_, clip, _) in enumerate(dataset)]
     lines = []
     ious, f1s, scores, labels = [], [], [], []
-    for idx, (clip_id, clip, mask) in enumerate(dataset):
-        if perturb:
-            clip = apply_perturbation(clip, cfg, cfg.seed * 1009 + idx)
-        with T.no_grad():
-            m = model(clip.frames).data
+    for (clip_id, _, mask), m in zip(dataset, predict_maps(model, clips, cfg.train.batch)):
         if dump_dir is not None:
             from .tokenizer import write_pgm
 
@@ -223,7 +232,7 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
     chained through checkpoints."""
     cfg.validate()
     if dataset is None:
-        dataset = load_dataset(cfg.data.dir)
+        dataset = load_dataset(cfg.data.dir, cfg)
     os.makedirs(out_dir, exist_ok=True)
 
     model = InpaintingDetector(cfg)

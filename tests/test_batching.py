@@ -180,26 +180,26 @@ class TestTrainStep:
 def _gradcheck_cases():
     rng = np.random.default_rng(17)
     proj = lambda *s: Tensor(rng.normal(size=s))
-    # 2-D: stride 2 over a ragged 6x5 input with padding 1
+    # 2-D: a ragged 6x5 input with padding 1
     w2 = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4)
     b2 = Tensor(rng.normal(size=3) * 0.1)
     x2 = Tensor(rng.uniform(-1, 1, size=(2, 6, 5, 2)))
-    r2 = proj(2, 3, 3, 3)
-    # 3-D: per-axis stride and padding
+    r2 = proj(2, 6, 5, 3)
+    # 3-D: per-axis padding
     w3 = Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4)
     b3 = Tensor(rng.normal(size=2) * 0.1)
     x3 = Tensor(rng.uniform(-1, 1, size=(2, 3, 5, 4, 2)))
-    st3, pd3 = (1, 2, 1), (1, 1, 0)
-    r3 = proj(2, 4, 3, 2, 2)
+    pd3 = (1, 1, 0)
+    r3 = proj(2, 4, 5, 2, 2)
     gn_g = Tensor(rng.uniform(0.5, 1.5, size=8))
     gn_b = Tensor(rng.normal(size=8) * 0.1)
     rg = proj(2, 3, 3, 8)
     return {
-        "conv2d_x": (lambda x: T.reduce_sum(T.conv(x, w2, b2, 2, 1) * r2), x2),
-        "conv2d_w": (lambda w: T.reduce_sum(T.conv(x2, w, b2, 2, 1) * r2), w2),
-        "conv2d_b": (lambda b: T.reduce_sum(T.conv(x2, w2, b, 2, 1) * r2), b2),
-        "conv3d_x": (lambda x: T.reduce_sum(T.conv(x, w3, b3, st3, pd3) * r3), x3),
-        "conv3d_w": (lambda w: T.reduce_sum(T.conv(x3, w, b3, st3, pd3) * r3), w3),
+        "conv2d_x": (lambda x: T.reduce_sum(T.conv(x, w2, b2, 1) * r2), x2),
+        "conv2d_w": (lambda w: T.reduce_sum(T.conv(x2, w, b2, 1) * r2), w2),
+        "conv2d_b": (lambda b: T.reduce_sum(T.conv(x2, w2, b, 1) * r2), b2),
+        "conv3d_x": (lambda x: T.reduce_sum(T.conv(x, w3, b3, pd3) * r3), x3),
+        "conv3d_w": (lambda w: T.reduce_sum(T.conv(x3, w, b3, pd3) * r3), w3),
         "group_norm": (lambda x: T.reduce_sum(T.group_norm(x, gn_g, gn_b, 4) * rg),
                        Tensor(rng.uniform(-1, 1, size=(2, 3, 3, 8)))),
     }
@@ -212,9 +212,9 @@ def test_batched_primitive_gradients(name):
     assert rep.passed, f"{name}: {rep}"
 
 
-def test_conv_output_shape_follows_stride_and_padding():
+def test_conv_output_shape_follows_padding():
     x = Tensor(np.zeros((2, 3, 5, 4, 2)))
     w = Tensor(np.zeros((2, 3, 3, 2, 7)))
-    assert T.conv(x, w, None, (1, 2, 1), (1, 1, 0)).shape == (2, 4, 3, 2, 7)
+    assert T.conv(x, w, None, (1, 1, 0)).shape == (2, 4, 5, 2, 7)
     with pytest.raises(T.ShapeError):
         T.conv(Tensor(np.zeros((5, 5, 2))), Tensor(np.zeros((3, 3, 2, 1))))

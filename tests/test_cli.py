@@ -136,6 +136,27 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "truncated" in err
 
+    @pytest.mark.parametrize("frames_hw, mask_hw", [((24, 24), (24, 24)), ((16, 16), (8, 8))])
+    def test_mismatched_clip_shape_exit_code(self, tmp_path, tiny_cfg_file, capsys,
+                                             frames_hw, mask_hw):
+        # frames off the config geometry, or a mask off its frames, must be
+        # reported with the clip directory before any clip reaches the model
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.tokenizer import VideoClip, save_clip
+        from vindet.train import save_checkpoint
+
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        rng = np.random.default_rng(0)
+        save_clip(tmp_path / "data" / "clip_0000",
+                  VideoClip(rng.uniform(size=(3, 16, 16, 3))), np.zeros((16, 16)))
+        bad = tmp_path / "data" / "clip_0001"
+        save_clip(bad, VideoClip(rng.uniform(size=(3, *frames_hw, 3))), np.zeros(mask_hw))
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("line", [
         "optim.momentum = 1.0",
         "optim.momentum = -0.1",

@@ -1,0 +1,158 @@
+"""The per-offset convolution and the patch embeddings, against the im2col
+convolution they replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vindet import tensor as T
+from vindet.encoder import GlobalEncoder
+from vindet.tensor import Tensor, backward
+from vindet.tokenizer import TubeletEmbed
+
+REL_TOL = 1e-12
+
+
+def im2col_conv(x, w, b=None, stride=1, padding=0):
+    """The engine's former convolution: one GEMM over the full im2col
+    matrix, with stride. Kept here as the reference."""
+    x, w = T.as_tensor(x), T.as_tensor(w)
+    nd = w.ndim - 2
+    ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
+    st = (int(stride),) * nd if np.isscalar(stride) else tuple(int(v) for v in stride)
+    pd = (int(padding),) * nd if np.isscalar(padding) else tuple(int(v) for v in padding)
+    xp = np.pad(x.data, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),))
+    outs = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[1:-1], ks, st))
+    spatial = tuple(range(1, nd + 1))
+    win = np.lib.stride_tricks.sliding_window_view(xp, ks, axis=spatial)
+    win = win[(slice(None),) + tuple(slice(None, None, s) for s in st)]
+    kern = tuple(range(nd + 2, 2 * nd + 2))
+    cols = win.transpose((0,) + spatial + kern + (nd + 1,)).reshape(-1, w.size // co)
+    wmat = w.data.reshape(-1, co)
+    y = cols @ wmat
+    if b is not None:
+        b = T.as_tensor(b)
+        y = y + b.data
+    out = Tensor(y.reshape(x.shape[:1] + outs + (co,)))
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bwd():
+        g2 = out.grad.reshape(-1, co)
+        if w.requires_grad:
+            w.accumulate_grad((cols.T @ g2).reshape(w.shape))
+        if b is not None and b.requires_grad:
+            b.accumulate_grad(g2.sum(axis=0))
+        if x.requires_grad:
+            dcols = (g2 @ wmat.T).reshape(x.shape[:1] + outs + ks + (ci,))
+            gxp = np.zeros_like(xp)
+            for off in np.ndindex(*ks):
+                hit = tuple(slice(o, o + n * s, s) for o, n, s in zip(off, outs, st))
+                gxp[(slice(None),) + hit] += dcols[(slice(None),) * (nd + 1) + off]
+            inner = tuple(slice(p, p + n) for p, n in zip(pd, x.shape[1:-1]))
+            x.accumulate_grad(gxp[(slice(None),) + inner])
+
+    return T._record(out, parents, bwd, "conv")
+
+
+def _run(conv_fn, x0, w0, b0, r, **kw):
+    """Output and (x, w, b) gradients of sum(conv * r) on fresh leaves."""
+    x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+    out = conv_fn(x, w, b, **kw)
+    backward(T.reduce_sum(out * r))
+    return out.data, x.grad, w.grad, b.grad
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+# (input spatial shape, kernel, padding, Ci, Co)
+CASES = {
+    "1x1": ((6, 6), (1, 1), 0, 5, 3),
+    "3x3_pad1": ((6, 5), (3, 3), 1, 4, 3),
+    "7x7_pad3": ((8, 8), (7, 7), 3, 3, 2),
+    "3x3x3_pad1": ((3, 5, 5), (3, 3, 3), 1, 6, 4),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_conv_matches_im2col_reference(name, batch):
+    spatial, kernel, pad, ci, co = CASES[name]
+    rng = np.random.default_rng(len(name) + batch)
+    x0 = rng.uniform(-1, 1, size=(batch, *spatial, ci))
+    w0 = rng.normal(size=(*kernel, ci, co)) * 0.3
+    b0 = rng.normal(size=co)
+    out_shape = (batch, *(n + 2 * pad - k + 1 for n, k in zip(spatial, kernel)), co)
+    r = Tensor(rng.normal(size=out_shape))
+    got = _run(T.conv, x0, w0, b0, r, padding=pad)
+    ref = _run(im2col_conv, x0, w0, b0, r, padding=pad)
+    for what, g, e in zip(("output", "x grad", "w grad", "b grad"), got, ref):
+        assert g.shape == e.shape, what
+        assert _rel(g, e) <= REL_TOL, f"{name} B={batch}: {what} differs by {_rel(g, e):.2e}"
+
+
+def _patch_embed_vs_strided_conv(module, proj, x0, kernel):
+    """Output and gradients of ``module`` on x0 next to the im2col conv
+    with stride = kernel on the same weights."""
+    rng = np.random.default_rng(3)
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = module(x)
+    out = out.tokens if hasattr(out, "tokens") else out
+    r = Tensor(rng.normal(size=out.shape))
+    backward(T.reduce_sum(out * r))
+    got = (out.data, x.grad, proj.w.grad.copy(), proj.b.grad.copy())
+    proj.w.tensor.zero_grad()
+    proj.b.tensor.zero_grad()
+    xr = Tensor(x0.copy(), requires_grad=True)
+    ref_out = im2col_conv(xr, proj.w.tensor, proj.b.tensor, stride=kernel)
+    backward(T.reduce_sum(ref_out * r))
+    ref = (ref_out.data, xr.grad, proj.w.grad, proj.b.grad)
+    return got, ref
+
+
+@pytest.mark.parametrize("view", [1, 2, 3])
+def test_tubelet_embed_equals_strided_conv(view):
+    rng = np.random.default_rng(view)
+    emb = TubeletEmbed(view, 4, 3, 8, rng)
+    # whole tubelets only: the embedding drops trailing frames before the conv
+    x0 = rng.uniform(0, 1, size=(2, view, 16, 12, 3))
+    got, ref = _patch_embed_vs_strided_conv(emb, emb.proj, x0, (view, 4, 4))
+    assert got[0].shape == (2, 1, 4, 3, 8)
+    for g, e in zip(got, ref):
+        assert np.array_equal(g, e)
+
+
+def test_global_patch_embed_equals_strided_conv():
+    rng = np.random.default_rng(11)
+    enc = GlobalEncoder(3, 8, 16, 0, 2, rng)
+    x0 = rng.uniform(0, 1, size=(3, 16, 24, 3))
+    got, ref = _patch_embed_vs_strided_conv(enc.embed, enc.embed, x0, (8, 8))
+    assert got[0].shape == (3, 2, 3, 16)
+    for g, e in zip(got, ref):
+        assert np.array_equal(g, e)
+
+
+def test_patch_embed_rejects_untiled_input():
+    emb = GlobalEncoder(3, 8, 16, 0, 2, np.random.default_rng(12)).embed
+    with pytest.raises(T.ShapeError):
+        emb(Tensor(np.zeros((1, 20, 16, 3))))
+
+
+def test_nograd_conv_peak_memory():
+    # the decoder's view fusion conv on a batch of 8 desk clips; an im2col
+    # matrix alone would be 27x the input
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(8, 3, 16, 16, 72)))
+    w = Tensor(rng.normal(size=(3, 3, 3, 72, 32)))
+    b = Tensor(np.zeros(32))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            y = T.conv(x, w, b, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (8, 3, 16, 16, 32)
+    assert peak < 4 * (x.data.nbytes + y.data.nbytes), f"peak {peak / 2**20:.1f} MB"

@@ -177,7 +177,7 @@ class TestFullDecoder:
         fs = [f.data for f in dec.fuse_stages(sv)]
         def conv(mod, x):
             b = mod.b.tensor if mod.b is not None else None
-            return T.conv(Tensor(x), mod.w.tensor, b, mod.stride, mod.padding).data
+            return T.conv(Tensor(x), mod.w.tensor, b, mod.padding).data
         high = conv(dec.proj_high, fh.data)
         g = conv(dec.fuse_high, np.concatenate([fs[1], high], axis=-1))
         up = T.upsample_bilinear2d(Tensor(g), (8, 8)).data

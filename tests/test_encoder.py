@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from vindet import encoder
 from vindet import tensor as T
+from vindet.config import ExperimentConfig
 from vindet.encoder import (
     GlobalEncoder,
     PatchMerging,
@@ -14,7 +16,30 @@ from vindet.encoder import (
     window_merge,
     window_partition,
 )
+from vindet.model import InpaintingDetector
 from vindet.tensor import Tensor, backward, finite_diff_check
+
+
+def _rolled_region_mask(s_pad, m, shift, s_real):
+    """The former shift mask: its region map was rolled over the padded
+    side, which matches the data only when nothing is padded."""
+    if shift == 0 and s_pad == s_real:
+        return None
+    region = np.full((s_pad, s_pad), -1.0)
+    if shift:
+        bounds = (slice(0, -m), slice(-m, -shift), slice(-shift, None))
+        rid = 0
+        for hs in bounds:
+            for ws in bounds:
+                region[hs, ws] = rid
+                rid += 1
+        region[s_real:, :] = -1.0
+        region[:, s_real:] = -1.0
+        region = np.roll(region, (-shift, -shift), axis=(0, 1))
+    else:
+        region[:s_real, :s_real] = 0.0
+    win = region.reshape(-1)[encoder._window_index(s_pad, m, 0)[0]].reshape(-1, m * m)
+    return np.where(win[:, :, None] != win[:, None, :], encoder.MASK_NEG, 0.0)
 
 
 def _zero_residuals(block: SwinBlock):
@@ -91,6 +116,43 @@ class TestSwinBlock:
                 np.testing.assert_allclose(own, 1.0, atol=1e-6)
                 leaked = np.where(~allowed[k], attn[k, h], 0.0).sum()
                 assert leaked <= 1e-6
+
+
+    @pytest.mark.parametrize("s, m, shift", [(6, 4, 2), (5, 4, 2), (10, 4, 2), (7, 3, 1),
+                                             (8, 4, 2), (6, 4, 0)])
+    def test_shift_mask_follows_window_contents(self, s, m, shift):
+        # tag every cell with (row, col) + 1, so padding reads 0, and cut the
+        # windows as the data is cut: a pair may attend exactly when both
+        # cells are padding or both are real and share a pre-shift region
+        # (rows and columns split at s - m and s - shift)
+        r = np.arange(1.0, s + 1.0)
+        grid = np.stack(np.broadcast_arrays(r[:, None], r[None, :]), axis=-1)[None]
+        windows, meta = window_partition(Tensor(grid), m, shift)
+        cells = windows.data.astype(int) - 1
+        pad = (cells < 0).any(axis=-1)
+        band = np.searchsorted([s - m, s - shift] if shift else [], cells, side="right")
+        same = (band[:, :, None] == band[:, None, :]).all(axis=-1)
+        both_pad = pad[:, :, None] & pad[:, None, :]
+        both_real = ~pad[:, :, None] & ~pad[:, None, :]
+        expected = both_pad | (both_real & same)
+        assert np.array_equal(encoder._shift_mask(meta[2], m, shift, s) == 0.0, expected)
+
+    def test_unpadded_grids_keep_their_masks(self, monkeypatch):
+        # the desk, wide and paper grids never pad, so their masks and the
+        # desk forward are those of the former construction
+        for s, m in [(8, 4), (16, 4), (56, 7), (28, 7), (14, 7)]:
+            assert np.array_equal(encoder._shift_mask(s, m, m // 2, s),
+                                  _rolled_region_mask(s, m, m // 2, s))
+        model = InpaintingDetector(ExperimentConfig())
+        rng = np.random.default_rng(12)
+        for p in model.registry().values():
+            p.data[...] += rng.normal(0.0, 0.05, size=p.data.shape)
+        frames = rng.uniform(0, 1, size=(2, 3, 32, 32, 3))
+        with T.no_grad():
+            now = model(frames).data
+            monkeypatch.setattr(encoder, "_shift_mask", _rolled_region_mask)
+            before = model(frames).data
+        assert np.array_equal(now, before)
 
 
 class TestViewBranch:

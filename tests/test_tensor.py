@@ -157,18 +157,18 @@ def _fd_cases():
     def conv2d_case(rng):
         k = Tensor(rng.normal(size=(3, 3, 2, 4)) * 0.3)
         b = Tensor(rng.normal(size=(4,)) * 0.1)
-        return (lambda x: sum_(T.conv(x, k, b, stride=1, padding=1) ** 2),
+        return (lambda x: sum_(T.conv(x, k, b, padding=1) ** 2),
                 Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2))))
 
     def conv2d_weight_case(rng):
         x = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
-        return (lambda w: sum_(T.conv(x, w, None, stride=2, padding=0) ** 2),
+        return (lambda w: sum_(T.conv(x, w, None, padding=0) ** 2),
                 Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.3))
 
     def conv3d_case(rng):
         k = Tensor(rng.normal(size=(3, 3, 3, 2, 3)) * 0.3)
         b = Tensor(rng.normal(size=(3,)) * 0.1)
-        return (lambda x: sum_(T.conv(x, k, b, stride=1, padding=1) ** 2),
+        return (lambda x: sum_(T.conv(x, k, b, padding=1) ** 2),
                 Tensor(rng.uniform(-1, 1, size=(1, 3, 4, 4, 2))))
 
     def grid_data_case(rng):

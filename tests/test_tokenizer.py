@@ -4,42 +4,45 @@ import numpy as np
 import pytest
 
 from vindet import tensor as T
+from vindet.config import ExperimentConfig
 from vindet.tensor import Tensor, backward, finite_diff_check
 from vindet.tokenizer import (
     TubeletEmbed,
     VideoClip,
-    ViewSpec,
     load_clip,
     read_pgm,
     read_ppm,
     save_clip,
-    tokenize_view,
-    tubelet_count,
     write_pgm,
     write_ppm,
 )
 
 
 class TestTubeletCount:
+    @staticmethod
+    def _tokens(view, t, side):
+        emb = TubeletEmbed(view, 4, 3, 2, np.random.default_rng(view))
+        grid = emb(Tensor(np.zeros((1, t, side, side, 3)))).tokens
+        return int(np.prod(grid.shape[1:4]))
+
     def test_paper_scale_sizes(self):
-        assert tubelet_count(3, 224, 224, 1, 4, 4) == 9408
-        assert tubelet_count(3, 224, 224, 3, 4, 4) == 3136
+        assert self._tokens(1, 3, 224) == 9408
+        assert self._tokens(3, 3, 224) == 3136
 
     def test_floor_semantics(self):
-        assert tubelet_count(3, 32, 32, 2, 4, 4) == 64
+        assert self._tokens(2, 3, 32) == 64
 
     def test_zero_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            tubelet_count(3, 32, 32, 0, 4, 4)
+        # tubelet lengths come from geometry.views, checked before any build
+        cfg = ExperimentConfig()
+        cfg.geometry.views = (0, 1, 2)
+        with pytest.raises(ValueError, match="views"):
+            cfg.validate()
 
 
 def _clip(seed=0, t=3, h=16, w=16):
     rng = np.random.default_rng(seed)
     return VideoClip(rng.uniform(0, 1, size=(t, h, w, 3)))
-
-
-def _spec(views=(1, 2, 3), patch=4, dims=(8, 8, 8)):
-    return ViewSpec(views, patch, dims)
 
 
 class TestTokenizeView:
@@ -49,27 +52,21 @@ class TestTokenizeView:
         emb = TubeletEmbed(1, 4, 3, 8, rng)
         emb.proj.w.tensor.data[:] = 1.0 / (1 * 4 * 4 * 3)
         emb.proj.b.tensor.data[:] = 0.0
-        grid = tokenize_view(clip, _spec(), 1, emb)
+        grid = emb(Tensor(clip.frames[None]))
         np.testing.assert_allclose(grid.tokens.data, 0.6, atol=1e-12)
 
     def test_full_length_view_collapses_time(self):
         clip = _clip()
         emb = TubeletEmbed(3, 4, 3, 8, np.random.default_rng(1))
-        grid = tokenize_view(clip, _spec(), 3, emb)
+        grid = emb(Tensor(clip.frames[None]))
         assert grid.tokens.shape == (1, 1, 4, 4, 8)
 
     def test_three_view_temporal_axes(self):
         clip = _clip()
         for view, expect in [(1, 3), (2, 1), (3, 1)]:
             emb = TubeletEmbed(view, 4, 3, 8, np.random.default_rng(view))
-            grid = tokenize_view(clip, _spec(), view, emb)
+            grid = emb(Tensor(clip.frames[None]))
             assert grid.tokens.shape[1] == expect
-
-    def test_kernel_view_mismatch_rejected(self):
-        clip = _clip()
-        emb = TubeletEmbed(2, 4, 3, 8, np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            tokenize_view(clip, _spec(), 1, emb)
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
@@ -96,20 +93,6 @@ class TestTokenizeView:
         emb = TubeletEmbed(1, 4, 3, 4, rng)
         backward(T.reduce_sum(emb(Tensor(_clip().frames[None])).tokens ** 2))
         assert np.any(emb.proj.w.grad != 0)
-
-
-class TestViewSpec:
-    def test_ascending_required(self):
-        with pytest.raises(ValueError):
-            ViewSpec((2, 2), 4, (8, 8)).validate(3, 16, 16)
-
-    def test_view_exceeding_clip(self):
-        with pytest.raises(ValueError):
-            ViewSpec((1, 4), 4, (8, 8)).validate(3, 16, 16)
-
-    def test_patch_divisibility(self):
-        with pytest.raises(ValueError):
-            ViewSpec((1,), 5, (8,)).validate(3, 16, 16)
 
 
 class TestClipIO:

@@ -187,3 +187,40 @@ class TestEvaluate:
         rep = evaluate_model(model, ds, cfg)
         assert rep.auc is not None
         assert "auc=" in rep.lines[-1]
+
+    @pytest.mark.parametrize("kind", ["jpeg", "gaussian"])
+    def test_batched_matches_per_clip(self, kind, monkeypatch):
+        # 5 clips at batch 4 leave a ragged last chunk; perturbation seeds
+        # follow the clip index, not the chunk
+        import dataclasses
+
+        import vindet.train as train_mod
+
+        cfg = _tiny_cfg()
+        cfg.perturb = dataclasses.replace(cfg.perturb, kind=kind, jpeg_quality=70)
+        ds = _tiny_dataset(cfg, n=3)
+        ds += [(f"auth_{i}", ds[i][1], np.zeros_like(ds[i][2])) for i in range(2)]
+        model = InpaintingDetector(cfg)
+        rng = np.random.default_rng(9)
+        for p in model.registry().values():  # leave the zero-initialised head
+            p.data[...] += rng.normal(0.0, 0.05, size=p.data.shape)
+        seen = []
+
+        def recording(fn):
+            def wrapped(*args):
+                value = fn(*args)
+                seen[-1].append(value)
+                return value
+            return wrapped
+
+        for name in ("miou_metric", "f1_metric", "frame_score", "frame_score_auc"):
+            monkeypatch.setattr(train_mod, name, recording(getattr(train_mod, name)))
+        reports = []
+        for batch in (1, 4):
+            cfg.train.batch = batch
+            seen.append([])
+            reports.append(evaluate_model(model, ds, cfg, perturb=True))
+        assert len(seen[0]) == len(seen[1]) == 3 * len(ds) + 1
+        assert reports[0].auc is not None
+        assert max(abs(a - b) for a, b in zip(*seen)) <= 1e-9
+        assert len(set(seen[0][2:-1:3])) > 1  # scores vary: the check has teeth
