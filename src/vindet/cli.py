@@ -31,8 +31,7 @@ def cmd_gen_data(args) -> int:
     clips = generate_dataset(args.n, args.seed, cfg)
     save_dataset(args.out, clips)
     if args.with_authentic:
-        from .data import generate_dataset as gen
-        auth = gen(args.n, args.seed + 1, cfg, inpainted=False)
+        auth = generate_dataset(args.n, args.seed + 1, cfg, inpainted=False)
         save_dataset(os.path.join(args.out + "_authentic"), auth)
     print(f"wrote {len(clips)} clips to {args.out}")
     return 0

@@ -75,7 +75,6 @@ class TrainConfig:
     iters: int = 500
     batch: int = 4
     eval_every: int = 50
-    target_miou: float = 0.0       # early stop once train mIoU reaches this
     augment: bool = False          # random square-symmetry per sample
 
 
@@ -121,6 +120,14 @@ class ExperimentConfig:
         g, e = self.geometry, self.encoder
         if g.frames < 1:
             raise ValueError("geometry.frames must be >= 1")
+        sizes = {"geometry.patch": (g.patch,), "geometry.channels": (g.channels,),
+                 "encoder.window": (e.window,), "encoder.dims": e.dims,
+                 "encoder.heads": e.heads, "global.patch": (self.glob.patch,),
+                 "global.dim": (self.glob.dim,), "global.heads": (self.glob.heads,),
+                 "dwti.window": (self.dwti.window,), "decoder.channels": self.decoder.channels}
+        for key, values in sizes.items():
+            if any(v < 1 for v in values):
+                raise ValueError(f"{key} must be >= 1, got {','.join(map(str, values))}")
         if g.height != g.width:
             raise ValueError("square frames required")
         if g.height % g.patch or g.width % g.patch:

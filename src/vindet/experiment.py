@@ -2,10 +2,14 @@
 
 Trains on a small synthetic set together with authentic twins of the same
 scenes (empty masks), so the detector must key on fill evidence rather than
-scene identity. Inpainted clips are oversampled 3:1 against twins. Training
-runs in segments; after each segment the inpainted-clip masks and the
-authentic-vs-inpainted frame AUC are measured and the best checkpoint by
-mask quality is kept. Total iterations never exceed the configured budget.
+scene identity. Inpainted clips are oversampled 3:1 against twins.
+
+The experiment is one ``train()`` run. At each check iteration its
+``on_step`` hook measures the inpainted-clip masks and the
+authentic-vs-inpainted frame AUC on the live model, keeps a copy of the
+best check's weights and momentum by mask quality, and ends training once
+the stop thresholds are met. The best check is then written as one
+checkpoint. Total iterations never exceed the configured budget.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .data import generate_dataset
 from .model import InpaintingDetector
 from .objectives import f1_metric, frame_score, frame_score_auc, miou_metric
 from .tokenizer import VideoClip
-from .train import load_checkpoint, predict_maps, train
+from .train import predict_maps, save_checkpoint, train
 
 
 @dataclass
@@ -65,24 +69,28 @@ def run_overfit_experiment(cfg: ExperimentConfig, work_dir: str,
     train_set = inpainted * 3 + twins
 
     max_iter = cfg.train.iters
-    checkpoints = sorted({min(max_iter, k) for k in
-                          range(first_check, max_iter + check_every, check_every)})
+    checks = set(range(first_check, max_iter, check_every)) | {max_iter}
+    best_path = os.path.join(work_dir, "best.mpci")
     history: list[str] = []
-    best = None
-    resume = None
-    model = InpaintingDetector(cfg)
-    for stop in checkpoints:
-        seg_dir = os.path.join(work_dir, f"seg_{stop:04d}")
-        res = train(cfg, seg_dir, resume=resume, dataset=train_set, stop_iter=stop)
-        resume = res.checkpoint
-        load_checkpoint(res.checkpoint, model)
+    best = kept = None   # the best check's result; its model, weights and momentum
+
+    def check(it, model, velocities) -> bool:
+        nonlocal best, kept
+        if it not in checks:
+            return False
         miou, f1, auc, pos, neg = _measure(model, inpainted, twins, cfg.train.batch)
-        history.append(f"iter={res.final_iter} miou={miou:.4f} f1={f1:.4f} auc={auc:.4f}")
-        cand = OverfitResult(res.final_iter, miou, f1, auc, res.checkpoint, pos, neg)
-        if best is None or cand.train_miou > best.train_miou:
-            best = cand
-        if miou >= stop_miou and f1 >= stop_f1 and auc >= stop_auc:
-            best = cand
-            break
+        history.append(f"iter={it} miou={miou:.4f} f1={f1:.4f} auc={auc:.4f}")
+        done = miou >= stop_miou and f1 >= stop_f1 and auc >= stop_auc
+        if done or best is None or miou > best.train_miou:
+            best = OverfitResult(it, miou, f1, auc, best_path, pos, neg)
+            kept = (model, [p.data.copy() for p in model.registry().values()],
+                    {n: v.copy() for n, v in velocities.items()})
+        return done
+
+    train(cfg, work_dir, dataset=train_set, on_step=check)
+    model, params, velocities = kept
+    for p, data in zip(model.registry().values(), params):
+        p.data[...] = data
+    save_checkpoint(best_path, model, velocities, best.iterations)
     best.history = history
     return best

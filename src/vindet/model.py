@@ -47,7 +47,7 @@ class InpaintingDetector(nn.Module):
     def encode(self, frames: Tensor) -> list[list[Tensor]]:
         """Per-stage, per-view (B,T,S,S,c) features with interaction applied
         per stage."""
-        cur = [emb(frames).tokens for emb in self.embeds]
+        cur = [emb(frames) for emb in self.embeds]
         per_stage = []
         for l in range(self.cfg.encoder.stages):
             cur = [branch.run_stage(z, l) for branch, z in zip(self.branches, cur)]

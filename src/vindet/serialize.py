@@ -55,17 +55,6 @@ def decode_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr, end - offset
 
 
-def save_tensor(path, arr: np.ndarray):
-    with open(path, "wb") as fh:
-        fh.write(encode_tensor(arr))
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        arr, _ = decode_tensor(fh.read())
-    return arr
-
-
 def save_container(path, tensors: Dict[str, np.ndarray]):
     """Write named tensors sorted by name so output bytes are reproducible."""
     names = sorted(tensors)

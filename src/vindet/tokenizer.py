@@ -51,12 +51,6 @@ class VideoClip:
         return self.frames.shape[3]
 
 
-@dataclass
-class TokenGrid:
-    tokens: Tensor  # (B, floor(T/t), H/h, W/w, c)
-    view: int
-
-
 class TubeletEmbed(nn.Module):
     """Embeds one temporal view: each view x patch x patch tubelet times one
     linear map (a 3D convolution with stride equal to its kernel)."""
@@ -67,12 +61,13 @@ class TubeletEmbed(nn.Module):
         self.view, self.patch = view, patch
         self.proj = nn.PatchEmbed(c_in, c_out, (view, patch, patch), rng)
 
-    def __call__(self, frames: Tensor) -> TokenGrid:
+    def __call__(self, frames: Tensor) -> Tensor:
+        """(B,T,H,W,C) frames to (B, floor(T/view), H/patch, W/patch, c_out) tokens."""
         t = frames.shape[1]
         usable = (t // self.view) * self.view
         if usable != t:
             frames = T.slice_axis(frames, 1, 0, usable)
-        return TokenGrid(self.proj(frames), self.view)
+        return self.proj(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +92,9 @@ def write_pgm(path, img: np.ndarray):
         fh.write(data.tobytes())
 
 
-def _read_netpbm(path, magic: str):
+def _read_netpbm(path, magic: str, channels: int) -> np.ndarray:
+    """The (h, w, channels) uint8 pixels of a binary P5/P6 file; a bad header
+    or a payload shorter than the header says raises ValueError naming it."""
     with open(path, "rb") as fh:
         buf = fh.read()
     m = re.match(rb"(P[56])\s+(?:#[^\n]*\s+)?(\d+)\s+(\d+)\s+(\d+)\s", buf)
@@ -106,18 +103,19 @@ def _read_netpbm(path, magic: str):
     w, h, maxval = int(m.group(2)), int(m.group(3)), int(m.group(4))
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")
-    pix = np.frombuffer(buf[m.end():], dtype=np.uint8)
-    return pix, h, w
+    size = h * w * channels
+    if len(buf) - m.end() < size:
+        raise ValueError(f"{path}: truncated {magic} payload: {len(buf) - m.end()} "
+                         f"bytes for {w}x{h}x{channels}")
+    return np.frombuffer(buf, np.uint8, count=size, offset=m.end()).reshape(h, w, channels)
 
 
 def read_ppm(path) -> np.ndarray:
-    pix, h, w = _read_netpbm(path, "P6")
-    return pix[: h * w * 3].reshape(h, w, 3).astype(np.float64) / 255.0
+    return _read_netpbm(path, "P6", 3).astype(np.float64) / 255.0
 
 
 def read_pgm(path) -> np.ndarray:
-    pix, h, w = _read_netpbm(path, "P5")
-    return pix[: h * w].reshape(h, w).astype(np.float64) / 255.0
+    return _read_netpbm(path, "P5", 1)[:, :, 0].astype(np.float64) / 255.0
 
 
 def save_clip(dirpath, clip: VideoClip, mask: np.ndarray | None = None):

@@ -127,19 +127,33 @@ def save_checkpoint(path, model: InpaintingDetector,
 
 
 def load_checkpoint(path, model: InpaintingDetector):
+    """Load parameters into ``model``; return (momentum buffers, iteration).
+    A missing parameter, or a parameter or momentum buffer whose name or
+    shape does not match the model, raises ValueError naming the file and
+    the entry."""
     blobs = serialize.load_container(path)
     registry = model.registry()
-    for name, p in registry.items():
+
+    def check_shape(key, arr, name):
+        if arr.shape != registry[name].data.shape:
+            raise ValueError(f"{path}: {key}: shape {arr.shape}, parameter "
+                             f"{name} has {registry[name].data.shape}")
+
+    for name in registry:
         key = f"param/{name}"
         if key not in blobs:
-            raise ValueError(f"checkpoint missing parameter {name}")
-        if blobs[key].shape != p.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}")
-        p.data[...] = blobs[key]
-    velocities = {
-        name[len("opt/momentum/"):]: arr
-        for name, arr in blobs.items() if name.startswith("opt/momentum/")
-    }
+            raise ValueError(f"{path}: {key}: missing")
+        check_shape(key, blobs[key], name)
+    velocities = {}
+    for key, arr in blobs.items():
+        if key.startswith("opt/momentum/"):
+            name = key[len("opt/momentum/"):]
+            if name not in registry:
+                raise ValueError(f"{path}: {key}: no such parameter")
+            check_shape(key, arr, name)
+            velocities[name] = arr
+    for name, p in registry.items():
+        p.data[...] = blobs[f"param/{name}"]
     iteration = int(blobs.get("meta/iter", np.array(0.0)).reshape(()))
     return velocities, iteration
 
@@ -226,10 +240,18 @@ class TrainResult:
 
 
 def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
-          dataset=None, stop_iter: int | None = None) -> TrainResult:
-    """Run the training loop; ``stop_iter`` pauses the configured schedule
-    early (the poly decay still spans cfg.train.iters) so segments can be
-    chained through checkpoints."""
+          dataset=None, on_step=None) -> TrainResult:
+    """Run the training loop, then write ``checkpoint.mpci`` and ``metrics.log``
+    to ``out_dir``.
+
+    ``on_step(iteration, model, velocities)`` is called after each SGD step,
+    and after that step's evaluation if there is one, with the number of
+    steps done so far and the live model and momentum buffers. When it
+    returns True, training ends at that step. The hook leaves the
+    evaluation schedule alone: evaluation runs every ``eval_every`` steps
+    and at the configured last step, so a run the hook ends early reports
+    its latest scheduled evaluation.
+    """
     cfg.validate()
     if dataset is None:
         dataset = load_dataset(cfg.data.dir, cfg)
@@ -247,8 +269,8 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
     positives = np.array([bool(np.any(mask > 0.5)) for _, _, mask in dataset])
     log: list[str] = []
     last_miou = last_f1 = 0.0
-    end = cfg.train.iters if stop_iter is None else min(stop_iter, cfg.train.iters)
-    it = start
+    end = cfg.train.iters
+    final = start
     for it in range(start, end):
         lr_enc, lr_dec = poly_lr_pair(it, cfg)
         lr_of = lambda name: lr_enc if name in enc_names else lr_dec
@@ -259,17 +281,16 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
         value = _train_step(model, dataset, batch, rng, cfg, it)
         sgd_step(registry, lr_of, cfg.optim.weight_decay, cfg.optim.momentum, velocities)
 
-        done = it + 1
-        if done % cfg.train.eval_every == 0 or done == end:
+        final = it + 1
+        if final % cfg.train.eval_every == 0 or final == end:
             rep = evaluate_model(model, dataset, cfg)
             last_miou, last_f1 = rep.mean_miou, rep.mean_f1
-            log.append(f"iter={done} loss={value:.8e} lr_enc={lr_enc:.8e} "
+            log.append(f"iter={final} loss={value:.8e} lr_enc={lr_enc:.8e} "
                        f"lr_dec={lr_dec:.8e} miou={rep.mean_miou:.6f} f1={rep.mean_f1:.6f}")
-            if cfg.train.target_miou and rep.mean_miou >= cfg.train.target_miou:
-                break
+        if on_step is not None and on_step(final, model, velocities):
+            break
 
     ckpt = os.path.join(out_dir, "checkpoint.mpci")
-    final = it + 1 if end > start else start
     save_checkpoint(ckpt, model, velocities, final)
     log_path = os.path.join(out_dir, "metrics.log")
     with open(log_path, "w") as fh:

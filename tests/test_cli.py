@@ -136,6 +136,38 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "truncated" in err
 
+    def test_bad_momentum_buffer_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.train import save_checkpoint
+
+        model = InpaintingDetector(load_config(tiny_cfg_file))
+        name, p = next(iter(model.registry().items()))
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), model, {name: np.zeros(p.data.size + 2)}, 1)
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        assert main(["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "o"),
+                     "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"opt/momentum/{name}" in err
+
+    def test_truncated_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.train import save_checkpoint
+
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        frame = tmp_path / "data" / "clip_0000" / "frame_001.ppm"
+        buf = frame.read_bytes()
+        frame.write_bytes(buf[:len(buf) // 2])
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(frame) in err and "truncated" in err
+
     @pytest.mark.parametrize("frames_hw, mask_hw", [((24, 24), (24, 24)), ((16, 16), (8, 8))])
     def test_mismatched_clip_shape_exit_code(self, tmp_path, tiny_cfg_file, capsys,
                                              frames_hw, mask_hw):
@@ -165,6 +197,16 @@ class TestTrainEval:
         "dwti.max_offset = 0",
         "dwti.max_offset = -1.0",
         "dwti.common_dim = 0",
+        "geometry.patch = 0",
+        "geometry.channels = 0",
+        "encoder.window = 0",
+        "encoder.dims = 0,8",
+        "encoder.heads = 0,2",
+        "global.patch = 0",
+        "global.dim = 0",
+        "global.heads = 0",
+        "dwti.window = 0",
+        "decoder.channels = 0,8",
     ])
     def test_out_of_range_optim_and_dwti_exit_code(self, tmp_path, tiny_cfg_file, capsys, line):
         with open(tiny_cfg_file, "a") as fh:

@@ -99,7 +99,6 @@ def _patch_embed_vs_strided_conv(module, proj, x0, kernel):
     rng = np.random.default_rng(3)
     x = Tensor(x0.copy(), requires_grad=True)
     out = module(x)
-    out = out.tokens if hasattr(out, "tokens") else out
     r = Tensor(rng.normal(size=out.shape))
     backward(T.reduce_sum(out * r))
     got = (out.data, x.grad, proj.w.grad.copy(), proj.b.grad.copy())

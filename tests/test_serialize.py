@@ -9,9 +9,7 @@ from vindet.serialize import (
     decode_tensor,
     encode_tensor,
     load_container,
-    load_tensor,
     save_container,
-    save_tensor,
 )
 
 
@@ -38,11 +36,6 @@ class TestTensorFormat:
         out, _ = decode_tensor(encode_tensor(arr))
         assert out.shape == ()
         assert out == 3.5
-
-    def test_file_roundtrip(self, tmp_path):
-        arr = np.random.default_rng(1).normal(size=(4, 4))
-        save_tensor(tmp_path / "t.mptn", arr)
-        np.testing.assert_array_equal(load_tensor(tmp_path / "t.mptn"), arr)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):

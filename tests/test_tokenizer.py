@@ -22,7 +22,7 @@ class TestTubeletCount:
     @staticmethod
     def _tokens(view, t, side):
         emb = TubeletEmbed(view, 4, 3, 2, np.random.default_rng(view))
-        grid = emb(Tensor(np.zeros((1, t, side, side, 3)))).tokens
+        grid = emb(Tensor(np.zeros((1, t, side, side, 3))))
         return int(np.prod(grid.shape[1:4]))
 
     def test_paper_scale_sizes(self):
@@ -53,20 +53,20 @@ class TestTokenizeView:
         emb.proj.w.tensor.data[:] = 1.0 / (1 * 4 * 4 * 3)
         emb.proj.b.tensor.data[:] = 0.0
         grid = emb(Tensor(clip.frames[None]))
-        np.testing.assert_allclose(grid.tokens.data, 0.6, atol=1e-12)
+        np.testing.assert_allclose(grid.data, 0.6, atol=1e-12)
 
     def test_full_length_view_collapses_time(self):
         clip = _clip()
         emb = TubeletEmbed(3, 4, 3, 8, np.random.default_rng(1))
         grid = emb(Tensor(clip.frames[None]))
-        assert grid.tokens.shape == (1, 1, 4, 4, 8)
+        assert grid.shape == (1, 1, 4, 4, 8)
 
     def test_three_view_temporal_axes(self):
         clip = _clip()
         for view, expect in [(1, 3), (2, 1), (3, 1)]:
             emb = TubeletEmbed(view, 4, 3, 8, np.random.default_rng(view))
             grid = emb(Tensor(clip.frames[None]))
-            assert grid.tokens.shape[1] == expect
+            assert grid.shape[1] == expect
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
@@ -75,8 +75,8 @@ class TestTokenizeView:
         a, b = 1.7, -0.4
         f1 = rng.uniform(0, 1, size=(1, 3, 16, 16, 3))
         f2 = rng.uniform(0, 1, size=(1, 3, 16, 16, 3))
-        mix = emb(Tensor(a * f1 + b * f2)).tokens.data
-        sep = a * emb(Tensor(f1)).tokens.data + b * emb(Tensor(f2)).tokens.data
+        mix = emb(Tensor(a * f1 + b * f2)).data
+        sep = a * emb(Tensor(f1)).data + b * emb(Tensor(f2)).data
         np.testing.assert_allclose(mix, sep, atol=1e-10)
 
     def test_gradient(self):
@@ -84,14 +84,14 @@ class TestTokenizeView:
         emb = TubeletEmbed(2, 4, 3, 4, rng)
         x0 = Tensor(rng.uniform(0, 1, size=(1, 3, 8, 8, 3)))
         rep = finite_diff_check(
-            lambda x: T.reduce_sum(emb(x).tokens ** 2), x0, eps=1e-6, tol=1e-5
+            lambda x: T.reduce_sum(emb(x) ** 2), x0, eps=1e-6, tol=1e-5
         )
         assert rep.passed, rep
 
     def test_kernel_gradient_reaches_weights(self):
         rng = np.random.default_rng(5)
         emb = TubeletEmbed(1, 4, 3, 4, rng)
-        backward(T.reduce_sum(emb(Tensor(_clip().frames[None])).tokens ** 2))
+        backward(T.reduce_sum(emb(Tensor(_clip().frames[None])) ** 2))
         assert np.any(emb.proj.w.grad != 0)
 
 

@@ -1,5 +1,7 @@
 """Optimizer schedule, SGD semantics, checkpointing, and loop determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,9 @@ class TestTrainLoop:
         cfg = _tiny_cfg(iters=6)
         ds = _tiny_dataset(cfg)
         full = train(cfg, str(tmp_path / "full"), dataset=ds)
-        half = train(cfg, str(tmp_path / "half"), dataset=ds, stop_iter=3)
+        half = train(cfg, str(tmp_path / "half"), dataset=ds,
+                     on_step=lambda it, *_: it == 3)
+        assert half.final_iter == 3
         rest = train(cfg, str(tmp_path / "rest"), dataset=ds, resume=half.checkpoint)
         with open(full.checkpoint, "rb") as fa, open(rest.checkpoint, "rb") as fb:
             assert fa.read() == fb.read()
@@ -164,6 +168,23 @@ class TestCheckpoint:
         other.decoder.channels = (16, 16)
         with pytest.raises(ValueError):
             load_checkpoint(path, InpaintingDetector(other))
+
+    @pytest.mark.parametrize("entry, shape", [
+        ("opt/momentum/decoder.head_out.b", (3,)),
+        ("opt/momentum/no.such.param", (1,)),
+    ])
+    def test_bad_momentum_buffer_rejected(self, tmp_path, entry, shape):
+        from vindet.serialize import load_container, save_container
+
+        cfg = _tiny_cfg()
+        model = InpaintingDetector(cfg)
+        path = str(tmp_path / "ck.mpci")
+        save_checkpoint(path, model, {}, 0)
+        blobs = load_container(path)
+        blobs[entry] = np.zeros(shape)
+        save_container(path, blobs)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {entry}")):
+            load_checkpoint(path, InpaintingDetector(cfg))
 
 
 class TestEvaluate:
