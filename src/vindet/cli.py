@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-failure (non-finite loss).
+Exit codes: 0 success, 1 validation/configuration error or an unreadable
+input file, 2 numerical failure (non-finite loss).
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # numerical failures

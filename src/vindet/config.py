@@ -1,80 +1,130 @@
 """Experiment configuration: typed groups, a line-oriented file format, and
-validation of every divisibility constraint before anything runs.
+validation before anything runs.
 
-File format: one ``key = value`` per line with dotted keys, ``#`` comments.
-Unknown keys are errors. Tuples are comma-separated.
+Each field declares the values it admits beside its default (:func:`rule`);
+``validate()`` walks those rules, then checks the rules that tie fields
+together. File format: one ``key = value`` per line with dotted keys, ``#``
+comments. Unknown keys are errors. Tuples are comma-separated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .objectives import LossConfig
+
+@dataclass(frozen=True)
+class Rule:
+    """Admits values (each entry, for a tuple) in ``interval``, written ``[lo, hi]``
+    with ``(`` or ``)`` at an open end, or in ``choices`` when given. NaN lies in
+    no interval, and one open at +-inf admits no infinity. ``doc`` describes
+    the field in error messages."""
+    interval: str = "(-inf, inf)"
+    choices: tuple = ()
+    doc: str = ""
+
+    def admits(self, value) -> bool:
+        if self.choices:
+            return value in self.choices
+        lo, hi = (float(s) for s in self.interval[1:-1].split(","))
+        return ((lo < value if self.interval[0] == "(" else lo <= value)
+                and (value < hi if self.interval[-1] == ")" else value <= hi))
+
+    def __str__(self) -> str:
+        return f"one of {', '.join(self.choices)}" if self.choices else f"in {self.interval}"
+
+
+def rule(default, interval: str = "(-inf, inf)", choices: tuple = (), doc: str = ""):
+    """A dataclass field holding ``default`` that admits what :class:`Rule` says."""
+    return field(default=default, metadata={"rule": Rule(interval, choices, doc)})
+
+
+def check_rules(group, prefix: str = ""):
+    """Return ``group``, or raise ValueError naming ``prefix`` + the field of
+    its first value (or tuple entry) that the field's rule rejects."""
+    for f in fields(group):
+        r, value = f.metadata.get("rule"), getattr(group, f.name)
+        if r and not all(map(r.admits, value if isinstance(value, tuple) else (value,))):
+            shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+            raise ValueError(f"{prefix}{f.name}{f' ({r.doc})' if r.doc else ''} "
+                             f"must be {r}, got {shown}")
+    return group
 
 
 @dataclass
 class GeometryConfig:
-    frames: int = 3
-    height: int = 32
-    width: int = 32
-    channels: int = 3
-    patch: int = 4
-    views: tuple = (1, 2, 3)
+    frames: int = rule(3, "[1, inf)")
+    height: int = rule(32, "[1, inf)")
+    width: int = rule(32, "[1, inf)")
+    channels: int = rule(3, "[1, inf)")
+    patch: int = rule(4, "[1, inf)")
+    views: tuple = rule((1, 2, 3), "[1, inf)")
 
 
 @dataclass
 class EncoderConfig:
-    dims: tuple = (16, 24, 32)     # per-view embedding width
-    stages: int = 2
-    depths: tuple = (2, 2)         # block pairs per stage
-    window: int = 4
-    heads: tuple = (2, 4)
+    dims: tuple = rule((16, 24, 32), "[1, inf)", doc="per-view embedding width")
+    stages: int = rule(2, "[1, inf)")
+    depths: tuple = rule((2, 2), "[0, inf)", doc="block pairs per stage")
+    window: int = rule(4, "[1, inf)")
+    heads: tuple = rule((2, 4), "[1, inf)")
 
 
 @dataclass
 class GlobalConfig:
-    patch: int = 8
-    dim: int = 32
-    depth: int = 2
-    heads: int = 2
+    patch: int = rule(8, "[1, inf)")
+    dim: int = rule(32, "[1, inf)")
+    depth: int = rule(2, "[0, inf)")
+    heads: int = rule(2, "[1, inf)")
 
 
 @dataclass
 class DwtiConfig:
     enabled: bool = True
-    window: int = 4
-    max_offset: float = 1.0        # window cells
-    common_dim: int = 24
+    window: int = rule(4, "[1, inf)")
+    max_offset: float = rule(1.0, "(0, inf)", doc="offset bound in window cells")
+    common_dim: int = rule(24, "[1, inf)")
 
 
 @dataclass
 class DecoderConfig:
-    channels: tuple = (32, 48)
+    channels: tuple = rule((32, 48), "[1, inf)")
     use_tff: bool = True           # feed intermediate stages into the decoder
     use_frequency: bool = True
 
 
 @dataclass
 class FreqConfig:
-    low: float = 1 / 3
-    high: float = 2 / 3
+    low: float = rule(1 / 3, "(0, 1)")
+    high: float = rule(2 / 3, "(0, 1)")
+
+
+@dataclass
+class LossConfig:
+    alpha: float = rule(0.25, "(0, 1)", doc="balance weight for inpainted pixels")
+    gamma: float = rule(2.0, "[0, inf)", doc="hard-mining exponent")
+    lambda_miou: float = rule(1.0, "[0, inf)")
+    lambda_focal: float = rule(1.0, "[0, inf)")
+    eps: float = rule(1e-7, "(0, inf)", doc="log guard")
+
+    def validate(self) -> "LossConfig":
+        return check_rules(self)
 
 
 @dataclass
 class OptimConfig:
-    lr_encoder: float = 0.001
-    lr_decoder: float = 0.01
-    weight_decay: float = 1e-4
-    momentum: float = 0.96
-    min_lr: float = 1e-5
-    poly_power: float = 0.7
+    lr_encoder: float = rule(0.001, "[0, inf)")
+    lr_decoder: float = rule(0.01, "[0, inf)")
+    weight_decay: float = rule(1e-4, "[0, inf)")
+    momentum: float = rule(0.96, "[0, 1)")
+    min_lr: float = rule(1e-5, "[0, inf)")
+    poly_power: float = rule(0.7, "[0, inf)")
 
 
 @dataclass
 class TrainConfig:
-    iters: int = 500
-    batch: int = 4
-    eval_every: int = 50
+    iters: int = rule(500, "[0, inf)")
+    batch: int = rule(4, "[1, inf)")
+    eval_every: int = rule(50, "[1, inf)")
     augment: bool = False          # random square-symmetry per sample
 
 
@@ -85,14 +135,15 @@ class DataConfig:
 
 @dataclass
 class PerturbConfig:
-    kind: str = "none"             # none | jpeg | gaussian
-    jpeg_quality: int = 90
-    snr_db: float = 25.0
+    kind: str = rule("none", choices=("none", "jpeg", "gaussian"),
+                     doc="evaluation-time perturbation")
+    jpeg_quality: int = rule(90, "[1, 100]")
+    snr_db: float = rule(25.0)
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int = 0
+    seed: int = rule(0, "[0, inf)")
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     glob: GlobalConfig = field(default_factory=GlobalConfig)
@@ -105,7 +156,6 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
 
-    # ------------------------------------------------------------------
     def grid_side(self, stage: int) -> int:
         """Spatial token side at a stage (0-based)."""
         return self.geometry.height // self.geometry.patch // (2 ** stage)
@@ -117,36 +167,27 @@ class ExperimentConfig:
         return [d * (2 ** stage) for d in self.encoder.dims]
 
     def validate(self) -> "ExperimentConfig":
-        g, e = self.geometry, self.encoder
-        if g.frames < 1:
-            raise ValueError("geometry.frames must be >= 1")
-        sizes = {"geometry.patch": (g.patch,), "geometry.channels": (g.channels,),
-                 "encoder.window": (e.window,), "encoder.dims": e.dims,
-                 "encoder.heads": e.heads, "global.patch": (self.glob.patch,),
-                 "global.dim": (self.glob.dim,), "global.heads": (self.glob.heads,),
-                 "dwti.window": (self.dwti.window,), "decoder.channels": self.decoder.channels}
-        for key, values in sizes.items():
-            if any(v < 1 for v in values):
-                raise ValueError(f"{key} must be >= 1, got {','.join(map(str, values))}")
+        """Check every field's rule, then the rules that tie fields together."""
+        check_rules(self)
+        for name, attr in _GROUPS.items():
+            check_rules(getattr(self, attr), name + ".")
+        g, e, o = self.geometry, self.encoder, self.optim
         if g.height != g.width:
             raise ValueError("square frames required")
-        if g.height % g.patch or g.width % g.patch:
+        if g.height % g.patch:
             raise ValueError(f"patch {g.patch} must divide frame {g.height}x{g.width}")
         vs = tuple(g.views)
-        if not vs or any(a >= b for a, b in zip(vs, vs[1:])) or vs[0] < 1:
-            raise ValueError(f"views must be strictly ascending positive, got {vs}")
+        if not vs or any(a >= b for a, b in zip(vs, vs[1:])):
+            raise ValueError(f"views must be strictly ascending, got {vs}")
         if vs[-1] > g.frames:
             raise ValueError(f"view {vs[-1]} exceeds clip length {g.frames}")
         if len(e.dims) != len(vs):
             raise ValueError("encoder.dims must match the number of views")
-        if len(e.depths) != e.stages or len(e.heads) != e.stages:
-            raise ValueError("encoder.depths and encoder.heads must have one entry per stage")
-        if len(self.decoder.channels) != e.stages:
-            raise ValueError("decoder.channels must have one entry per stage")
+        if {len(e.depths), len(e.heads), len(self.decoder.channels)} != {e.stages}:
+            raise ValueError("encoder.depths, encoder.heads and decoder.channels must have "
+                             "one entry per stage")
         for l in range(e.stages):
             side = self.grid_side(l)
-            if side < 1:
-                raise ValueError(f"stage {l}: token grid vanishes")
             if side < e.window:
                 raise ValueError(f"stage {l}: side {side} smaller than window {e.window}")
             if self.dwti.enabled and side < self.dwti.window:
@@ -154,31 +195,15 @@ class ExperimentConfig:
             for d in self.view_channels(l):
                 if d % e.heads[l]:
                     raise ValueError(f"stage {l}: dim {d} not divisible by heads {e.heads[l]}")
-        if g.height % self.glob.patch or g.width % self.glob.patch:
+        if g.height % self.glob.patch:
             raise ValueError("global patch must divide the frame")
         if self.decoder.use_frequency and (g.patch & (g.patch - 1)):
             raise ValueError("frequency pyramid needs a power-of-two patch for 2x2 pooling")
-        if not 0.0 < self.freq.low < self.freq.high < 1.0:
-            raise ValueError("frequency thresholds must satisfy 0 < low < high < 1")
-        self.loss.validate()
-        if self.train.batch < 1 or self.train.iters < 0:
-            raise ValueError("train.batch >= 1 and train.iters >= 0 required")
-        if self.train.eval_every < 1:
-            raise ValueError(f"train.eval_every must be >= 1, got {self.train.eval_every}")
-        o, d = self.optim, self.dwti
-        if not 0.0 <= o.momentum < 1.0:
-            raise ValueError(f"optim.momentum must be in [0, 1), got {o.momentum}")
-        if not 0.0 <= o.min_lr <= min(o.lr_encoder, o.lr_decoder):
-            raise ValueError(f"optim.min_lr must be in [0, min(lr_encoder, lr_decoder)], "
+        if self.freq.low >= self.freq.high:
+            raise ValueError("frequency thresholds must satisfy freq.low < freq.high")
+        if o.min_lr > min(o.lr_encoder, o.lr_decoder):
+            raise ValueError(f"optim.min_lr must be at most min(lr_encoder, lr_decoder), "
                              f"got {o.min_lr}")
-        if not d.max_offset > 0.0:
-            raise ValueError(f"dwti.max_offset must be > 0, got {d.max_offset}")
-        if d.common_dim < 1:
-            raise ValueError(f"dwti.common_dim must be >= 1, got {d.common_dim}")
-        if self.perturb.kind not in ("none", "jpeg", "gaussian"):
-            raise ValueError(f"unknown perturbation {self.perturb.kind!r}")
-        if not 1 <= self.perturb.jpeg_quality <= 100:
-            raise ValueError("jpeg quality must be in [1,100]")
         return self
 
 
@@ -190,21 +215,15 @@ _GROUPS = {
 
 
 def _coerce(current, raw: str):
-    raw = raw.strip()
     if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected boolean, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"expected boolean, got {raw!r}")
+        return raw.lower() in ("true", "1", "yes")
+    if isinstance(current, (int, float)):
+        return type(current)(raw)
     if isinstance(current, tuple):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        elem = current[0] if current else 1
-        return tuple(type(elem)(p) for p in parts)
+        kind = type(current[0]) if current else int
+        return tuple(kind(p) for p in raw.split(",") if p.strip())
     return raw
 
 
@@ -220,19 +239,15 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key == "seed":
-            seed = int(raw)
-            continue
-        if "." not in key:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
         group, _, attr = key.partition(".")
-        if group not in groups:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        target = groups[group]
-        if attr not in {f.name for f in fields(target)}:
+        target = groups.get(group)
+        if key != "seed" and (target is None or attr not in {f.name for f in fields(target)}):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(target, attr, _coerce(getattr(target, attr), raw))
+            if key == "seed":
+                seed = int(raw)
+            else:
+                setattr(target, attr, _coerce(getattr(target, attr), raw))
         except ValueError as err:
             raise ValueError(f"line {lineno}: bad value for {key}: {err}") from err
     kwargs = {attr: groups[name] for name, attr in _GROUPS.items()}

@@ -79,21 +79,21 @@ def _shift_mask(s_pad: int, m: int, shift: int, s_real: int):
     :func:`window_partition` cuts from an (s_real, s_real) grid shifted by
     ``-shift`` and padded to ``s_pad``.
 
-    Tokens attend only within their pre-shift region; padded cells form a
-    region of their own. The region map is laid out on the unshifted, padded
-    grid and moved into windows by the same index as the data, so each
-    window cell's label is that of the token it holds. Returns None when no
-    mask is needed.
+    As in Swin, only the wrap seam separates tokens: on each axis, the first
+    ``shift`` rows (columns), which the shift moves past the far edge, form
+    one band and the rest another, and two real tokens attend when they
+    share both bands. Padded cells form a region of their own. The region
+    map is laid out on the unshifted, padded grid and moved into windows by
+    the same index as the data, so each window cell's label is that of the
+    token it holds. Returns None when no mask is needed.
     """
     if shift == 0 and s_pad == s_real:
         return None
-    band = np.full(s_pad, -1)           # region band per row/column, -1 = pad
+    band = np.full(s_pad, -1)           # seam band per row/column, -1 = pad
     band[:s_real] = 0
-    if shift:
-        band[s_real - m:s_real - shift] = 1
-        band[s_real - shift:s_real] = 2
+    band[:shift] = 1
     pad = (band[:, None] < 0) | (band[None, :] < 0)
-    region = np.where(pad, -1, 3 * band[:, None] + band[None, :])
+    region = np.where(pad, -1, 2 * band[:, None] + band[None, :])
     win = region.reshape(-1)[_window_index(s_real, m, shift)[0]].reshape(-1, m * m)
     diff = win[:, :, None] != win[:, None, :]
     return np.where(diff, MASK_NEG, 0.0)

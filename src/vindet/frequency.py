@@ -19,7 +19,7 @@ from .tensor import Tensor
 
 
 @lru_cache(maxsize=32)
-def _dct_basis(n: int) -> np.ndarray:
+def dct_basis(n: int) -> np.ndarray:
     """Orthonormal DCT-II basis matrix C: X = C @ x for a length-n signal."""
     k = np.arange(n)[:, None]
     i = np.arange(n)[None, :]
@@ -30,15 +30,15 @@ def _dct_basis(n: int) -> np.ndarray:
 
 def dct2(x: np.ndarray) -> np.ndarray:
     """Orthonormal 2D DCT-II of an H x W array."""
-    ch = _dct_basis(x.shape[0])
-    cw = _dct_basis(x.shape[1])
+    ch = dct_basis(x.shape[0])
+    cw = dct_basis(x.shape[1])
     return ch @ x @ cw.T
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dct2` (orthonormal DCT-III)."""
-    ch = _dct_basis(coeffs.shape[0])
-    cw = _dct_basis(coeffs.shape[1])
+    ch = dct_basis(coeffs.shape[0])
+    cw = dct_basis(coeffs.shape[1])
     return ch.T @ coeffs @ cw
 
 

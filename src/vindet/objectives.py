@@ -8,30 +8,11 @@ sum. Metrics binarize at a fixed threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
+from .config import LossConfig
 from .tensor import ShapeError, Tensor, as_tensor
-
-
-@dataclass
-class LossConfig:
-    alpha: float = 0.25      # balance weight for inpainted pixels
-    gamma: float = 2.0       # hard-mining exponent
-    lambda_miou: float = 1.0
-    lambda_focal: float = 1.0
-    eps: float = 1e-7        # log guard
-
-    def validate(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.gamma < 0 or self.lambda_miou < 0 or self.lambda_focal < 0:
-            raise ValueError("gamma and loss weights must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        return self
 
 
 def _check_pair(m, gt):

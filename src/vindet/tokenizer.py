@@ -133,8 +133,17 @@ def save_clip(dirpath, clip: VideoClip, mask: np.ndarray | None = None):
 
 
 def load_clip(dirpath) -> tuple[VideoClip, np.ndarray | None]:
-    with open(os.path.join(dirpath, "manifest.txt")) as fh:
+    """Read a clip directory: the frames its manifest lists, and ``gt.pgm``
+    if present. The manifest must list at least one frame, each a regular
+    file in the directory itself; ValueError names the manifest otherwise."""
+    manifest = os.path.join(dirpath, "manifest.txt")
+    with open(manifest) as fh:
         names = [ln.strip() for ln in fh if ln.strip()]
+    if not names:
+        raise ValueError(f"{manifest}: lists no frames")
+    for n in names:
+        if os.path.basename(n) != n or not os.path.isfile(os.path.join(dirpath, n)):
+            raise ValueError(f"{manifest}: entry {n!r} is not a regular file in {dirpath}")
     frames = np.stack([read_ppm(os.path.join(dirpath, n)) for n in names])
     mask_path = os.path.join(dirpath, "gt.pgm")
     mask = read_pgm(mask_path) if os.path.exists(mask_path) else None

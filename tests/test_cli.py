@@ -168,6 +168,28 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(frame) in err and "truncated" in err
 
+    @pytest.mark.parametrize("manifest", ["", "frame_000.ppm\nsub\n",
+                                          "../clip_0000/frame_000.ppm\n", None],
+                             ids=["empty", "subdir", "outside", "manifest_is_dir"])
+    def test_bad_manifest_exit_code(self, tmp_path, tiny_cfg_file, capsys, manifest):
+        # an empty manifest, an entry that is a directory or lies outside the
+        # clip, and a manifest that is itself a directory
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        clip = tmp_path / "data" / "clip_0000"
+        (clip / "sub").mkdir()
+        path = clip / "manifest.txt"
+        if manifest is None:
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_text(manifest)
+        capsys.readouterr()
+        assert main(["freq-dump", "--clip", str(clip), "--out", str(tmp_path / "bands"),
+                     "--config", tiny_cfg_file]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("frames_hw, mask_hw", [((24, 24), (24, 24)), ((16, 16), (8, 8))])
     def test_mismatched_clip_shape_exit_code(self, tmp_path, tiny_cfg_file, capsys,
                                              frames_hw, mask_hw):
@@ -213,6 +235,25 @@ class TestTrainEval:
             fh.write(line + "\n")
         assert main(["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "o")]) == 1
         assert line.split(" =")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "optim.lr_decoder = nan",
+        "optim.lr_decoder = inf",
+        "optim.weight_decay = -5",
+        "optim.poly_power = -3",
+        "perturb.snr_db = nan",
+        "loss.gamma = nan",
+        "dwti.max_offset = inf",
+        "seed = -1",
+        "encoder.depths = -1,2",
+        "encoder.stages = 0\nencoder.depths =\nencoder.heads =\ndecoder.channels =",
+    ])
+    def test_show_config_rejects_out_of_range(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["show-config", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {text.split(' =')[0]}" in err and "Traceback" not in err
 
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -1,10 +1,18 @@
 """Config file parsing, dumping, and validation."""
 
+import contextlib
+import io
+import math
 import os
+import string
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vindet.config import ExperimentConfig, dump_config, load_config, parse_config
+from vindet.cli import main
+from vindet.config import _GROUPS, ExperimentConfig, dump_config, load_config, parse_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,6 +42,10 @@ class TestParsing:
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("geometry.height = tall")
+
+    def test_bad_seed_reports_line_and_key(self):
+        with pytest.raises(ValueError, match="line 2: bad value for seed"):
+            parse_config("geometry.height = 32\nseed = x")
 
     def test_bad_boolean(self):
         with pytest.raises(ValueError):
@@ -108,3 +120,98 @@ class TestValidation:
         cfg.perturb.kind = "blur"
         with pytest.raises(ValueError, match="perturbation"):
             cfg.validate()
+
+
+def _leaves():
+    """(file key, default, rule or None) of every config value."""
+    cfg = ExperimentConfig()
+    names = {attr: name for name, attr in _GROUPS.items()}
+    for f in fields(cfg):
+        if f.name not in names:
+            yield f.name, getattr(cfg, f.name), f.metadata.get("rule")
+            continue
+        group = getattr(cfg, f.name)
+        for g in fields(group):
+            yield f"{names[f.name]}.{g.name}", getattr(group, g.name), g.metadata.get("rule")
+
+
+RULED = [leaf for leaf in _leaves() if leaf[2] is not None]
+
+
+def _entries(default, rule, inside: bool):
+    """Values for one entry of a field, drawn from its rule's own bounds and
+    choices, not from ``rule.admits``: admitted ones when ``inside``, else
+    ones below or above a bound, non-finite floats, or strings outside the
+    choices."""
+    if rule.choices:
+        if inside:
+            return st.sampled_from(rule.choices)
+        return st.text(string.ascii_letters, min_size=1).filter(lambda v: v not in rule.choices)
+    lo, hi = (float(s) for s in rule.interval[1:-1].split(","))
+    lo_open, hi_open = rule.interval[0] == "(", rule.interval[-1] == ")"
+    has_lo, has_hi = math.isfinite(lo), math.isfinite(hi)
+    if type(default[0] if isinstance(default, tuple) else default) is int:
+        first = (math.floor(lo) + 1 if lo_open else math.ceil(lo)) if has_lo else -10**6
+        last = (math.ceil(hi) - 1 if hi_open else math.floor(hi)) if has_hi else 10**6
+        if inside:
+            return st.integers(first, last)
+        return st.one_of([st.integers(max_value=first - 1)] * has_lo
+                         + [st.integers(min_value=last + 1)] * has_hi)
+    if inside:
+        return st.floats(lo if has_lo else None, hi if has_hi else None,
+                         allow_nan=False, allow_infinity=False).filter(
+            lambda v: (v > lo or not lo_open) and (v < hi or not hi_open))
+    return st.one_of([st.floats(max_value=lo).filter(lambda v: lo_open or v < lo)] * has_lo
+                     + [st.floats(min_value=hi).filter(lambda v: hi_open or v > hi)] * has_hi
+                     + [st.sampled_from([math.nan, math.inf, -math.inf])])
+
+
+def _value_text(draw, default, rule, inside: bool) -> str:
+    """Config-file text for ``default`` with one value, or one tuple entry,
+    drawn from the rule."""
+    entry = draw(_entries(default, rule, inside))
+    text = repr(entry) if isinstance(entry, float) else str(entry)
+    if not isinstance(default, tuple):
+        return text
+    at = draw(st.integers(0, len(default) - 1))
+    return ",".join([str(v) for v in default[:at]] + [text] + [str(v) for v in default[at + 1:]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_cfg(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "fuzz.cfg")
+
+
+def _show_config(path, line):
+    with open(path, "w") as fh:
+        fh.write(line + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["show-config", "--config", path])
+    return code, err.getvalue()
+
+
+class TestRules:
+    def test_every_field_declares_a_rule(self):
+        bare = [key for key, default, rule in _leaves()
+                if rule is None and not isinstance(default, bool) and key != "data.dir"]
+        assert bare == []
+
+    @pytest.mark.parametrize("key, default, rule", RULED, ids=[leaf[0] for leaf in RULED])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_value_names_key(self, fuzz_cfg, key, default, rule, data):
+        line = f"{key} = {_value_text(data.draw, default, rule, inside=False)}"
+        code, err = _show_config(fuzz_cfg, line)
+        assert code == 1, line
+        assert f"error: {key}" in err and "Traceback" not in err, (line, err)
+
+    @pytest.mark.parametrize("key, default, rule", RULED, ids=[leaf[0] for leaf in RULED])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_in_range_value_passes_its_rule(self, fuzz_cfg, key, default, rule, data):
+        # exit 1 is left to the cross-field rules (divisibility, lengths, order)
+        line = f"{key} = {_value_text(data.draw, default, rule, inside=True)}"
+        code, err = _show_config(fuzz_cfg, line)
+        assert code in (0, 1) and "Traceback" not in err, (line, err)
+        assert f"must be {rule}," not in err, (line, err)

@@ -14,10 +14,33 @@ from vindet.data import (
     psnr,
     save_dataset,
 )
+from vindet.frequency import dct2, idct2
 from vindet.tokenizer import VideoClip
 
 
 CFG = ExperimentConfig()
+
+
+def _perturb_jpeg_loop(clip: VideoClip, quality: int) -> VideoClip:
+    """JPEG round-trip one frame, channel and 8x8 block at a time, as the
+    blockwise version replaced it."""
+    q = jpeg_quant_table(quality)
+    t, h, w, c = clip.frames.shape
+    ph = (8 - h % 8) % 8
+    pw = (8 - w % 8) % 8
+    out = np.empty_like(clip.frames)
+    for f in range(t):
+        for ch in range(c):
+            plane = clip.frames[f, :, :, ch] * 255.0 - 128.0
+            plane = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
+            rec = np.empty_like(plane)
+            for by in range(0, plane.shape[0], 8):
+                for bx in range(0, plane.shape[1], 8):
+                    block = plane[by:by + 8, bx:bx + 8]
+                    coeffs = np.round(dct2(block) / q) * q
+                    rec[by:by + 8, bx:bx + 8] = idct2(coeffs)
+            out[f, :, :, ch] = (rec[:h, :w] + 128.0) / 255.0
+    return VideoClip(np.clip(out, 0.0, 1.0))
 
 
 class TestGenerator:
@@ -97,6 +120,16 @@ class TestJpeg:
             out = perturb_jpeg(clip, q)
             bound = table[0, 0] / 2.0 / 255.0 + 1e-12
             assert np.abs(out.frames - 0.43).max() <= bound
+
+    @pytest.mark.parametrize("t, h, w, c", [(3, 32, 32, 3), (2, 64, 64, 3), (1, 40, 40, 1),
+                                            (2, 20, 20, 3), (1, 36, 44, 3), (2, 5, 13, 2),
+                                            (1, 16, 24, 3)])
+    def test_blockwise_matches_loop(self, t, h, w, c):
+        frames = np.random.default_rng(h * w + c).uniform(size=(t, h, w, c))
+        clip = VideoClip(frames)
+        for quality in (1, 10, 49, 50, 70, 90, 100):
+            assert np.array_equal(perturb_jpeg(clip, quality).frames,
+                                  _perturb_jpeg_loop(clip, quality).frames)
 
     def test_q100_table_is_all_ones(self):
         np.testing.assert_array_equal(jpeg_quant_table(100), np.ones((8, 8)))

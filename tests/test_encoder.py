@@ -20,25 +20,18 @@ from vindet.model import InpaintingDetector
 from vindet.tensor import Tensor, backward, finite_diff_check
 
 
-def _rolled_region_mask(s_pad, m, shift, s_real):
-    """The former shift mask: its region map was rolled over the padded
-    side, which matches the data only when nothing is padded."""
-    if shift == 0 and s_pad == s_real:
+def _swin_reference_mask(s_pad, m, shift, s_real):
+    """The shift mask as the Swin reference code builds it, for grids that
+    need no padding: region labels are laid out on the already shifted grid,
+    cut at -m and -shift on each axis, and partitioned like the data."""
+    if shift == 0:
         return None
-    region = np.full((s_pad, s_pad), -1.0)
-    if shift:
-        bounds = (slice(0, -m), slice(-m, -shift), slice(-shift, None))
-        rid = 0
-        for hs in bounds:
-            for ws in bounds:
-                region[hs, ws] = rid
-                rid += 1
-        region[s_real:, :] = -1.0
-        region[:, s_real:] = -1.0
-        region = np.roll(region, (-shift, -shift), axis=(0, 1))
-    else:
-        region[:s_real, :s_real] = 0.0
-    win = region.reshape(-1)[encoder._window_index(s_pad, m, 0)[0]].reshape(-1, m * m)
+    assert s_pad == s_real
+    region = np.zeros((s_real, s_real))
+    bounds = (slice(0, -m), slice(-m, -shift), slice(-shift, None))
+    for rid, (hs, ws) in enumerate((hs, ws) for hs in bounds for ws in bounds):
+        region[hs, ws] = rid
+    win = region.reshape(-1)[encoder._window_index(s_real, m, 0)[0]].reshape(-1, m * m)
     return np.where(win[:, :, None] != win[:, None, :], encoder.MASK_NEG, 0.0)
 
 
@@ -123,14 +116,14 @@ class TestSwinBlock:
     def test_shift_mask_follows_window_contents(self, s, m, shift):
         # tag every cell with (row, col) + 1, so padding reads 0, and cut the
         # windows as the data is cut: a pair may attend exactly when both
-        # cells are padding or both are real and share a pre-shift region
-        # (rows and columns split at s - m and s - shift)
+        # cells are padding, or both are real and on the same side of the
+        # wrap seam (row or column below shift) on each axis
         r = np.arange(1.0, s + 1.0)
         grid = np.stack(np.broadcast_arrays(r[:, None], r[None, :]), axis=-1)[None]
         windows, meta = window_partition(Tensor(grid), m, shift)
         cells = windows.data.astype(int) - 1
         pad = (cells < 0).any(axis=-1)
-        band = np.searchsorted([s - m, s - shift] if shift else [], cells, side="right")
+        band = cells < shift
         same = (band[:, :, None] == band[:, None, :]).all(axis=-1)
         both_pad = pad[:, :, None] & pad[:, None, :]
         both_real = ~pad[:, :, None] & ~pad[:, None, :]
@@ -139,10 +132,10 @@ class TestSwinBlock:
 
     def test_unpadded_grids_keep_their_masks(self, monkeypatch):
         # the desk, wide and paper grids never pad, so their masks and the
-        # desk forward are those of the former construction
+        # desk forward are those of the Swin reference construction
         for s, m in [(8, 4), (16, 4), (56, 7), (28, 7), (14, 7)]:
             assert np.array_equal(encoder._shift_mask(s, m, m // 2, s),
-                                  _rolled_region_mask(s, m, m // 2, s))
+                                  _swin_reference_mask(s, m, m // 2, s))
         model = InpaintingDetector(ExperimentConfig())
         rng = np.random.default_rng(12)
         for p in model.registry().values():
@@ -150,9 +143,20 @@ class TestSwinBlock:
         frames = rng.uniform(0, 1, size=(2, 3, 32, 32, 3))
         with T.no_grad():
             now = model(frames).data
-            monkeypatch.setattr(encoder, "_shift_mask", _rolled_region_mask)
-            before = model(frames).data
-        assert np.array_equal(now, before)
+            monkeypatch.setattr(encoder, "_shift_mask", _swin_reference_mask)
+            reference = model(frames).data
+        assert np.array_equal(now, reference)
+
+    @pytest.mark.parametrize("s, counts", [
+        (8, [0, 128, 128, 192]),
+        (16, [0, 0, 0, 128] * 3 + [128, 128, 128, 192]),
+    ])
+    def test_masked_pairs_per_shifted_window(self, s, counts):
+        # window 4, shift 2: the window clear of the seam masks nothing, one
+        # cut along the seam masks 2 * 8 * 8 of the 256 query/key pairs, and
+        # the corner window cut on both axes masks 256 - 4 * 4 * 4
+        mask = encoder._shift_mask(s, 4, 2, s)
+        assert (mask != 0.0).sum(axis=(1, 2)).tolist() == counts
 
 
 class TestViewBranch:
