@@ -55,7 +55,7 @@ class GeometryConfig:
     frames: int = rule(3, "[1, inf)")
     height: int = rule(32, "[1, inf)")
     width: int = rule(32, "[1, inf)")
-    channels: int = rule(3, "[1, inf)")
+    channels: int = rule(3, "[3, 3]", doc="clip frames are 3-channel P6 images")
     patch: int = rule(4, "[1, inf)")
     views: tuple = rule((1, 2, 3), "[1, inf)")
 

@@ -125,7 +125,7 @@ class WindowAttention(nn.Module):
                  keep_attn: bool = False) -> Tensor:
         table = index = None
         if self.window is not None:
-            table, index = self.bias_table.tensor, _relative_index(self.window)
+            table, index = self.bias_table, _relative_index(self.window)
         out, attn = T.attention(self.wq(windows), self.wk(windows), self.wv(windows),
                                 self.heads, self.scale, table, index, mask)
         if keep_attn:

@@ -119,14 +119,14 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("upsample_bilinear2d",
          lambda x: T.reduce_sum(T.upsample_bilinear2d(x, (7, 5)) * r752), u(1, 4, 4, 2))
 
-    grid = Tensor(rng.uniform(-0.85, 0.85, size=(6, 2)))
-    r62 = proj(6, 2)
+    grid = Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2)))
+    r62 = proj(1, 6, 2)
     case("grid_sample_data",
-         lambda x: T.reduce_sum(T.grid_sample_bilinear(x, grid) * r62), u(6, 6, 2))
-    gs_x = Tensor(rng.uniform(-1, 1, size=(6, 6, 2)))
+         lambda x: T.reduce_sum(T.grid_sample_bilinear(x, grid) * r62), u(1, 6, 6, 2))
+    gs_x = Tensor(rng.uniform(-1, 1, size=(1, 6, 6, 2)))
     case("grid_sample_coords",
          lambda g: T.reduce_sum(T.grid_sample_bilinear(gs_x, g) * r62),
-         Tensor(rng.uniform(-0.85, 0.85, size=(6, 2))))
+         Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2))))
     return cases
 
 

@@ -1,8 +1,12 @@
-"""Minimal module system: parameter registry and common layers."""
+"""Minimal module system: parameter registry and common layers.
+
+A ``Parameter`` is a ``Tensor``, so layers pass their weights straight to
+the engine's primitives and the optimizer reads ``p.data`` and ``p.grad``.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 import numpy as np
 
@@ -10,32 +14,18 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-class Parameter:
-    """A trainable tensor with a unique dotted-path name.
+class Parameter(Tensor):
+    """A trainable float64 tensor; ``Module`` registers attributes of this type.
 
     The gradient buffer is always allocated so untouched parameters read as
     zero gradient after a backward pass.
     """
 
-    def __init__(self, data: np.ndarray, name: str = ""):
-        self.tensor = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-        self.tensor.zero_grad()
-        self.name = name
+    __slots__ = ()
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        return self.tensor.grad
-
-    @property
-    def size(self) -> int:
-        return self.tensor.size
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
+    def __init__(self, data: np.ndarray):
+        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True)
+        self.zero_grad()
 
 
 class Module:
@@ -57,9 +47,6 @@ class Module:
             yield prefix + k, p
         for k, m in self._children.items():
             yield from m.named_parameters(f"{prefix}{k}.")
-
-    def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
 
 
 class ModuleList(Module):
@@ -89,14 +76,13 @@ def build_registry(model: Module) -> Dict[str, Parameter]:
     for name, p in model.named_parameters():
         if name in reg:
             raise ValueError(f"duplicate parameter name {name}")
-        p.name = name
         reg[name] = p
     return dict(sorted(reg.items()))
 
 
 def zero_grads(params) -> None:
     for p in params:
-        p.tensor.zero_grad()
+        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,7 @@ class Linear(Module):
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.w.tensor, self.b.tensor if self.b is not None else None)
+        return T.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -133,7 +119,7 @@ class LayerNorm(Module):
         self.b = Parameter(np.zeros(c))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.g.tensor, self.b.tensor)
+        return T.layer_norm(x, self.g, self.b)
 
 
 class GroupNorm(Module):
@@ -144,7 +130,7 @@ class GroupNorm(Module):
         self.b = Parameter(np.zeros(c))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.group_norm(x, self.g.tensor, self.b.tensor, self.groups)
+        return T.group_norm(x, self.g, self.b, self.groups)
 
 
 class Conv(Module):
@@ -160,8 +146,7 @@ class Conv(Module):
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.b.tensor if self.b is not None else None
-        return T.conv(x, self.w.tensor, b, self.padding)
+        return T.conv(x, self.w, self.b, self.padding)
 
 
 class PatchEmbed(Module):
@@ -186,8 +171,8 @@ class PatchEmbed(Module):
         # (B, g0, k0, g1, k1, ..., C) -> (B, g0, g1, ..., k0, k1, ..., C)
         x = x.reshape(b, *(v for gk in zip(grid, self.kernel) for v in gk), c)
         x = T.permute(x, (0, *range(1, 2 * nd, 2), *range(2, 2 * nd + 1, 2), 2 * nd + 1))
-        w = self.w.tensor
-        return T.linear(x.reshape(b, *grid, -1), w.reshape(-1, w.shape[-1]), self.b.tensor)
+        w = self.w.reshape(-1, self.w.shape[-1])
+        return T.linear(x.reshape(b, *grid, -1), w, self.b)
 
 
 class Mlp(Module):

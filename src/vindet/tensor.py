@@ -337,8 +337,8 @@ def tanh(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
 
     def bwd():
@@ -674,53 +674,14 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 NORM_EPS = 1e-5
 
 
-def layer_norm(a, gamma, beta, eps: float = NORM_EPS) -> Tensor:
-    """Normalize the last axis per token, then apply a learnable affine."""
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    if gamma.shape != (a.shape[-1],) or beta.shape != (a.shape[-1],):
-        raise ShapeError(
-            f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match channel {a.shape[-1]}"
-        )
-    mu = np.mean(a.data, axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out = Tensor(y * gamma.data + beta.data)
-
-    def bwd():
-        g = out.grad
-        if gamma.requires_grad:
-            gamma.accumulate_grad(np.sum(g * y, axis=tuple(range(a.ndim - 1))))
-        if beta.requires_grad:
-            beta.accumulate_grad(np.sum(g, axis=tuple(range(a.ndim - 1))))
-        if a.requires_grad:
-            gy = g * gamma.data
-            m1 = np.mean(gy, axis=-1, keepdims=True)
-            m2 = np.mean(gy * y, axis=-1, keepdims=True)
-            a.accumulate_grad((gy - m1 - y * m2) * inv)
-
-    return _record(out, (a, gamma, beta), bwd, "layer_norm")
-
-
-def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
-    """Group normalization over channels-last input (B, ..., C).
-
-    Channels split into ``groups``; statistics are per sample, pooled over
-    every axis between the batch axis and the channel axis plus the in-group
-    channels, so one sample's output never depends on another's.
-    """
+def _normalize(a, gamma, beta, stats_shape, eps: float, name: str) -> Tensor:
+    """Normalize ``a`` viewed as (n, m, groups, k) with statistics over axes
+    1 and 3, then apply the per-channel affine ``y * gamma + beta``."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     c = a.shape[-1]
-    if c % groups != 0:
-        raise ShapeError(f"group_norm: channels {c} not divisible by groups {groups}")
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"group_norm: affine shapes {gamma.shape}/{beta.shape} do not match channel {c}"
-        )
-    gsz = c // groups
-    bsz = a.shape[0]
-    x = a.data.reshape(bsz, -1, groups, gsz)
+        raise ShapeError(f"{name}: affine shapes {gamma.shape}/{beta.shape} do not match channel {c}")
+    x = a.data.reshape(stats_shape)
     mu = x.mean(axis=(1, 3), keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=(1, 3), keepdims=True)
@@ -735,14 +696,33 @@ def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
         if beta.requires_grad:
             beta.accumulate_grad(np.sum(g, axis=tuple(range(a.ndim - 1))))
         if a.requires_grad:
-            gy = (g * gamma.data).reshape(bsz, -1, groups, gsz)
-            yv = y.reshape(bsz, -1, groups, gsz)
+            gy = (g * gamma.data).reshape(x.shape)
+            yv = y.reshape(x.shape)
             m1 = gy.mean(axis=(1, 3), keepdims=True)
             m2 = (gy * yv).mean(axis=(1, 3), keepdims=True)
-            ga = (gy - m1 - yv * m2) * inv
-            a.accumulate_grad(ga.reshape(a.shape))
+            a.accumulate_grad(((gy - m1 - yv * m2) * inv).reshape(a.shape))
 
-    return _record(out, (a, gamma, beta), bwd, "group_norm")
+    return _record(out, (a, gamma, beta), bwd, name)
+
+
+def layer_norm(a, gamma, beta, eps: float = NORM_EPS) -> Tensor:
+    """Normalize the last axis per token, then apply a learnable affine."""
+    c = as_tensor(a).shape[-1]
+    return _normalize(a, gamma, beta, (-1, 1, 1, c), eps, "layer_norm")
+
+
+def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
+    """Group normalization over channels-last input (B, ..., C).
+
+    Channels split into ``groups``; statistics are per sample, pooled over
+    every axis between the batch axis and the channel axis plus the in-group
+    channels, so one sample's output never depends on another's.
+    """
+    a = as_tensor(a)
+    c = a.shape[-1]
+    if c % groups != 0:
+        raise ShapeError(f"group_norm: channels {c} not divisible by groups {groups}")
+    return _normalize(a, gamma, beta, (a.shape[0], -1, groups, c // groups), eps, "group_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -841,68 +821,63 @@ def upsample_bilinear2d(x, out_hw) -> Tensor:
 
 
 def grid_sample_bilinear(x, grid) -> Tensor:
-    """Sample (..,H,W,C) maps at fractional points with border clamping.
+    """Sample (B,H,W,C) maps at fractional points with border clamping.
 
-    ``x`` is (H,W,C) or batched (B,H,W,C); ``grid`` holds (gx, gy) pairs in
-    [-1,1] normalized coordinates (align_corners=False pixel centers) with
-    shape (Q,2) or (B,Q,2) to match. Out-of-range points clamp to the border,
-    where the coordinate gradient is zero.
+    ``grid`` is (B,Q,2) and holds (gx, gy) pairs in [-1,1] normalized
+    coordinates (align_corners=False pixel centers); the output is (B,Q,C).
+    Out-of-range points clamp to the border, where the coordinate gradient
+    is zero.
     """
     x, grid = as_tensor(x), as_tensor(grid)
-    batched = x.ndim == 4
-    xd = x.data if batched else x.data[None]
-    gd = grid.data if batched else grid.data[None]
-    bsz, h, w, c = xd.shape
-    if gd.ndim != 3 or gd.shape[0] != bsz or gd.shape[2] != 2:
-        raise ShapeError(f"grid_sample: grid {grid.shape} incompatible with input {x.shape}")
-    q = gd.shape[1]
+    if x.ndim != 4 or grid.ndim != 3 or grid.shape[0] != x.shape[0] or grid.shape[2] != 2:
+        raise ShapeError(f"grid_sample: expected (B,H,W,C) and (B,Q,2), got {x.shape} and {grid.shape}")
+    bsz, h, w, c = x.shape
+    q = grid.shape[1]
 
-    ix = ((gd[..., 0] + 1.0) * w - 1.0) / 2.0
-    iy = ((gd[..., 1] + 1.0) * h - 1.0) / 2.0
+    ix = ((grid.data[..., 0] + 1.0) * w - 1.0) / 2.0
+    iy = ((grid.data[..., 1] + 1.0) * h - 1.0) / 2.0
     in_x = (ix > 0.0) & (ix < w - 1.0)
     in_y = (iy > 0.0) & (iy < h - 1.0)
     ixc = np.clip(ix, 0.0, w - 1.0)
     iyc = np.clip(iy, 0.0, h - 1.0)
-    x0 = np.floor(ixc).astype(np.int64)
-    y0 = np.floor(iyc).astype(np.int64)
-    x0 = np.clip(x0, 0, w - 1)
-    y0 = np.clip(y0, 0, h - 1)
+    # floor(NaN) casts to a huge negative index: clip again so coordinates
+    # from a diverged offset net stay indexable and reach the finite checks
+    x0 = np.clip(np.floor(ixc).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(iyc).astype(np.int64), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     tx = (ixc - x0)[..., None]
     ty = (iyc - y0)[..., None]
 
     bidx = np.arange(bsz)[:, None].repeat(q, axis=1)
-    v00 = xd[bidx, y0, x0]
-    v01 = xd[bidx, y0, x1]
-    v10 = xd[bidx, y1, x0]
-    v11 = xd[bidx, y1, x1]
+    v00 = x.data[bidx, y0, x0]
+    v01 = x.data[bidx, y0, x1]
+    v10 = x.data[bidx, y1, x0]
+    v11 = x.data[bidx, y1, x1]
     top = v00 * (1 - tx) + v01 * tx
     bot = v10 * (1 - tx) + v11 * tx
-    y = top * (1 - ty) + bot * ty
-    out = Tensor(y if batched else y[0])
+    out = Tensor(top * (1 - ty) + bot * ty)
 
     def bwd():
-        g = out.grad if batched else out.grad[None]
+        g = out.grad
         w00 = (1 - tx) * (1 - ty)
         w01 = tx * (1 - ty)
         w10 = (1 - tx) * ty
         w11 = tx * ty
         if x.requires_grad:
-            gx_ = np.zeros_like(xd)
+            gx_ = np.zeros_like(x.data)
             np.add.at(gx_, (bidx, y0, x0), g * w00)
             np.add.at(gx_, (bidx, y0, x1), g * w01)
             np.add.at(gx_, (bidx, y1, x0), g * w10)
             np.add.at(gx_, (bidx, y1, x1), g * w11)
-            x.accumulate_grad(gx_ if batched else gx_[0])
+            x.accumulate_grad(gx_)
         if grid.requires_grad:
             dix = np.sum(g * ((v01 - v00) * (1 - ty) + (v11 - v10) * ty), axis=-1)
             diy = np.sum(g * ((v10 - v00) * (1 - tx) + (v11 - v01) * tx), axis=-1)
-            ggrid = np.stack(
+            grid.accumulate_grad(np.stack(
                 [np.where(in_x, dix, 0.0) * (w / 2.0), np.where(in_y, diy, 0.0) * (h / 2.0)],
                 axis=-1,
-            )
-            grid.accumulate_grad(ggrid if batched else ggrid[0])
+            ))
 
     return _record(out, (x, grid), bwd, "grid_sample")
 
@@ -924,17 +899,59 @@ class GradCheckReport:
         return f"{state} max_rel_err={self.max_rel_err:.3e} over {self.n_coords} coords"
 
 
-def _rel_err(g_ad: float, g_fd: float) -> float:
-    return abs(g_ad - g_fd) / max(1e-8, abs(g_ad) + abs(g_fd))
+def finite_diff_check(
+    f: Callable[[Tensor], Tensor],
+    x: Tensor,
+    eps: float = 1e-6,
+    tol: float = 1e-5,
+    max_coords: int = 100,
+) -> GradCheckReport:
+    """Compare the autodiff gradient of scalar-valued ``f`` to central differences.
+
+    Probes a float64 copy of ``x`` through ``finite_diff_check_params``:
+    every coordinate when ``x`` has at most ``max_coords``, otherwise a
+    random subset of ``max_coords``. Relative error per coordinate is
+    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise ValueError(f"finite_diff_check: eps {eps} outside (0, 1e-3]")
+    xt = Tensor(x.data.astype(np.float64).copy(), requires_grad=True)
+    return finite_diff_check_params(lambda: f(xt), [xt], max_coords, eps, tol)
 
 
-def _compare(loss_fn: Callable[[], Tensor], probes: list, eps: float,
-             tol: float) -> GradCheckReport:
-    """Central differences of ``loss_fn`` in each probed scalar ``buf[i]``
-    against its autodiff gradient; probes are (coord, buf, i, g_ad) and
-    ``coord`` labels the scalar in the report."""
+def finite_diff_check_params(
+    loss_fn: Callable[[], Tensor],
+    params: Iterable[Tensor],
+    n_coords: int = 100,
+    eps: float = 1e-5,
+    tol: float = 1e-3,
+    seed: int = 0,
+) -> GradCheckReport:
+    """Spot-check gradients: perturb sampled scalars of ``params`` in place.
+
+    ``params`` are the tensors ``loss_fn`` reads, such as a model's registry
+    values. ``n_coords`` scalars are drawn without replacement over all of
+    them (every scalar when there are fewer), and each is reported as
+    (tensor index, flat index). The loss closure is re-evaluated under
+    no_grad for the +/- eps probes.
+    """
+    tensors = list(params)
+    for t in tensors:
+        t.grad = None
+    backward(loss_fn())
+
+    bounds = np.cumsum([t.size for t in tensors])
+    total = int(bounds[-1])
+    rng = np.random.default_rng(seed)
+    flat_ids = np.sort(rng.choice(total, size=min(n_coords, total), replace=False))
+
     worst, worst_coord, non_finite = 0.0, None, []
-    for coord, buf, i, g_ad in probes:
+    for fid in flat_ids:
+        ti = int(np.searchsorted(bounds, fid, side="right"))
+        i = int(fid - (bounds[ti - 1] if ti else 0))
+        t = tensors[ti]
+        g_ad = 0.0 if t.grad is None else float(t.grad.reshape(-1)[i])
+        buf = t.data.reshape(-1)
         orig = buf[i]
         with no_grad():
             buf[i] = orig + eps
@@ -943,83 +960,11 @@ def _compare(loss_fn: Callable[[], Tensor], probes: list, eps: float,
             fm = loss_fn().item()
         buf[i] = orig
         if not (math.isfinite(fp) and math.isfinite(fm)):
-            non_finite.append(coord)
+            non_finite.append((ti, i))
             continue
         g_fd = (fp - fm) / (2.0 * eps)
-        r = _rel_err(g_ad, g_fd)
+        r = abs(g_ad - g_fd) / max(1e-8, abs(g_ad) + abs(g_fd))
         if r > worst:
-            worst, worst_coord = r, (coord, g_ad, g_fd)
-    return GradCheckReport(worst, worst <= tol and not non_finite, len(probes),
+            worst, worst_coord = r, ((ti, i), g_ad, g_fd)
+    return GradCheckReport(worst, worst <= tol and not non_finite, len(flat_ids),
                            worst_coord, non_finite)
-
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-6,
-    tol: float = 1e-5,
-    max_coords: int = 100,
-    rng: Optional[np.random.Generator] = None,
-) -> GradCheckReport:
-    """Compare the autodiff gradient of scalar-valued ``f`` to central differences.
-
-    Checks every coordinate of ``x`` when it is small, otherwise a random
-    subset of at least ``max_coords``. Relative error per coordinate is
-    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
-    """
-    if not 0.0 < eps <= 1e-3:
-        raise ValueError(f"finite_diff_check: eps {eps} outside (0, 1e-3]")
-    xt = Tensor(x.data.astype(np.float64).copy(), requires_grad=True)
-    loss = f(xt)
-    backward(loss)
-    g_ad = xt.grad.copy() if xt.grad is not None else np.zeros_like(xt.data)
-
-    n = xt.size
-    if n <= max_coords:
-        coords = np.arange(n)
-    else:
-        rng = rng or np.random.default_rng(0)
-        coords = rng.choice(n, size=max_coords, replace=False)
-        coords.sort()
-
-    flat, ad_flat = xt.data.reshape(-1), g_ad.reshape(-1)
-    probes = [(int(i), flat, i, float(ad_flat[i])) for i in coords]
-    return _compare(lambda: f(xt), probes, eps, tol)
-
-
-def finite_diff_check_params(
-    loss_fn: Callable[[], Tensor],
-    params: Iterable,
-    n_coords: int = 100,
-    eps: float = 1e-5,
-    tol: float = 1e-3,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Spot-check model gradients: perturb sampled parameter scalars in place.
-
-    ``params`` is an iterable of objects exposing ``.tensor`` (Parameter) or
-    raw Tensors. The loss closure is re-evaluated under no_grad for the
-    +/- eps probes.
-    """
-    tensors = [getattr(p, "tensor", p) for p in params]
-    for t in tensors:
-        t.grad = None
-    loss = loss_fn()
-    backward(loss)
-
-    sizes = np.array([t.size for t in tensors])
-    total = int(sizes.sum())
-    rng = np.random.default_rng(seed)
-    n_coords = min(n_coords, total)
-    flat_ids = rng.choice(total, size=n_coords, replace=False)
-    flat_ids.sort()
-    bounds = np.cumsum(sizes)
-
-    probes = []
-    for fid in flat_ids:
-        ti = int(np.searchsorted(bounds, fid, side="right"))
-        local = int(fid - (bounds[ti - 1] if ti else 0))
-        t = tensors[ti]
-        g_ad = 0.0 if t.grad is None else float(t.grad.reshape(-1)[local])
-        probes.append(((ti, local), t.data.reshape(-1), local, g_ad))
-    return _compare(loss_fn, probes, eps, tol)

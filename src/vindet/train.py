@@ -46,11 +46,18 @@ def poly_lr_pair(it: int, cfg: ExperimentConfig) -> tuple[float, float]:
 
 def sgd_step(registry: dict[str, nn.Parameter], lr_of, weight_decay: float,
              momentum: float, velocities: dict[str, np.ndarray]) -> None:
-    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in name order."""
+    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in name order.
+
+    Every gradient is checked before any parameter moves: a missing one
+    raises ValueError and a non-finite one NumericalError, naming the first
+    such parameter in registry order."""
     for name, p in registry.items():
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise ValueError(f"sgd_step: parameter {name} has no gradient")
-        g = p.tensor.grad + weight_decay * p.data
+        if not np.isfinite(p.grad).all():
+            raise NumericalError(f"non-finite gradient in parameter {name}")
+    for name, p in registry.items():
+        g = p.grad + weight_decay * p.data
         v = velocities.get(name)
         v = g if v is None else momentum * v + g
         velocities[name] = v

@@ -80,13 +80,13 @@ def test_criterion_2_full_model_gradient():
     model = InpaintingDetector(cfg)
     # move the zero-initialized layers to a generic point so every path is live
     rng = np.random.default_rng(77)
-    model.decoder.head_out.w.tensor.data[:] = rng.normal(
-        size=model.decoder.head_out.w.tensor.shape) * 0.2
+    model.decoder.head_out.w.data[:] = rng.normal(
+        size=model.decoder.head_out.w.shape) * 0.2
     for pairs in model.interaction.stages:
         for p in pairs:
-            p.back.w.tensor.data[:] = rng.normal(size=p.back.w.tensor.shape) * 0.1
-            p.attn.theta.fc2.w.tensor.data[:] = rng.normal(
-                size=p.attn.theta.fc2.w.tensor.shape) * 0.1
+            p.back.w.data[:] = rng.normal(size=p.back.w.shape) * 0.1
+            p.attn.theta.fc2.w.data[:] = rng.normal(
+                size=p.attn.theta.fc2.w.shape) * 0.1
     sample = make_clip(cfg.seed, cfg)
     gt = Tensor(sample.gt_mask)
 
@@ -122,17 +122,17 @@ def test_criterion_4_dwti_degeneracy_and_locality():
     rng = np.random.default_rng(40)
     attn = DeformableWindowCrossAttention(6, 4, 1.0, np.random.default_rng(41))
     for layer in (attn.theta.fc1, attn.theta.fc2):
-        layer.w.tensor.data[:] = 0.0
-        layer.b.tensor.data[:] = 0.0
+        layer.w.data[:] = 0.0
+        layer.b.data[:] = 0.0
     small = rng.normal(size=(8, 8, 6))
     large = rng.normal(size=(8, 8, 6))
     # the module takes a batch of maps; run this pair as a batch of one
     got = attn(Tensor(small[None]), Tensor(large[None])).data[0]
 
     # reference: plain windowed cross-attention at the grid points
-    wq, bq = attn.wq.w.tensor.data, attn.wq.b.tensor.data
-    wk, bk = attn.wk.w.tensor.data, attn.wk.b.tensor.data
-    wv, bv = attn.wv.w.tensor.data, attn.wv.b.tensor.data
+    wq, bq = attn.wq.w.data, attn.wq.b.data
+    wk, bk = attn.wk.w.data, attn.wk.b.data
+    wv, bv = attn.wv.w.data, attn.wv.b.data
     ref = np.zeros_like(large)
     for wi in range(2):
         for wj in range(2):
@@ -166,10 +166,10 @@ def test_criterion_5_swin_identity_and_masking():
     worst = 0.0
     for shifted in (False, True):
         block = SwinBlock(8, 2, 4, shifted, np.random.default_rng(51))
-        block.attn.wo.w.tensor.data[:] = 0.0
-        block.attn.wo.b.tensor.data[:] = 0.0
-        block.mlp.fc2.w.tensor.data[:] = 0.0
-        block.mlp.fc2.b.tensor.data[:] = 0.0
+        block.attn.wo.w.data[:] = 0.0
+        block.attn.wo.b.data[:] = 0.0
+        block.mlp.fc2.w.data[:] = 0.0
+        block.mlp.fc2.b.data[:] = 0.0
         worst = max(worst, float(np.abs(block(Tensor(x)).data - x).max()))
 
     block = SwinBlock(8, 2, 4, True, np.random.default_rng(52))

@@ -38,13 +38,13 @@ def _assert_matches(fn, *batches):
 
 def _live(model: InpaintingDetector, rng):
     """Move the zero-initialized layers off zero so every path carries signal."""
-    head = model.decoder.head_out.w.tensor
+    head = model.decoder.head_out.w
     head.data[:] = rng.normal(size=head.shape) * 0.2
     for pairs in model.interaction.stages:
         for p in pairs:
-            p.back.w.tensor.data[:] = rng.normal(size=p.back.w.tensor.shape) * 0.1
-            p.attn.theta.fc2.w.tensor.data[:] = rng.normal(
-                size=p.attn.theta.fc2.w.tensor.shape) * 0.1
+            p.back.w.data[:] = rng.normal(size=p.back.w.shape) * 0.1
+            p.attn.theta.fc2.w.data[:] = rng.normal(
+                size=p.attn.theta.fc2.w.shape) * 0.1
 
 
 class TestLayersMatchPerClip:
@@ -64,9 +64,9 @@ class TestLayersMatchPerClip:
         rng = np.random.default_rng(4)
         inter = ViewInteraction([[4, 6, 8]], 4, 2, 1.0, np.random.default_rng(5))
         for p in inter.stages[0]:
-            p.back.w.tensor.data[:] = rng.normal(size=p.back.w.tensor.shape) * 0.3
-            p.attn.theta.fc2.w.tensor.data[:] = rng.normal(
-                size=p.attn.theta.fc2.w.tensor.shape) * 0.3
+            p.back.w.data[:] = rng.normal(size=p.back.w.shape) * 0.3
+            p.attn.theta.fc2.w.data[:] = rng.normal(
+                size=p.attn.theta.fc2.w.shape) * 0.3
         views = [Tensor(rng.normal(size=(B, t, 8, 8, c)))
                  for t, c in ((3, 4), (1, 6), (1, 8))]
         for k in range(3):
@@ -88,7 +88,7 @@ class TestLayersMatchPerClip:
         cfg = ExperimentConfig()
         dec = PyramidDecoder(cfg, np.random.default_rng(10))
         rng = np.random.default_rng(11)
-        dec.head_out.w.tensor.data[:] = rng.normal(size=dec.head_out.w.tensor.shape)
+        dec.head_out.w.data[:] = rng.normal(size=dec.head_out.w.shape)
         times = [cfg.geometry.frames // v for v in cfg.geometry.views]
         views = [Tensor(rng.normal(size=(B, t, cfg.grid_side(l), cfg.grid_side(l), c)))
                  for l in range(cfg.encoder.stages)

@@ -247,6 +247,8 @@ class TestTrainEval:
         "seed = -1",
         "encoder.depths = -1,2",
         "encoder.stages = 0\nencoder.depths =\nencoder.heads =\ndecoder.channels =",
+        "geometry.channels = 1",
+        "geometry.channels = 4",
     ])
     def test_show_config_rejects_out_of_range(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.cfg"

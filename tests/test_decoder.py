@@ -60,7 +60,7 @@ class TestFrequencyFusion:
     def test_zeroed_return_is_identity(self):
         rng = np.random.default_rng(8)
         fuse = FrequencyFusion(16, 9, np.random.default_rng(9))
-        fuse.ret.w.tensor.data[:] = 0.0
+        fuse.ret.w.data[:] = 0.0
         f_c = Tensor(rng.normal(size=(1, 8, 8, 16)))
         f_a = Tensor(rng.normal(size=(1, 8, 8, 9)))
         np.testing.assert_array_equal(fuse(f_c, f_a).data, f_c.data)
@@ -68,7 +68,7 @@ class TestFrequencyFusion:
     def test_zero_band_features_change_nothing(self):
         rng = np.random.default_rng(10)
         fuse = FrequencyFusion(16, 9, np.random.default_rng(11))
-        fuse.ret.w.tensor.data[:] = rng.normal(size=fuse.ret.w.tensor.shape)
+        fuse.ret.w.data[:] = rng.normal(size=fuse.ret.w.shape)
         f_c = Tensor(rng.normal(size=(1, 8, 8, 16)))
         out = fuse(f_c, Tensor(np.zeros((1, 8, 8, 9))))
         np.testing.assert_allclose(out.data, f_c.data, atol=1e-12)
@@ -77,7 +77,7 @@ class TestFrequencyFusion:
         cfg = ExperimentConfig()
         dec = PyramidDecoder(cfg, np.random.default_rng(12))
         for fuse in dec.freq_fuse:
-            assert fuse.lk.w.tensor.shape[3] == 9  # 3 bands x 3 channels
+            assert fuse.lk.w.shape[3] == 9  # 3 bands x 3 channels
 
     def test_side_mismatch_rejected(self):
         fuse = FrequencyFusion(8, 9, np.random.default_rng(13))
@@ -98,8 +98,8 @@ class TestAccumulate:
 
     def test_saturated_gate_passes_features(self):
         dec = self._decoder()
-        dec.gates[0].w.tensor.data[:] = 0.0
-        dec.gates[0].b.tensor.data[:] = 20.0
+        dec.gates[0].w.data[:] = 0.0
+        dec.gates[0].b.data[:] = 20.0
         rng = np.random.default_rng(17)
         fs = [Tensor(rng.normal(size=(1, 8, 8, 32))), Tensor(rng.normal(size=(1, 4, 4, 48)))]
         out = dec.accumulate(fs)
@@ -107,8 +107,8 @@ class TestAccumulate:
 
     def test_zero_gate_halves_features(self):
         dec = self._decoder()
-        dec.gates[0].w.tensor.data[:] = 0.0
-        dec.gates[0].b.tensor.data[:] = 0.0
+        dec.gates[0].w.data[:] = 0.0
+        dec.gates[0].b.data[:] = 0.0
         rng = np.random.default_rng(18)
         fs = [Tensor(rng.normal(size=(1, 8, 8, 32))), Tensor(rng.normal(size=(1, 4, 4, 48)))]
         out = dec.accumulate(fs)
@@ -145,8 +145,8 @@ class TestFullDecoder:
     def test_zero_head_gives_half(self):
         cfg = ExperimentConfig()
         dec = PyramidDecoder(cfg, np.random.default_rng(21))
-        dec.head_out.w.tensor.data[:] = 0.0
-        dec.head_out.b.tensor.data[:] = 0.0
+        dec.head_out.w.data[:] = 0.0
+        dec.head_out.b.data[:] = 0.0
         sv, pyr, fh = _decoder_inputs(np.random.default_rng(22), cfg)
         m = dec(sv, pyr, fh, (32, 32))
         np.testing.assert_allclose(m.data, 0.5, atol=1e-15)
@@ -165,10 +165,10 @@ class TestFullDecoder:
         cfg = ExperimentConfig()
         dec = PyramidDecoder(cfg, np.random.default_rng(25))
         for gate in dec.gates:
-            gate.w.tensor.data[:] = 0.0
-            gate.b.tensor.data[:] = 20.0
+            gate.w.data[:] = 0.0
+            gate.b.data[:] = 20.0
         for fuse in dec.freq_fuse:
-            fuse.ret.w.tensor.data[:] = 0.0
+            fuse.ret.w.data[:] = 0.0
         rng = np.random.default_rng(26)
         sv, pyr, fh = _decoder_inputs(rng, cfg)
         got = dec(sv, pyr, fh, (32, 32)).data
@@ -176,8 +176,7 @@ class TestFullDecoder:
         # reference: fuse stages, then a bare top-down pyramid with the same convs
         fs = [f.data for f in dec.fuse_stages(sv)]
         def conv(mod, x):
-            b = mod.b.tensor if mod.b is not None else None
-            return T.conv(Tensor(x), mod.w.tensor, b, mod.padding).data
+            return T.conv(Tensor(x), mod.w, mod.b, mod.padding).data
         high = conv(dec.proj_high, fh.data)
         g = conv(dec.fuse_high, np.concatenate([fs[1], high], axis=-1))
         up = T.upsample_bilinear2d(Tensor(g), (8, 8)).data

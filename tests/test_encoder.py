@@ -37,10 +37,10 @@ def _swin_reference_mask(s_pad, m, shift, s_real):
 
 def _zero_residuals(block: SwinBlock):
     """Neutralize a block: zero attention output proj and MLP second layer."""
-    block.attn.wo.w.tensor.data[:] = 0.0
-    block.attn.wo.b.tensor.data[:] = 0.0
-    block.mlp.fc2.w.tensor.data[:] = 0.0
-    block.mlp.fc2.b.tensor.data[:] = 0.0
+    block.attn.wo.w.data[:] = 0.0
+    block.attn.wo.b.data[:] = 0.0
+    block.mlp.fc2.w.data[:] = 0.0
+    block.mlp.fc2.b.data[:] = 0.0
 
 
 class TestWindows:
@@ -80,8 +80,8 @@ class TestSwinBlock:
         attn = WindowAttention(4, 1, 1, rng)
         x = rng.normal(size=(3, 1, 4))
         out = attn(Tensor(x))
-        v = x @ attn.wv.w.tensor.data + attn.wv.b.tensor.data
-        expect = v @ attn.wo.w.tensor.data + attn.wo.b.tensor.data
+        v = x @ attn.wv.w.data + attn.wv.b.data
+        expect = v @ attn.wo.w.data + attn.wo.b.data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_cyclic_shift_roundtrip(self):

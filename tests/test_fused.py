@@ -53,10 +53,10 @@ def _merge(windows, meta):
 
 def ref_linear(self, x):
     lead = x.shape[:-1]
-    w = self.w.tensor
+    w = self.w
     y = T.matmul(x.reshape(-1, w.shape[0]), w)
     if self.b is not None:
-        y = y + self.b.tensor
+        y = y + self.b
     return y.reshape(*lead, w.shape[1])
 
 
@@ -70,7 +70,7 @@ def ref_window_attention(self, windows, mask=None, keep_attn=False):
     qh, kh, vh = split(self.wq(windows)), split(self.wk(windows)), split(self.wv(windows))
     scores = T.matmul(qh, T.permute(kh, (0, 1, 3, 2))) * self.scale
     if self.window is not None:
-        bias = T.gather_rows(self.bias_table.tensor, encoder._relative_index(self.window))
+        bias = T.gather_rows(self.bias_table, encoder._relative_index(self.window))
         scores = scores + T.permute(bias.reshape(q, q, h), (2, 0, 1)).reshape(1, h, q, q)
     if mask is not None:
         k = mask.shape[0]

@@ -15,10 +15,10 @@ from vindet.tensor import Tensor, finite_diff_check
 
 
 def _zero_theta(attn: DeformableWindowCrossAttention):
-    attn.theta.fc1.w.tensor.data[:] = 0.0
-    attn.theta.fc1.b.tensor.data[:] = 0.0
-    attn.theta.fc2.w.tensor.data[:] = 0.0
-    attn.theta.fc2.b.tensor.data[:] = 0.0
+    attn.theta.fc1.w.data[:] = 0.0
+    attn.theta.fc1.b.data[:] = 0.0
+    attn.theta.fc2.w.data[:] = 0.0
+    attn.theta.fc2.b.data[:] = 0.0
 
 
 def _attend(attn, small, large):
@@ -31,9 +31,9 @@ def _plain_window_cross_attention(small, large, attn):
     s, _, c = small.shape
     m = attn.window
     k = s // m
-    wq, bq = attn.wq.w.tensor.data, attn.wq.b.tensor.data
-    wk, bk = attn.wk.w.tensor.data, attn.wk.b.tensor.data
-    wv, bv = attn.wv.w.tensor.data, attn.wv.b.tensor.data
+    wq, bq = attn.wq.w.data, attn.wq.b.data
+    wk, bk = attn.wk.w.data, attn.wk.b.data
+    wv, bv = attn.wv.w.data, attn.wv.b.data
     out = np.zeros_like(large)
     for wi in range(k):
         for wj in range(k):
@@ -76,18 +76,18 @@ class TestDeformableAttention:
         small = rng.normal(size=(2, 2, 4))
         large = rng.normal(size=(2, 2, 4))
         got = _attend(attn, small, large)
-        want = small @ attn.wv.w.tensor.data + attn.wv.b.tensor.data
+        want = small @ attn.wv.w.data + attn.wv.b.data
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_constant_small_view_ignores_offsets(self):
         rng = np.random.default_rng(4)
         attn = DeformableWindowCrossAttention(5, 4, 1.0, np.random.default_rng(5))
         # leave theta live with random weights
-        attn.theta.fc2.w.tensor.data[:] = rng.normal(size=attn.theta.fc2.w.tensor.shape)
+        attn.theta.fc2.w.data[:] = rng.normal(size=attn.theta.fc2.w.shape)
         small = np.broadcast_to(rng.normal(size=5), (8, 8, 5)).copy()
         large = rng.normal(size=(8, 8, 5))
         got = _attend(attn, small, large)
-        want = small[0, 0] @ attn.wv.w.tensor.data + attn.wv.b.tensor.data
+        want = small[0, 0] @ attn.wv.w.data + attn.wv.b.data
         np.testing.assert_allclose(got, np.broadcast_to(want, (8, 8, 5)), atol=1e-10)
 
     def test_window_locality(self):
@@ -112,7 +112,7 @@ class TestDeformableAttention:
         rng = np.random.default_rng(9)
         attn = DeformableWindowCrossAttention(4, 2, 0.9, np.random.default_rng(10))
         # give theta non-zero weights so coordinate gradients are live
-        attn.theta.fc2.w.tensor.data[:] = rng.normal(size=attn.theta.fc2.w.tensor.shape) * 0.5
+        attn.theta.fc2.w.data[:] = rng.normal(size=attn.theta.fc2.w.shape) * 0.5
         large = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
 
         def f(small):
@@ -127,14 +127,14 @@ class TestDeformableAttention:
         attn = DeformableWindowCrossAttention(4, 2, 0.9, np.random.default_rng(12))
         small = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
         large = Tensor(rng.normal(size=(1, 4, 4, 4)) * 0.5)
-        w2 = attn.theta.fc2.w.tensor
+        w2 = attn.theta.fc2.w
 
         def f(w):
-            attn.theta.fc2.w.tensor = w
+            attn.theta.fc2.w = w
             try:
                 return T.reduce_sum(attn(small, large) ** 2)
             finally:
-                attn.theta.fc2.w.tensor = w2
+                attn.theta.fc2.w = w2
 
         x0 = Tensor(rng.normal(size=w2.shape) * 0.5)
         rep = finite_diff_check(f, x0, eps=1e-6, tol=1e-4)
@@ -165,7 +165,7 @@ class TestAdjacentChain:
         inter = ViewInteraction([[4, 6, 8]], 4, 2, 1.0, np.random.default_rng(18))
         for pairs in inter.stages:
             for p in pairs:
-                p.back.w.tensor.data[:] = rng.normal(size=p.back.w.tensor.shape) * 0.1
+                p.back.w.data[:] = rng.normal(size=p.back.w.shape) * 0.1
         views = self._views(rng)
         out = inter(views, 0)
         # smallest view untouched
@@ -184,7 +184,7 @@ class TestAdjacentChain:
         small2d, large2d = pair.align(z_small, z_large)
         assert small2d.shape == (1, 4, 4, 5)
         assert large2d.shape == (1, 4, 4, 5)
-        want = z_small.data.mean(axis=1) @ pair.align_small.w.tensor.data + pair.align_small.b.tensor.data
+        want = z_small.data.mean(axis=1) @ pair.align_small.w.data + pair.align_small.b.data
         np.testing.assert_allclose(small2d.data, want, atol=1e-12)
 
     def test_mismatched_sides_rejected(self):

@@ -5,7 +5,9 @@ import pytest
 
 from vindet.config import DecoderConfig, DwtiConfig, ExperimentConfig
 from vindet.data import make_clip
+from vindet import tensor as T
 from vindet.model import InpaintingDetector
+from vindet.tensor import Tensor
 
 
 def _forward(cfg, seed=0):
@@ -32,6 +34,15 @@ class TestForward:
         names = list(model.registry())
         assert names == sorted(names)
         assert len(names) == len(set(names))
+
+    def test_registry_values_are_tensors(self):
+        # a parameter is the tensor the engine differentiates, with its
+        # gradient buffer allocated at construction
+        for p in InpaintingDetector(ExperimentConfig()).registry().values():
+            assert isinstance(p, Tensor) and T.as_tensor(p) is p
+            assert p.requires_grad and p.dtype == np.float64
+            assert p.grad is not None and p.grad.shape == p.shape and not p.grad.any()
+            assert not hasattr(p, "__dict__")
 
     def test_encoder_group_covers_expected_prefixes(self):
         model = InpaintingDetector(ExperimentConfig())
@@ -93,8 +104,8 @@ class TestMiddleFrameTarget:
         model = InpaintingDetector(cfg)
         # the head starts zeroed (constant 0.5 output); give it live weights
         rng = np.random.default_rng(5)
-        model.decoder.head_out.w.tensor.data[:] = rng.normal(
-            size=model.decoder.head_out.w.tensor.shape)
+        model.decoder.head_out.w.data[:] = rng.normal(
+            size=model.decoder.head_out.w.shape)
         sample = make_clip(3, cfg)
         base = model(sample.clip.frames).data
         bumped = sample.clip.frames.copy()

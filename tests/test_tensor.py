@@ -100,19 +100,27 @@ class TestShapeOps:
 class TestSampling:
     def test_grid_sample_exact_at_integer_coords(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(8, 8, 3))
+        x = rng.normal(size=(1, 8, 8, 3))
         ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
         gx = (2 * jj.reshape(-1) + 1) / 8 - 1
         gy = (2 * ii.reshape(-1) + 1) / 8 - 1
-        grid = np.stack([gx, gy], axis=-1)
+        grid = np.stack([gx, gy], axis=-1)[None]
         out = T.grid_sample_bilinear(t(x), t(grid))
-        np.testing.assert_allclose(out.data, x.reshape(-1, 3), atol=1e-12)
+        np.testing.assert_allclose(out.data, x.reshape(1, -1, 3), atol=1e-12)
 
     def test_grid_sample_border_clamp(self):
-        x = np.arange(4.0).reshape(2, 2, 1)
-        grid = np.array([[-5.0, -5.0], [5.0, 5.0]])
+        x = np.arange(4.0).reshape(1, 2, 2, 1)
+        grid = np.array([[[-5.0, -5.0], [5.0, 5.0]]])
         out = T.grid_sample_bilinear(t(x), t(grid))
-        np.testing.assert_allclose(out.data[:, 0], [0.0, 3.0])
+        np.testing.assert_allclose(out.data[0, :, 0], [0.0, 3.0])
+
+    def test_grid_sample_takes_a_batch_only(self):
+        x = np.zeros((6, 6, 2))
+        grid = np.zeros((4, 2))
+        with pytest.raises(ShapeError):
+            T.grid_sample_bilinear(t(x), t(grid))
+        with pytest.raises(ShapeError):
+            T.grid_sample_bilinear(t(x[None]), t(grid))
 
     def test_upsample_identity(self):
         rng = np.random.default_rng(3)
@@ -172,14 +180,14 @@ def _fd_cases():
                 Tensor(rng.uniform(-1, 1, size=(1, 3, 4, 4, 2))))
 
     def grid_data_case(rng):
-        grid = Tensor(rng.uniform(-0.85, 0.85, size=(6, 2)))
+        grid = Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2)))
         return (lambda x: sum_(T.grid_sample_bilinear(x, grid) ** 2),
-                Tensor(rng.uniform(-1, 1, size=(6, 6, 2))))
+                Tensor(rng.uniform(-1, 1, size=(1, 6, 6, 2))))
 
     def grid_coord_case(rng):
-        x = Tensor(rng.uniform(-1, 1, size=(6, 6, 2)))
+        x = Tensor(rng.uniform(-1, 1, size=(1, 6, 6, 2)))
         return (lambda g: sum_(T.grid_sample_bilinear(x, g) ** 2),
-                Tensor(rng.uniform(-0.85, 0.85, size=(6, 2))))
+                Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2))))
 
     def gather_case(rng):
         idx = rng.integers(0, 5, size=7)
@@ -229,9 +237,12 @@ def test_primitive_gradients(name):
 
 def test_finite_diff_quadratic_is_tight():
     rng = np.random.default_rng(7)
-    x = Tensor(rng.uniform(-1, 1, size=8))
-    rep = finite_diff_check(lambda v: T.reduce_sum(v * v), x, eps=1e-6, tol=1e-7)
-    assert rep.passed and rep.max_rel_err <= 1e-7
+    # every coordinate of the small input; a sample of 50 from the large one
+    for size, n in ((8, 8), (300, 50)):
+        x = Tensor(rng.uniform(-1, 1, size=size))
+        rep = finite_diff_check(lambda v: T.reduce_sum(v * v), x, eps=1e-6, tol=1e-7,
+                                max_coords=50)
+        assert rep.passed and rep.max_rel_err <= 1e-7 and rep.n_coords == n
 
 
 def test_finite_diff_constant_function():
@@ -263,6 +274,36 @@ def test_finite_diff_flags_non_finite():
     assert not rep.passed and rep.non_finite
 
 
+def _per_token_layer_norm(x, g, b, gout, eps=T.NORM_EPS):
+    """The per-token kernel ``layer_norm`` ran before it shared ``group_norm``'s:
+    the output and the gradients of x, g and b for the upstream gradient ``gout``."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv
+    lead = tuple(range(x.ndim - 1))
+    gy = gout * g
+    m1 = np.mean(gy, axis=-1, keepdims=True)
+    m2 = np.mean(gy * y, axis=-1, keepdims=True)
+    return (y * g + b, (gy - m1 - y * m2) * inv,
+            np.sum(gout * y, axis=lead), np.sum(gout, axis=lead))
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (2, 9, 16), (3, 2, 5, 24)])
+def test_layer_norm_matches_per_token_kernel(shape):
+    rng = np.random.default_rng(11)
+    c = shape[-1]
+    x, g, b = (t(rng.normal(size=shape), rg=True), t(rng.uniform(0.5, 1.5, size=c), rg=True),
+               t(rng.normal(size=c) * 0.1, rg=True))
+    r = rng.normal(size=shape)
+    out = T.layer_norm(x, g, b)
+    backward(T.reduce_sum(out * t(r)))
+    want = _per_token_layer_norm(x.data, g.data, b.data, r)
+    for got, ref in zip((out.data, x.grad, g.grad, b.grad), want):
+        assert np.array_equal(got, ref)
+
+
 def test_no_grad_blocks_recording():
     x = t(np.ones(3), rg=True)
     with T.no_grad():
@@ -275,7 +316,7 @@ def test_unreachable_parameter_keeps_zero_grad():
 
     used = Parameter(np.array([2.0, 3.0]))
     unused = Parameter(np.array([1.0]))
-    backward(T.reduce_sum(used.tensor * used.tensor))
+    backward(T.reduce_sum(used * used))
     np.testing.assert_allclose(used.grad, [4.0, 6.0])
     np.testing.assert_array_equal(unused.grad, [0.0])
 

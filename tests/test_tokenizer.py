@@ -50,8 +50,8 @@ class TestTokenizeView:
         clip = VideoClip(np.full((3, 16, 16, 3), 0.6))
         rng = np.random.default_rng(0)
         emb = TubeletEmbed(1, 4, 3, 8, rng)
-        emb.proj.w.tensor.data[:] = 1.0 / (1 * 4 * 4 * 3)
-        emb.proj.b.tensor.data[:] = 0.0
+        emb.proj.w.data[:] = 1.0 / (1 * 4 * 4 * 3)
+        emb.proj.b.data[:] = 0.0
         grid = emb(Tensor(clip.frames[None]))
         np.testing.assert_allclose(grid.data, 0.6, atol=1e-12)
 
@@ -71,7 +71,7 @@ class TestTokenizeView:
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
         emb = TubeletEmbed(2, 4, 3, 8, rng)
-        emb.proj.b.tensor.data[:] = 0.0
+        emb.proj.b.data[:] = 0.0
         a, b = 1.7, -0.4
         f1 = rng.uniform(0, 1, size=(1, 3, 16, 16, 3))
         f2 = rng.uniform(0, 1, size=(1, 3, 16, 16, 3))

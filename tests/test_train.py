@@ -46,7 +46,7 @@ class TestPolyLr:
 class TestSgdStep:
     def _param(self, value, grad):
         p = nn.Parameter(np.array([float(value)]))
-        p.tensor.grad = np.array([float(grad)])
+        p.grad = np.array([float(grad)])
         return p
 
     def test_vanilla_step(self):
@@ -63,16 +63,27 @@ class TestSgdStep:
         p = self._param(0.0, 1.0)
         vel = {}
         sgd_step({"w": p}, lambda n: 1.0, 0.0, 0.9, vel)
-        p.tensor.grad = np.array([1.0])
+        p.grad = np.array([1.0])
         sgd_step({"w": p}, lambda n: 1.0, 0.0, 0.9, vel)
         # steps: -1, then -(0.9+1)
         assert p.data[0] == pytest.approx(-2.9)
 
     def test_missing_grad_names_parameter(self):
         p = nn.Parameter(np.ones(2))
-        p.tensor.grad = None
+        p.grad = None
         with pytest.raises(ValueError, match="theta0"):
             sgd_step({"theta0": p}, lambda n: 0.1, 0.0, 0.0, {})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grad_moves_nothing(self, bad):
+        reg = {name: self._param(1.0, 0.5) for name in ("a", "b", "c", "d")}
+        reg["b"].grad = np.array([bad])
+        reg["d"].grad = np.array([np.nan])
+        vel = {name: np.array([0.25]) for name in reg}
+        with pytest.raises(NumericalError, match="parameter b$"):
+            sgd_step(reg, lambda n: 0.1, 1e-4, 0.9, vel)
+        assert all(p.data[0] == 1.0 for p in reg.values())
+        assert all(v[0] == 0.25 for v in vel.values())
 
 
 def _tiny_cfg(iters=4, seed=0):
