@@ -74,7 +74,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_primitive_suite
+    from .gradcheck import check_full_model, run_primitive_suite
 
     failed = False
     reports = run_primitive_suite(seeds=args.seeds)
@@ -82,22 +82,8 @@ def cmd_gradcheck(args) -> int:
         print(f"{name}: {rep}")
         failed |= not rep.passed
     if args.full_model:
-        from .data import make_clip
-        from .model import InpaintingDetector
-        from .objectives import total_loss
-        from .tensor import Tensor, finite_diff_check_params
-
         cfg = _load_cfg(args.config)
-        model = InpaintingDetector(cfg)
-        sample = make_clip(cfg.seed, cfg)
-        gt = Tensor(sample.gt_mask)
-
-        def loss_fn():
-            return total_loss(model(sample.clip.frames), gt, cfg.loss)
-
-        rep = finite_diff_check_params(loss_fn, model.registry().values(),
-                                       n_coords=100, eps=1e-5, tol=1e-3,
-                                       seed=cfg.seed)
+        rep = check_full_model(cfg, cfg.seed)
         print(f"full-model: {rep}")
         failed |= not rep.passed
     return 1 if failed else 0

@@ -3,7 +3,8 @@
 Each case projects the op's output onto a fixed random direction so the
 scalar loss has well-conditioned, order-one gradients. All auxiliary
 tensors are drawn once per case; the checked function must be a fixed
-deterministic map. Shared between the CLI and the acceptance suite.
+deterministic map. ``check_full_model`` spot-checks a whole detector.
+Shared between the CLI and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .tensor import GradCheckReport, Tensor, finite_diff_check
+from .config import ExperimentConfig
+from .data import make_clip
+from .model import InpaintingDetector
+from .objectives import total_loss
+from .tensor import GradCheckReport, Tensor, finite_diff_check, finite_diff_check_params
 
 
 def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tensor]]:
@@ -127,6 +132,9 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("grid_sample_coords",
          lambda g: T.reduce_sum(T.grid_sample_bilinear(gs_x, g) * r62),
          Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2))))
+    # drawn last, so every earlier case keeps its inputs
+    r322 = proj(3, 2, 2)
+    case("slice", lambda x: T.reduce_sum(T.slice_axis(x, -2, 1, 3) * r322), u(3, 4, 2))
     return cases
 
 
@@ -152,3 +160,23 @@ def run_primitive_suite(seeds: int = 10, eps: float = 1e-6,
                         tol: float = 1e-5) -> dict[str, GradCheckReport]:
     return {name: check_primitive(name, seeds, eps, tol)
             for name in primitive_case_names()}
+
+
+def check_full_model(cfg: ExperimentConfig, seed: int) -> GradCheckReport:
+    """Spot-check 100 parameter gradients, sampled by ``seed``, of the loss
+    of a detector built from ``cfg`` on clip ``make_clip(cfg.seed)``. The
+    zero-initialised layers (the decoder head, and each DWTI pair's ``back``
+    and offset output) first move off zero, or most gradients would be 0."""
+    model = InpaintingDetector(cfg)
+    moved = [(model.decoder.head_out.w, 0.2)]
+    if model.interaction is not None:
+        moved += [(w, 0.1) for pairs in model.interaction.stages for p in pairs
+                  for w in (p.back.w, p.attn.theta.fc2.w)]
+    rng = np.random.default_rng(77)
+    for w, scale in moved:
+        w.data[:] = rng.normal(size=w.shape) * scale
+    sample = make_clip(cfg.seed, cfg)
+    gt = Tensor(sample.gt_mask)
+    return finite_diff_check_params(lambda: total_loss(model(sample.clip.frames), gt, cfg.loss),
+                                    model.registry().values(), n_coords=100, eps=1e-5,
+                                    tol=1e-3, seed=seed)

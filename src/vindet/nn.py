@@ -71,7 +71,8 @@ class ModuleList(Module):
 
 
 def build_registry(model: Module) -> Dict[str, Parameter]:
-    """Bind names and return the registry ordered lexicographically by name."""
+    """Map each parameter's dotted path to the parameter itself, ordered
+    lexicographically by path; a path seen twice raises ValueError."""
     reg: Dict[str, Parameter] = {}
     for name, p in model.named_parameters():
         if name in reg:

@@ -143,11 +143,11 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self, axis=None):
+        return reduce_sum(self, axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self, axis=None):
+        return reduce_mean(self, axis)
 
 
 def as_tensor(x) -> Tensor:
@@ -162,6 +162,33 @@ def _record(out: Tensor, inputs: tuple, backward_fn: Callable, name: str) -> Ten
                 out._entry = TapeEntry(inputs, backward_fn, name)
                 break
     return out
+
+
+def _unary(a: Tensor, y: np.ndarray, grad: Callable, name: str) -> Tensor:
+    """Record ``y`` as a function of ``a``, whose gradient is ``grad(out.grad)``."""
+    out = Tensor(y)
+
+    def bwd():
+        if a.requires_grad:
+            a.accumulate_grad(grad(out.grad))
+
+    return _record(out, (a,), bwd, name)
+
+
+def _binary(a: Tensor, b: Tensor, y: np.ndarray, grad_a: Callable, grad_b: Callable,
+            name: str) -> Tensor:
+    """Record ``y`` as a function of ``a`` and ``b``, each of whose gradient is
+    its ``grad_x(out.grad)`` summed back over the axes it was broadcast on."""
+    out = Tensor(y)
+
+    def bwd():
+        g = out.grad
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(grad_a(g), a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(grad_b(g), b.shape))
+
+    return _record(out, (a, b), bwd, name)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -218,69 +245,28 @@ def backward(loss: Tensor):
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data)
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _record(out, (a, b), bwd, "add")
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return _record(out, (a, b), bwd, "sub")
+    return _binary(a, b, a.data - b.data, lambda g: g, np.negative, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data)
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _record(out, (a, b), bwd, "mul")
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data, "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _record(out, (a, b), bwd, "div")
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data), "div")
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data)
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(-out.grad)
-
-    return _record(out, (a,), bwd, "neg")
+    return _unary(a, -a.data, np.negative, "neg")
 
 
 def pow_scalar(a, p: float) -> Tensor:
@@ -291,20 +277,17 @@ def pow_scalar(a, p: float) -> Tensor:
     """
     a = as_tensor(a)
     p = float(p)
-    out = Tensor(a.data ** p)
 
-    def bwd():
-        if a.requires_grad:
-            if p == 0.0:
-                a.accumulate_grad(np.zeros_like(a.data))
-                return
-            base = np.where(a.data == 0.0, 1.0, a.data)
-            d = p * base ** (p - 1.0)
-            if p > 1.0:
-                d = np.where(a.data == 0.0, 0.0, d)
-            a.accumulate_grad(out.grad * d)
+    def grad(g):
+        if p == 0.0:
+            return np.zeros_like(a.data)
+        base = np.where(a.data == 0.0, 1.0, a.data)
+        d = p * base ** (p - 1.0)
+        if p > 1.0:
+            d = np.where(a.data == 0.0, 0.0, d)
+        return g * d
 
-    return _record(out, (a,), bwd, "pow")
+    return _unary(a, a.data ** p, grad, "pow")
 
 
 # ---------------------------------------------------------------------------
@@ -314,38 +297,21 @@ def pow_scalar(a, p: float) -> Tensor:
 def log(a) -> Tensor:
     """Natural log. Domain: strictly positive values."""
     a = as_tensor(a)
-    out = Tensor(np.log(a.data))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad / a.data)
-
-    return _record(out, (a,), bwd, "log")
+    return _unary(a, np.log(a.data), lambda g: g / a.data, "log")
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.tanh(a.data))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
-
-    return _record(out, (a,), bwd, "tanh")
+    y = np.tanh(a.data)
+    return _unary(a, y, lambda g: g * (1.0 - y * y), "tanh")
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(s)
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-
-    return _record(out, (a,), bwd, "sigmoid")
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _unary(a, y, lambda g: g * y * (1.0 - y), "sigmoid")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -358,15 +324,13 @@ def gelu(a) -> Tensor:
     x2 = x * x
     u = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(u)
-    out = Tensor(0.5 * x * (1.0 + t))
 
-    def bwd():
-        if a.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            a.accumulate_grad(out.grad * d)
+    def grad(g):
+        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        return g * d
 
-    return _record(out, (a,), bwd, "gelu")
+    return _unary(a, 0.5 * x * (1.0 + t), grad, "gelu")
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -376,14 +340,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     z = a.data - np.max(a.data, axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def bwd():
-        if a.requires_grad:
-            g = out.grad
-            a.accumulate_grad((g - np.sum(g * y, axis=axis, keepdims=True)) * y)
-
-    return _record(out, (a,), bwd, "softmax")
+    return _unary(a, y, lambda g: (g - np.sum(g * y, axis=axis, keepdims=True)) * y, "softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +354,9 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ for {a.shape} and {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def bwd():
-        g = out.grad
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
-
-    return _record(out, (a, b), bwd, "matmul")
+    return _binary(a, b, np.matmul(a.data, b.data),
+                   lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                   lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g), "matmul")
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -503,13 +451,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
-    out = Tensor(a.data.reshape(shape))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.shape))
-
-    return _record(out, (a,), bwd, "reshape")
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.shape), "reshape")
 
 
 def permute(a, axes) -> Tensor:
@@ -518,13 +460,7 @@ def permute(a, axes) -> Tensor:
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"permute: axes {axes} invalid for shape {a.shape}")
     inv = np.argsort(axes)
-    out = Tensor(np.transpose(a.data, axes))
-
-    def bwd():
-        if a.requires_grad:
-            a.accumulate_grad(np.transpose(out.grad, inv))
-
-    return _record(out, (a,), bwd, "permute")
+    return _unary(a, np.transpose(a.data, axes), lambda g: np.transpose(g, inv), "permute")
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -557,19 +493,16 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"slice: axis {axis} out of range for shape {a.shape}")
-    axis = axis % a.ndim
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out = Tensor(a.data[idx])
 
-    def bwd():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[idx] = out.grad
-            a.accumulate_grad(g)
+    def grad(g):
+        ga = np.zeros_like(a.data)
+        ga[idx] = g
+        return ga
 
-    return _record(out, (a,), bwd, "slice")
+    return _unary(a, a.data[idx], grad, "slice")
 
 
 def pad(a, pad_width) -> Tensor:
@@ -578,14 +511,8 @@ def pad(a, pad_width) -> Tensor:
     pw = tuple((int(lo), int(hi)) for lo, hi in pad_width)
     if len(pw) != a.ndim:
         raise ShapeError(f"pad: got {len(pw)} axis pads for shape {a.shape}")
-    out = Tensor(np.pad(a.data, pw))
-
-    def bwd():
-        if a.requires_grad:
-            idx = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
-            a.accumulate_grad(out.grad[idx])
-
-    return _record(out, (a,), bwd, "pad")
+    idx = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
+    return _unary(a, np.pad(a.data, pw), lambda g: g[idx], "pad")
 
 
 def gather_rows(table, indices: np.ndarray, axis: int = 0) -> Tensor:
@@ -593,15 +520,13 @@ def gather_rows(table, indices: np.ndarray, axis: int = 0) -> Tensor:
     scatter-adds into the table."""
     table = as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(np.take(table.data, idx, axis=axis))
 
-    def bwd():
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(np.moveaxis(g, axis, 0), idx, np.moveaxis(out.grad, axis, 0))
-            table.accumulate_grad(g)
+    def grad(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(np.moveaxis(gt, axis, 0), idx, np.moveaxis(g, axis, 0))
+        return gt
 
-    return _record(out, (table,), bwd, "gather_rows")
+    return _unary(table, np.take(table.data, idx, axis=axis), grad, "gather_rows")
 
 
 def take_tokens(x, index: np.ndarray, batch: int, shape) -> Tensor:
@@ -612,15 +537,14 @@ def take_tokens(x, index: np.ndarray, batch: int, shape) -> Tensor:
     Cutting a grid into windows and merging them back are such moves."""
     x = as_tensor(x)
     c = x.shape[-1]
-    out = Tensor(np.take(x.data.reshape(batch, -1, c), index, axis=1).reshape(shape))
 
-    def bwd():
-        if x.requires_grad:
-            g = np.zeros((batch, x.size // (batch * c), c), dtype=x.dtype)
-            g[:, index] = out.grad.reshape(batch, -1, c)
-            x.accumulate_grad(g.reshape(x.shape))
+    def grad(g):
+        gx = np.zeros((batch, x.size // (batch * c), c), dtype=x.dtype)
+        gx[:, index] = g.reshape(batch, -1, c)
+        return gx.reshape(x.shape)
 
-    return _record(out, (x,), bwd, "take_tokens")
+    y = np.take(x.data.reshape(batch, -1, c), index, axis=1).reshape(shape)
+    return _unary(x, y, grad, "take_tokens")
 
 
 # ---------------------------------------------------------------------------
@@ -632,39 +556,27 @@ def _norm_axis(axis, ndim):
         return None
     if isinstance(axis, int):
         axis = (axis,)
-    axis = tuple(int(x) % ndim for x in axis)
-    return axis
+    return tuple(int(x) % ndim for x in axis)
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def _spread(g: np.ndarray, ax, shape) -> np.ndarray:
+    """Broadcast a reduction's gradient back over the reduced axes ``ax``."""
+    if ax is not None:
+        g = np.expand_dims(g, ax)
+    return np.broadcast_to(g, shape)
+
+
+def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     ax = _norm_axis(axis, a.ndim)
-    out = Tensor(np.sum(a.data, axis=ax, keepdims=keepdims))
-
-    def bwd():
-        if a.requires_grad:
-            g = out.grad
-            if ax is not None and not keepdims:
-                g = np.expand_dims(g, ax)
-            a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
-
-    return _record(out, (a,), bwd, "sum")
+    return _unary(a, np.sum(a.data, axis=ax), lambda g: _spread(g, ax, a.shape).copy(), "sum")
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a, axis=None) -> Tensor:
     a = as_tensor(a)
     ax = _norm_axis(axis, a.ndim)
     n = a.size if ax is None else int(np.prod([a.shape[i] for i in ax]))
-    out = Tensor(np.mean(a.data, axis=ax, keepdims=keepdims))
-
-    def bwd():
-        if a.requires_grad:
-            g = out.grad
-            if ax is not None and not keepdims:
-                g = np.expand_dims(g, ax)
-            a.accumulate_grad(np.broadcast_to(g, a.shape) / n)
-
-    return _record(out, (a,), bwd, "mean")
+    return _unary(a, np.mean(a.data, axis=ax), lambda g: _spread(g, ax, a.shape) / n, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -811,13 +723,8 @@ def upsample_bilinear2d(x, out_hw) -> Tensor:
     rh, rw = _bilinear_matrix(h, ho, x.dtype), _bilinear_matrix(w, wo, x.dtype)
     # y[b,o,p,c] = sum_ij rh[o,i] rw[p,j] x[b,i,j,c]
     y = np.einsum("oi,bijc,pj->bopc", rh, x.data, rw, optimize=True)
-    out = Tensor(y)
-
-    def bwd():
-        if x.requires_grad:
-            x.accumulate_grad(np.einsum("oi,bopc,pj->bijc", rh, out.grad, rw, optimize=True))
-
-    return _record(out, (x,), bwd, "upsample_bilinear2d")
+    return _unary(x, y, lambda g: np.einsum("oi,bopc,pj->bijc", rh, g, rw, optimize=True),
+                  "upsample_bilinear2d")
 
 
 def grid_sample_bilinear(x, grid) -> Tensor:

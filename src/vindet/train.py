@@ -136,33 +136,38 @@ def save_checkpoint(path, model: InpaintingDetector,
 def load_checkpoint(path, model: InpaintingDetector):
     """Load parameters into ``model``; return (momentum buffers, iteration).
     A missing parameter, or a parameter or momentum buffer whose name or
-    shape does not match the model, raises ValueError naming the file and
-    the entry."""
+    shape does not match the model or that holds a non-finite value, or an
+    iteration that is not one whole number >= 0, raises ValueError naming
+    the file and the entry before any parameter is set."""
     blobs = serialize.load_container(path)
     registry = model.registry()
 
-    def check_shape(key, arr, name):
+    def check(key, arr, name):
         if arr.shape != registry[name].data.shape:
             raise ValueError(f"{path}: {key}: shape {arr.shape}, parameter "
                              f"{name} has {registry[name].data.shape}")
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+            raise ValueError(f"{path}: {key}: non-finite values")
 
     for name in registry:
         key = f"param/{name}"
         if key not in blobs:
             raise ValueError(f"{path}: {key}: missing")
-        check_shape(key, blobs[key], name)
+        check(key, blobs[key], name)
     velocities = {}
     for key, arr in blobs.items():
         if key.startswith("opt/momentum/"):
             name = key[len("opt/momentum/"):]
             if name not in registry:
                 raise ValueError(f"{path}: {key}: no such parameter")
-            check_shape(key, arr, name)
+            check(key, arr, name)
             velocities[name] = arr
+    it = blobs.get("meta/iter", np.array(0.0)).ravel()
+    if it.size != 1 or not np.isfinite(it[0]) or it[0] < 0 or it[0] % 1:
+        raise ValueError(f"{path}: meta/iter: not one whole number >= 0")
     for name, p in registry.items():
         p.data[...] = blobs[f"param/{name}"]
-    iteration = int(blobs.get("meta/iter", np.array(0.0)).reshape(()))
-    return velocities, iteration
+    return velocities, int(it[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from vindet.config import (
     GeometryConfig,
 )
 from vindet.complexity import count_params_flops
-from vindet.data import generate_dataset, make_clip, perturb_gaussian, perturb_jpeg, psnr
+from vindet.data import generate_dataset, perturb_gaussian, perturb_jpeg, psnr
 from vindet.encoder import SwinBlock, _shift_mask
 from vindet.experiment import run_overfit_experiment
 from vindet.frequency import band_masks, dct2, idct2
-from vindet.gradcheck import run_primitive_suite
+from vindet.gradcheck import check_full_model, run_primitive_suite
 from vindet.interaction import DeformableWindowCrossAttention
 from vindet.model import InpaintingDetector
 from vindet.objectives import (
@@ -33,9 +33,8 @@ from vindet.objectives import (
     frame_score_auc,
     miou_loss,
     miou_metric,
-    total_loss,
 )
-from vindet.tensor import Tensor, finite_diff_check_params
+from vindet.tensor import Tensor
 from vindet.tokenizer import VideoClip
 from vindet.train import load_checkpoint, train
 
@@ -76,25 +75,8 @@ def test_criterion_1_primitive_gradient_suite():
 
 def test_criterion_2_full_model_gradient():
     t0 = time.time()
-    cfg = ExperimentConfig()
-    model = InpaintingDetector(cfg)
-    # move the zero-initialized layers to a generic point so every path is live
-    rng = np.random.default_rng(77)
-    model.decoder.head_out.w.data[:] = rng.normal(
-        size=model.decoder.head_out.w.shape) * 0.2
-    for pairs in model.interaction.stages:
-        for p in pairs:
-            p.back.w.data[:] = rng.normal(size=p.back.w.shape) * 0.1
-            p.attn.theta.fc2.w.data[:] = rng.normal(
-                size=p.attn.theta.fc2.w.shape) * 0.1
-    sample = make_clip(cfg.seed, cfg)
-    gt = Tensor(sample.gt_mask)
-
-    def loss_fn():
-        return total_loss(model(sample.clip.frames), gt, cfg.loss)
-
-    rep = finite_diff_check_params(loss_fn, model.registry().values(),
-                                   n_coords=100, eps=1e-5, tol=1e-3, seed=3)
+    # the check moves the zero-initialized layers off zero, as the CLI's does
+    rep = check_full_model(ExperimentConfig(), seed=3)
     elapsed = time.time() - t0
     ok = rep.passed and elapsed < 600.0
     _report("criterion 2: full-model gradient", ok,

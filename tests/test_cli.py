@@ -152,6 +152,21 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and f"opt/momentum/{name}" in err
 
+    def test_non_finite_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.train import save_checkpoint
+
+        model = InpaintingDetector(load_config(tiny_cfg_file))
+        model.decoder.head_conv.w.data[0] = np.nan
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), model, {}, 0)
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "param/decoder.head_conv.w: non-finite" in err
+
     def test_truncated_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys):
         from vindet.config import load_config
         from vindet.model import InpaintingDetector
@@ -270,9 +285,13 @@ class TestOtherCommands:
         assert "params:" in out and "flops_per_clip:" in out
 
     def test_gradcheck_smoke(self, capsys):
-        assert main(["gradcheck", "--seeds", "1"]) == 0
+        assert main(["gradcheck", "--seeds", "1", "--full-model"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # the zero-initialised head would leave the sampled gradients all zero
+        line = [ln for ln in out.splitlines() if ln.startswith("full-model:")]
+        assert len(line) == 1 and line[0].endswith("over 100 coords")
+        assert float(line[0].split("max_rel_err=")[1].split()[0]) > 0.0
 
     def test_freq_dump(self, tmp_path, tiny_cfg_file, capsys):
         data_dir = str(tmp_path / "data")

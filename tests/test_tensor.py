@@ -194,6 +194,24 @@ def _fd_cases():
         return (lambda tb: sum_(T.gather_rows(tb, idx) ** 2),
                 Tensor(rng.normal(size=(5, 3))))
 
+    def projected(fn, shape, out_shape, lo=-1.0, hi=1.0):
+        def build(rng):
+            r = Tensor(rng.normal(size=out_shape))
+            return (lambda x: sum_(fn(x) * r), Tensor(rng.uniform(lo, hi, size=shape)))
+        return build
+
+    # the axis, exponent and index branches of the reduction, pow, gather
+    # and slice gradients
+    cases["sum_axis1"] = projected(lambda x: T.reduce_sum(x, axis=1), (3, 4, 2), (3, 2))
+    cases["sum_axes"] = projected(lambda x: T.reduce_sum(x, axis=(0, -1)), (3, 4, 2), (4,))
+    cases["mean_axes02"] = projected(lambda x: T.reduce_mean(x, axis=(0, 2)), (3, 4, 2), (4,))
+    cases["pow_zero"] = projected(lambda x: x ** 0, (3, 3), (3, 3))
+    cases["pow_half"] = projected(lambda x: x ** 0.5, (3, 3), (3, 3), lo=0.5, hi=1.5)
+    cases["slice_negative_axis"] = projected(lambda x: T.slice_axis(x, -1, 1, 3),
+                                             (2, 3, 4), (2, 3, 2))
+    cases["gather_rows_axis1"] = projected(
+        lambda x: T.gather_rows(x, np.array([3, 0, 3, 1, 3, 0]), axis=1), (2, 4, 3), (2, 6, 3))
+
     def layer_norm_case(rng):
         # project onto a random direction so the loss is not scale-invariant
         r = Tensor(rng.normal(size=(4, 6)))

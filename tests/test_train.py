@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from vindet import nn
+from vindet import train as train_mod
 from vindet.config import ExperimentConfig
 from vindet.data import generate_dataset
+from vindet.gradcheck import primitive_case_names
 from vindet.model import InpaintingDetector
 from vindet.train import (
     NumericalError,
@@ -196,6 +198,65 @@ class TestCheckpoint:
         save_container(path, blobs)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {entry}")):
             load_checkpoint(path, InpaintingDetector(cfg))
+
+    @pytest.mark.parametrize("entry, value", [
+        ("param/decoder.head_conv.w", np.nan),
+        ("opt/momentum/decoder.head_out.b", np.inf),
+        ("meta/iter", np.inf),
+        ("meta/iter", -5.0),
+        ("meta/iter", 1.5),
+        ("meta/iter", np.array([1.0, 2.0])),
+    ])
+    def test_bad_entry_value_rejected(self, tmp_path, entry, value):
+        from vindet.serialize import load_container, save_container
+
+        cfg = _tiny_cfg()
+        path = str(tmp_path / "ck.mpci")
+        saved = InpaintingDetector(cfg, seed=5)
+        save_checkpoint(path, saved, {n: np.ones_like(p.data)
+                                      for n, p in saved.registry().items()}, 3)
+        blobs = load_container(path)
+        if np.ndim(value):
+            blobs[entry] = value
+        else:
+            blobs[entry] = blobs[entry].copy()
+            blobs[entry].reshape(-1)[-1] = value
+        save_container(path, blobs)
+        model = InpaintingDetector(cfg)
+        before = {n: p.data.copy() for n, p in model.registry().items()}
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {entry}: ")
+                           + "(non-finite values|not one whole number >= 0)"):
+            load_checkpoint(path, model)
+        for n, p in model.registry().items():
+            np.testing.assert_array_equal(p.data, before[n])
+
+
+def _tape_names(loss):
+    """Names of every tape entry ``loss`` depends on."""
+    names, seen, stack = set(), set(), [loss._entry]
+    while stack:
+        e = stack.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        names.add(e.name)
+        stack.extend(t._entry for t in e.inputs)
+    return names
+
+
+def test_gradient_suite_covers_every_training_op(monkeypatch):
+    # a desk B=4 step; the backward is swapped for one that keeps the loss
+    cfg = ExperimentConfig()
+    ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
+          for i, sc in enumerate(generate_dataset(cfg.train.batch, cfg.seed, cfg))]
+    losses = []
+    monkeypatch.setattr(train_mod, "backward", losses.append)
+    train_mod._train_step(InpaintingDetector(cfg), ds, np.arange(cfg.train.batch),
+                          np.random.default_rng(0), cfg, 0)
+    names = _tape_names(losses[0])
+    cases = primitive_case_names()
+    assert {"slice", "conv", "attention", "linear", "grid_sample"} <= names
+    assert not [n for n in names if not any(c.startswith(n) for c in cases)]
 
 
 class TestEvaluate:
