@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -29,20 +30,26 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _next_seq = itertools.count(1).__next__
 
 
-class _GradMode:
+class _GradMode(threading.local):
+    """Per-thread recording switch: every thread starts with recording on."""
+
     enabled = True
 
 
+_grad_mode = _GradMode()
+
+
 class no_grad:
-    """Context manager disabling tape recording (forward-only evaluation)."""
+    """Context manager disabling tape recording (forward-only evaluation) in
+    the calling thread."""
 
     def __enter__(self):
-        self._prev = _GradMode.enabled
-        _GradMode.enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _GradMode.enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -99,11 +106,21 @@ class Tensor:
         self.grad = np.zeros_like(self.data)
 
     def accumulate_grad(self, g: np.ndarray):
+        """Add ``g`` to the gradient. A leaf (an ``nn.Parameter`` among them)
+        keeps a private buffer and adds into it in place. An op output adopts
+        the first array of its shape and dtype that it is handed, and never
+        writes into it: a backward rule may hand one array to several inputs,
+        or a view of its own output's gradient, so a later gradient makes a
+        new sum."""
         if self.grad is None:
-            # always a copy: a backward rule may hand one array to several inputs
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-        else:
+            if self._entry is not None and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+        elif self._entry is None:
             self.grad += g
+        else:
+            self.grad = self.grad + g
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -155,7 +172,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn: Callable, name: str) -> Tensor:
-    if _GradMode.enabled:
+    if _grad_mode.enabled:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
@@ -322,15 +339,32 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     x2 = x * x
-    u = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = np.tanh(u)
+    t = x2 * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
 
+    # d = 0.5*(1+t) + 0.5*x*(1-t*t)*du, each product in the order of that
+    # formula; scaling by 0.5 is exact, so it is applied once to the sum
     def grad(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-        return g * d
+        du = x2 * (3 * 0.044715)
+        du += 1.0
+        du *= _GELU_C
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= x
+        d *= du
+        np.add(t, 1.0, out=du)
+        du += d
+        du *= 0.5
+        du *= g
+        return du
 
-    return _unary(a, 0.5 * x * (1.0 + t), grad, "gelu")
+    return _unary(a, y, grad, "gelu")
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -370,7 +404,7 @@ def linear(x, w, b=None) -> Tensor:
     y = np.matmul(x2, w.data)
     if b is not None:
         b = as_tensor(b)
-        y = y + b.data
+        y += b.data
     out = Tensor(y.reshape(x.shape[:-1] + (co,)))
     parents = (x, w) if b is None else (x, w, b)
 
@@ -569,7 +603,7 @@ def _spread(g: np.ndarray, ax, shape) -> np.ndarray:
 def reduce_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
     ax = _norm_axis(axis, a.ndim)
-    return _unary(a, np.sum(a.data, axis=ax), lambda g: _spread(g, ax, a.shape).copy(), "sum")
+    return _unary(a, np.sum(a.data, axis=ax), lambda g: _spread(g, ax, a.shape), "sum")
 
 
 def reduce_mean(a, axis=None) -> Tensor:
@@ -598,8 +632,11 @@ def _normalize(a, gamma, beta, stats_shape, eps: float, name: str) -> Tensor:
     xc = x - mu
     var = (xc * xc).mean(axis=(1, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (xc * inv).reshape(a.shape)
-    out = Tensor(y * gamma.data + beta.data)
+    xc *= inv
+    y = xc.reshape(a.shape)
+    z = y * gamma.data
+    z += beta.data
+    out = Tensor(z)
 
     def bwd():
         g = out.grad
@@ -611,8 +648,12 @@ def _normalize(a, gamma, beta, stats_shape, eps: float, name: str) -> Tensor:
             gy = (g * gamma.data).reshape(x.shape)
             yv = y.reshape(x.shape)
             m1 = gy.mean(axis=(1, 3), keepdims=True)
-            m2 = (gy * yv).mean(axis=(1, 3), keepdims=True)
-            a.accumulate_grad(((gy - m1 - yv * m2) * inv).reshape(a.shape))
+            s = gy * yv
+            m2 = s.mean(axis=(1, 3), keepdims=True)
+            gy -= m1
+            gy -= np.multiply(yv, m2, out=s)
+            gy *= inv
+            a.accumulate_grad(gy.reshape(a.shape))
 
     return _record(out, (a, gamma, beta), bwd, name)
 

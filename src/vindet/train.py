@@ -46,7 +46,8 @@ def poly_lr_pair(it: int, cfg: ExperimentConfig) -> tuple[float, float]:
 
 def sgd_step(registry: dict[str, nn.Parameter], lr_of, weight_decay: float,
              momentum: float, velocities: dict[str, np.ndarray]) -> None:
-    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in name order.
+    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in name order,
+    updating parameters and momentum buffers in place.
 
     Every gradient is checked before any parameter moves: a missing one
     raises ValueError and a non-finite one NumericalError, naming the first
@@ -54,14 +55,18 @@ def sgd_step(registry: dict[str, nn.Parameter], lr_of, weight_decay: float,
     for name, p in registry.items():
         if p.grad is None:
             raise ValueError(f"sgd_step: parameter {name} has no gradient")
-        if not np.isfinite(p.grad).all():
+        if not (math.isfinite(p.grad.min()) and math.isfinite(p.grad.max())):
             raise NumericalError(f"non-finite gradient in parameter {name}")
     for name, p in registry.items():
-        g = p.grad + weight_decay * p.data
+        g = p.data * weight_decay
+        g += p.grad
         v = velocities.get(name)
-        v = g if v is None else momentum * v + g
-        velocities[name] = v
-        p.data[...] = p.data - lr_of(name) * v
+        if v is None:
+            velocities[name] = v = g
+        else:
+            v *= momentum
+            v += g
+        p.data -= v * lr_of(name)
 
 
 def _batch_indices(rng: np.random.Generator, n: int, batch: int,
@@ -161,7 +166,8 @@ def load_checkpoint(path, model: InpaintingDetector):
             if name not in registry:
                 raise ValueError(f"{path}: {key}: no such parameter")
             check(key, arr, name)
-            velocities[name] = arr
+            # sgd_step updates momentum in place, in the parameter's dtype
+            velocities[name] = arr.astype(registry[name].data.dtype, copy=False)
     it = blobs.get("meta/iter", np.array(0.0)).ravel()
     if it.size != 1 or not np.isfinite(it[0]) or it[0] < 0 or it[0] % 1:
         raise ValueError(f"{path}: meta/iter: not one whole number >= 0")

@@ -1,5 +1,8 @@
 """Tensor engine: forward semantics, backward rules, gradient checks."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -322,11 +325,91 @@ def test_layer_norm_matches_per_token_kernel(shape):
         assert np.array_equal(got, ref)
 
 
+def _unfused_normalize(x, g, b, gout, stats_shape, eps=T.NORM_EPS):
+    """The normalisation kernel as it ran before it worked in place: the
+    output and the gradients of x, g and b for the upstream gradient ``gout``."""
+    xv = x.reshape(stats_shape)
+    mu = xv.mean(axis=(1, 3), keepdims=True)
+    xc = xv - mu
+    var = (xc * xc).mean(axis=(1, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (xc * inv).reshape(x.shape)
+    lead = tuple(range(x.ndim - 1))
+    gy = (gout * g).reshape(xv.shape)
+    yv = y.reshape(xv.shape)
+    m1 = gy.mean(axis=(1, 3), keepdims=True)
+    m2 = (gy * yv).mean(axis=(1, 3), keepdims=True)
+    return (y * g + b, ((gy - m1 - yv * m2) * inv).reshape(x.shape),
+            np.sum(gout * y, axis=lead), np.sum(gout, axis=lead))
+
+
+@pytest.mark.parametrize("shape,groups", [((4, 6), 3), ((2, 9, 16), 4), ((3, 2, 5, 24), 6)])
+def test_group_norm_matches_unfused_kernel(shape, groups):
+    rng = np.random.default_rng(12)
+    c = shape[-1]
+    x, g, b = (t(rng.normal(size=shape), rg=True), t(rng.uniform(0.5, 1.5, size=c), rg=True),
+               t(rng.normal(size=c) * 0.1, rg=True))
+    r = rng.normal(size=shape)
+    out = T.group_norm(x, g, b, groups)
+    backward(T.reduce_sum(out * t(r)))
+    want = _unfused_normalize(x.data, g.data, b.data, r, (shape[0], -1, groups, c // groups))
+    for got, ref in zip((out.data, x.grad, g.grad, b.grad), want):
+        assert np.array_equal(got, ref)
+
+
+def _unfused_gelu(x, gout):
+    """The gelu kernel as it ran before it worked in place: the output and
+    the input gradient for the upstream gradient ``gout``."""
+    c = math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    th = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    du = c * (1.0 + 3 * 0.044715 * x2)
+    d = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+    return 0.5 * x * (1.0 + th), gout * d
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (2, 9, 16), (3, 2, 5, 24)])
+def test_gelu_matches_unfused_kernel(shape):
+    rng = np.random.default_rng(13)
+    x = t(rng.uniform(-10.0, 10.0, size=shape), rg=True)
+    r = rng.normal(size=shape)
+    out = T.gelu(x)
+    backward(T.reduce_sum(out * t(r)))
+    want = _unfused_gelu(x.data, r)
+    assert np.array_equal(out.data, want[0])
+    assert np.array_equal(x.grad, want[1])
+
+
 def test_no_grad_blocks_recording():
     x = t(np.ones(3), rg=True)
     with T.no_grad():
         y = T.reduce_sum(x * x)
     assert y._entry is None and not y.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # one thread records while the other sits inside no_grad
+    barrier = threading.Barrier(2, timeout=10)
+    recorded = {}
+
+    def quiet():
+        with T.no_grad():
+            barrier.wait()
+            barrier.wait()
+            recorded["quiet"] = (t(np.ones(2), rg=True) * 2.0).requires_grad
+
+    def loud():
+        barrier.wait()
+        recorded["loud"] = (t(np.ones(2), rg=True) * 2.0).requires_grad
+        barrier.wait()
+
+    threads = [threading.Thread(target=f) for f in (quiet, loud)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=10)
+    assert not any(th.is_alive() for th in threads)
+    assert recorded == {"quiet": False, "loud": True}
 
 
 def test_unreachable_parameter_keeps_zero_grad():
@@ -390,3 +473,28 @@ def test_first_gradient_is_a_private_copy():
     assert not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, np.full((2, 3), 3.0))
+
+
+def test_parameters_fed_to_one_add_keep_private_grads():
+    from vindet.nn import Parameter
+
+    a = Parameter(np.ones((2, 3)))
+    b = Parameter(np.ones((2, 3)))
+    backward(T.reduce_sum((a + b) * 3.0))
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 3.0))
+
+
+def test_op_output_adopts_the_gradient_its_consumer_returns():
+    handed = []
+
+    def rule(g):
+        handed.append(g * 2.0)
+        return handed[-1]
+
+    x = t(np.arange(6.0).reshape(2, 3), rg=True)
+    y = x * 1.5
+    backward(T.reduce_sum(T._unary(y, y.data * 2.0, rule, "double")))
+    assert np.shares_memory(y.grad, handed[0])
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))

@@ -11,6 +11,7 @@ from vindet.config import ExperimentConfig
 from vindet.data import generate_dataset
 from vindet.gradcheck import primitive_case_names
 from vindet.model import InpaintingDetector
+from vindet.tensor import Tensor
 from vindet.train import (
     NumericalError,
     evaluate_model,
@@ -86,6 +87,39 @@ class TestSgdStep:
             sgd_step(reg, lambda n: 0.1, 1e-4, 0.9, vel)
         assert all(p.data[0] == 1.0 for p in reg.values())
         assert all(v[0] == 0.25 for v in vel.values())
+
+
+def _sgd_step_before(registry, lr_of, weight_decay, momentum, velocities):
+    """The update sgd_step made before it worked in place."""
+    for name, p in registry.items():
+        g = p.grad + weight_decay * p.data
+        v = velocities.get(name)
+        v = g if v is None else momentum * v + g
+        velocities[name] = v
+        p.data[...] = p.data - lr_of(name) * v
+
+
+@pytest.mark.parametrize("initial_velocities", [False, True])
+def test_sgd_step_matches_copying_update(initial_velocities):
+    rng = np.random.default_rng(21)
+    shapes = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3, 5)}
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    vel0 = {n: rng.normal(size=s) for n, s in shapes.items()} if initial_velocities else {}
+    grads = [{n: rng.normal(size=s) for n, s in shapes.items()} for _ in range(3)]
+    lrs = {"a.w": 0.03, "a.b": 0.01, "b.w": 0.007}
+    sides = []
+    for step in (sgd_step, _sgd_step_before):
+        reg = {n: nn.Parameter(v.copy()) for n, v in start.items()}
+        vel = {n: v.copy() for n, v in vel0.items()}
+        for gs in grads:
+            for n, p in reg.items():
+                p.grad = gs[n].copy()
+            step(reg, lrs.__getitem__, 1e-4, 0.9, vel)
+        sides.append(({n: p.data for n, p in reg.items()}, vel))
+    (params, vel), (params_ref, vel_ref) = sides
+    for n in shapes:
+        assert np.array_equal(params[n], params_ref[n])
+        assert np.array_equal(vel[n], vel_ref[n])
 
 
 def _tiny_cfg(iters=4, seed=0):
@@ -172,6 +206,15 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p.data, model2.registry()[name].data)
             np.testing.assert_array_equal(vel2[name], vel[name])
 
+    def test_float32_momentum_loads_in_parameter_dtype(self, tmp_path):
+        # sgd_step updates momentum buffers in place, in the parameter's dtype
+        model = InpaintingDetector(_tiny_cfg())
+        path = str(tmp_path / "ck.mpci")
+        save_checkpoint(path, model, {n: np.full(p.data.shape, 0.25, dtype=np.float32)
+                                      for n, p in model.registry().items()}, 2)
+        vel, _ = load_checkpoint(path, model)
+        assert all(v.dtype == np.float64 and (v == 0.25).all() for v in vel.values())
+
     def test_shape_mismatch_rejected(self, tmp_path):
         cfg = _tiny_cfg()
         model = InpaintingDetector(cfg)
@@ -257,6 +300,39 @@ def test_gradient_suite_covers_every_training_op(monkeypatch):
     cases = primitive_case_names()
     assert {"slice", "conv", "attention", "linear", "grid_sample"} <= names
     assert not [n for n in names if not any(c.startswith(n) for c in cases)]
+
+
+def test_train_step_never_writes_an_op_output_gradient(monkeypatch):
+    # op outputs adopt the arrays backward rules hand them, so no rule may
+    # write into one: a desk B=4 step with each stored op-output gradient
+    # made read-only must finish and give the same parameter gradients
+    cfg = ExperimentConfig()
+    ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
+          for i, sc in enumerate(generate_dataset(cfg.train.batch, cfg.seed, cfg))]
+
+    def step_grads():
+        model = InpaintingDetector(cfg)
+        rng = np.random.default_rng(3)
+        for p in model.registry().values():  # leave the zero-initialised head
+            p.data[...] += rng.normal(0.0, 0.05, size=p.data.shape)
+        train_mod._train_step(model, ds, np.arange(cfg.train.batch),
+                              np.random.default_rng(0), cfg, 0)
+        return {n: p.grad for n, p in model.registry().items()}
+
+    want = step_grads()
+    accumulate = Tensor.accumulate_grad
+    guarded = []
+
+    def read_only(self, g):
+        accumulate(self, g)
+        if self._entry is not None and isinstance(self.grad, np.ndarray):  # not a numpy scalar
+            self.grad.flags.writeable = False
+            guarded.append(1)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", read_only)
+    got = step_grads()
+    assert len(guarded) > 500
+    assert all(np.array_equal(got[n], want[n]) for n in want)
 
 
 class TestEvaluate:
