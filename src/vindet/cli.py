@@ -113,7 +113,7 @@ def cmd_freq_dump(args) -> int:
     c = clip.c
     for bi, band in enumerate(("low", "mid", "high")):
         for ch in range(c):
-            img = ff.full.data[:, :, bi * c + ch]
+            img = ff.full[:, :, bi * c + ch]
             lo, hi = img.min(), img.max()
             norm = (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
             write_pgm(os.path.join(args.out, f"band_{band}_c{ch}.pgm"), norm)

@@ -23,14 +23,9 @@ class _Tally:
         self.items.append((label, params, flops))
 
 
-def _linear(t: _Tally, label: str, ci: int, co: int, n: int, bias: bool = True):
-    p = ci * co + (co if bias else 0)
-    f = n * (2 * ci * co + (co if bias else 0))
-    t.add(label, p, f)
-
-
 def _conv(t: _Tally, label: str, kelems: int, ci: int, co: int, n_out: int,
           bias: bool = True):
+    """A conv of ``kelems`` kernel elements; a dense layer has one."""
     p = kelems * ci * co + (co if bias else 0)
     f = n_out * (2 * kelems * ci * co + (co if bias else 0))
     t.add(label, p, f)
@@ -71,18 +66,18 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
             if l > 0:
                 cp = d * (2 ** (l - 1))
                 _norm(t, f"view{i}.merge{l}.ln", 4 * cp)
-                _linear(t, f"view{i}.merge{l}.reduce", 4 * cp, 2 * cp, n, bias=False)
+                _conv(t, f"view{i}.merge{l}.reduce", 1, 4 * cp, 2 * cp, n, bias=False)
             for b in range(2 * e.depths[l]):
                 tag = f"view{i}.stage{l}.block{b}"
                 _norm(t, f"{tag}.ln1", c)
                 for w in ("wq", "wk", "wv", "wo"):
-                    _linear(t, f"{tag}.attn.{w}", c, c, n)
+                    _conv(t, f"{tag}.attn.{w}", 1, c, c, n)
                 t.add(f"{tag}.attn.bias_table",
                       (2 * e.window - 1) ** 2 * e.heads[l])
                 _attention_core(t, f"{tag}.attn.core", n, e.window ** 2, c)
                 _norm(t, f"{tag}.ln2", c)
-                _linear(t, f"{tag}.mlp.fc1", c, 4 * c, n)
-                _linear(t, f"{tag}.mlp.fc2", 4 * c, c, n)
+                _conv(t, f"{tag}.mlp.fc1", 1, c, 4 * c, n)
+                _conv(t, f"{tag}.mlp.fc2", 1, 4 * c, c, n)
 
     # cross-view interaction
     if cfg.dwti.enabled and len(views) > 1:
@@ -94,14 +89,14 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
             chans = cfg.view_channels(l)
             for i in range(len(views) - 1):
                 tag = f"dwti.stage{l}.pair{i}"
-                _linear(t, f"{tag}.align_small", chans[i], cc, n)
-                _linear(t, f"{tag}.align_large", chans[i + 1], cc, n)
+                _conv(t, f"{tag}.align_small", 1, chans[i], cc, n)
+                _conv(t, f"{tag}.align_large", 1, chans[i + 1], cc, n)
                 for w in ("wq", "wk", "wv"):
-                    _linear(t, f"{tag}.{w}", cc, cc, n)
-                _linear(t, f"{tag}.theta.fc1", cc, hid, n)
-                _linear(t, f"{tag}.theta.fc2", hid, 2, n)
+                    _conv(t, f"{tag}.{w}", 1, cc, cc, n)
+                _conv(t, f"{tag}.theta.fc1", 1, cc, hid, n)
+                _conv(t, f"{tag}.theta.fc2", 1, hid, 2, n)
                 _attention_core(t, f"{tag}.core", n, cfg.dwti.window ** 2, cc)
-                _linear(t, f"{tag}.back", cc, chans[i + 1], n)
+                _conv(t, f"{tag}.back", 1, cc, chans[i + 1], n)
 
     # global encoder
     cg = cfg.glob.dim
@@ -111,11 +106,11 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
         tag = f"global.block{b}"
         _norm(t, f"{tag}.ln1", cg)
         for w in ("wq", "wk", "wv", "wo"):
-            _linear(t, f"{tag}.attn.{w}", cg, cg, ng)
+            _conv(t, f"{tag}.attn.{w}", 1, cg, cg, ng)
         _attention_core(t, f"{tag}.attn.core", ng, ng, cg)
         _norm(t, f"{tag}.ln2", cg)
-        _linear(t, f"{tag}.mlp.fc1", cg, 4 * cg, ng)
-        _linear(t, f"{tag}.mlp.fc2", 4 * cg, cg, ng)
+        _conv(t, f"{tag}.mlp.fc1", 1, cg, 4 * cg, ng)
+        _conv(t, f"{tag}.mlp.fc2", 1, 4 * cg, cg, ng)
 
     # decoder
     ch = cfg.decoder.channels

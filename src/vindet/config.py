@@ -1,15 +1,16 @@
 """Experiment configuration: typed groups, a line-oriented file format, and
 validation before anything runs.
 
-Each field declares the values it admits beside its default (:func:`rule`);
-``validate()`` walks those rules, then checks the rules that tie fields
-together. File format: one ``key = value`` per line with dotted keys, ``#``
-comments. Unknown keys are errors. Tuples are comma-separated.
+Each field declares the values it admits beside its default (:func:`rule`).
+One walk, :func:`leaves`, yields every file key; ``validate()`` checks the
+rules along it, then the rules that tie fields together. File format: one
+``key = value`` per line with dotted keys, ``#`` comments. Unknown keys are
+errors. Tuples are comma-separated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,32 @@ def rule(default, interval: str = "(-inf, inf)", choices: tuple = (), doc: str =
     return field(default=default, metadata={"rule": Rule(interval, choices, doc)})
 
 
+def leaves(cfg, prefix: str = ""):
+    """Yield ``(file key, owner, field)`` for every value of ``cfg`` (the
+    config or one group) in file order; a ``key`` in field metadata renames."""
+    for f in fields(cfg):
+        key = prefix + f.metadata.get("key", f.name)
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from leaves(value, key + ".")
+        else:
+            yield key, cfg, f
+
+
 def check_rules(group, prefix: str = ""):
-    """Return ``group``, or raise ValueError naming ``prefix`` + the field of
-    its first value (or tuple entry) that the field's rule rejects."""
-    for f in fields(group):
-        r, value = f.metadata.get("rule"), getattr(group, f.name)
+    """Return ``group``, or raise ValueError naming ``prefix`` + the file key
+    of its first value (or tuple entry) that the field's rule rejects."""
+    for key, owner, f in leaves(group, prefix):
+        r, value = f.metadata.get("rule"), getattr(owner, f.name)
         if r and not all(map(r.admits, value if isinstance(value, tuple) else (value,))):
-            shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
-            raise ValueError(f"{prefix}{f.name}{f' ({r.doc})' if r.doc else ''} "
-                             f"must be {r}, got {shown}")
+            raise ValueError(f"{key}{f' ({r.doc})' if r.doc else ''} "
+                             f"must be {r}, got {_text(value)}")
     return group
+
+
+def _text(value) -> str:
+    """A value as the config file writes it; tuples are comma-separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 @dataclass
@@ -146,7 +163,7 @@ class ExperimentConfig:
     seed: int = rule(0, "[0, inf)")
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    glob: GlobalConfig = field(default_factory=GlobalConfig)
+    glob: GlobalConfig = field(default_factory=GlobalConfig, metadata={"key": "global"})
     dwti: DwtiConfig = field(default_factory=DwtiConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     freq: FreqConfig = field(default_factory=FreqConfig)
@@ -169,8 +186,6 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check every field's rule, then the rules that tie fields together."""
         check_rules(self)
-        for name, attr in _GROUPS.items():
-            check_rules(getattr(self, attr), name + ".")
         g, e, o = self.geometry, self.encoder, self.optim
         if g.height != g.width:
             raise ValueError("square frames required")
@@ -207,13 +222,6 @@ class ExperimentConfig:
         return self
 
 
-_GROUPS = {
-    "geometry": "geometry", "encoder": "encoder", "global": "glob",
-    "dwti": "dwti", "decoder": "decoder", "freq": "freq", "loss": "loss",
-    "optim": "optim", "train": "train", "data": "data", "perturb": "perturb",
-}
-
-
 def _coerce(current, raw: str):
     if isinstance(current, bool):
         if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
@@ -227,11 +235,10 @@ def _coerce(current, raw: str):
     return raw
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse ``key = value`` lines into a config; unknown keys are errors."""
-    cfg = base or ExperimentConfig()
-    groups = {name: replace(getattr(cfg, attr)) for name, attr in _GROUPS.items()}
-    seed = cfg.seed
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse ``key = value`` lines over the defaults; unknown keys are errors."""
+    cfg = ExperimentConfig()
+    known = {key: (owner, f.name) for key, owner, f in leaves(cfg)}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -239,33 +246,29 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in line.split("=", 1))
-        group, _, attr = key.partition(".")
-        target = groups.get(group)
-        if key != "seed" and (target is None or attr not in {f.name for f in fields(target)}):
+        if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        owner, attr = known[key]
         try:
-            if key == "seed":
-                seed = int(raw)
-            else:
-                setattr(target, attr, _coerce(getattr(target, attr), raw))
+            setattr(owner, attr, _coerce(getattr(owner, attr), raw))
         except ValueError as err:
             raise ValueError(f"line {lineno}: bad value for {key}: {err}") from err
-    kwargs = {attr: groups[name] for name, attr in _GROUPS.items()}
-    return ExperimentConfig(seed=seed, **kwargs)
+    return cfg
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; ValueError names the file if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    lines = [f"seed = {cfg.seed}"]
-    for name, attr in _GROUPS.items():
-        group = getattr(cfg, attr)
-        for f in fields(group):
-            v = getattr(group, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{name}.{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_text(getattr(owner, f.name))}\n" for key, owner, f in leaves(cfg))

@@ -165,7 +165,8 @@ def load_dataset(dirpath, cfg: ExperimentConfig | None = None
                  ) -> list[tuple[str, VideoClip, np.ndarray]]:
     """(name, clip, mask) for every clip directory under ``dirpath``. Each
     mask must match its frames' (H,W); with ``cfg``, the frames must also
-    have the config's (T,H,W,C), so that any of the clips stack into a batch."""
+    have the config's (T,H,W,C), so that any of the clips stack into a batch.
+    ValueError names the mask or the manifest that breaks a rule."""
     names = sorted(d for d in os.listdir(dirpath)
                    if os.path.isdir(os.path.join(dirpath, d)))
     if not names:
@@ -180,10 +181,11 @@ def load_dataset(dirpath, cfg: ExperimentConfig | None = None
             g = cfg.geometry
             want = (g.frames, g.height, g.width, g.channels)
             if clip.frames.shape != want:
-                raise ValueError(f"{path}: frames are {clip.frames.shape} (T,H,W,C), "
-                                 f"the config needs {want}")
+                raise ValueError(f"{os.path.join(path, 'manifest.txt')}: frames are "
+                                 f"{clip.frames.shape} (T,H,W,C), the config needs {want}")
         if mask.shape != clip.frames.shape[1:3]:
-            raise ValueError(f"{path}: mask is {mask.shape}, frames are {clip.h}x{clip.w}")
+            raise ValueError(f"{os.path.join(path, 'gt.pgm')}: mask is {mask.shape}, "
+                             f"frames are {clip.h}x{clip.w}")
         out.append((name, clip, mask))
     return out
 

@@ -14,9 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Tensor
-
 
 @lru_cache(maxsize=32)
 def dct_basis(n: int) -> np.ndarray:
@@ -72,28 +69,24 @@ def middle_frame_index(t: int) -> int:
 class FrequencyFeatures:
     """Band-pass features of the middle frame plus their pooled pyramid."""
 
-    full: Tensor                 # H x W x 3C
-    pyramid: list[Tensor]        # stage l entry matches decoder side at l
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    full: np.ndarray             # H x W x 3C
+    pyramid: list[np.ndarray]    # stage l entry matches decoder side at l
 
 
 def frequency_features(frames: np.ndarray, stage_sides: list[int],
                        thresholds=(1 / 3, 2 / 3)) -> FrequencyFeatures:
     """Build the band-pass feature stack for a clip's middle frame.
 
-    ``frames`` is (T,H,W,C); every channel is transformed, masked per band,
-    inverse transformed, and the three band images are concatenated along
-    channels giving H x W x 3C. Average pooling halves the side repeatedly
+    ``frames`` is (T,H,W,C); every channel is transformed once, masked per
+    band, inverse transformed, and the three band images are concatenated
+    along channels giving H x W x 3C. Average pooling halves the side repeatedly
     until each requested stage side is met.
     """
     t, h, w, c = frames.shape
     frame = frames[middle_frame_index(t)]
-    masks = band_masks(h, w, thresholds)
-    bands = []
-    for m in masks:
-        chans = [idct2(dct2(frame[:, :, ch]) * m) for ch in range(c)]
-        bands.append(np.stack(chans, axis=-1))
-    full = np.concatenate(bands, axis=-1)
+    coeffs = [dct2(frame[:, :, ch]) for ch in range(c)]
+    full = np.concatenate([np.stack([idct2(k * m) for k in coeffs], axis=-1)
+                           for m in band_masks(h, w, thresholds)], axis=-1)
 
     pyramid = []
     for side in stage_sides:
@@ -107,5 +100,5 @@ def frequency_features(frames: np.ndarray, stage_sides: list[int],
             cur = cur.reshape(hh // 2, 2, ww // 2, 2, cc).mean(axis=(1, 3))
         if cur.shape[0] != side:
             raise ValueError(f"stage side {side} unreachable from {h}x{w} by 2x2 pooling")
-        pyramid.append(Tensor(cur))
-    return FrequencyFeatures(Tensor(full), pyramid, masks)
+        pyramid.append(cur)
+    return FrequencyFeatures(full, pyramid)

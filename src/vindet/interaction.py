@@ -127,12 +127,7 @@ class ViewInteraction(nn.Module):
 
     def __call__(self, views: list[Tensor], stage: int) -> list[Tensor]:
         """Update larger views in place order; smaller views are read-only.
-
-        With a single view this is a no-op. Each step feeds the already
-        updated view into the next pair.
-        """
-        if len(views) < 2:
-            return list(views)
+        Each step feeds the already updated view into the next pair."""
         out = list(views)
         for i, pair in enumerate(self.stages[stage]):
             out[i + 1] = pair(out[i], out[i + 1])

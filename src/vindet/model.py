@@ -70,15 +70,13 @@ class InpaintingDetector(nn.Module):
     def _forward(self, ft: Tensor) -> Tensor:
         g = self.cfg.geometry
         stage_views = self.encode(ft)
+        pyramid = None
         if self.cfg.decoder.use_frequency:
             # the band features carry no gradient: build them per clip and stack
             per_clip = [frequency_features(clip, self.cfg.stage_sides(),
                                            (self.cfg.freq.low, self.cfg.freq.high)).pyramid
                         for clip in ft.data]
-            pyramid = [Tensor(np.stack([p[l].data for p in per_clip]))
-                       for l in range(len(per_clip[0]))]
-        else:
-            pyramid = None
+            pyramid = [np.stack(level) for level in zip(*per_clip)]
         b, t = ft.shape[:2]
         mid = middle_frame_index(t)
         frame = T.slice_axis(ft, 1, mid, mid + 1).reshape(b, g.height, g.width, g.channels)

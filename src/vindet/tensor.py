@@ -103,7 +103,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        """Zero a leaf's gradient buffer, which it owns, in place; allocate
+        one only when there is none."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def accumulate_grad(self, g: np.ndarray):
         """Add ``g`` to the gradient. A leaf (an ``nn.Parameter`` among them)

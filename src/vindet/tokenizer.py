@@ -17,6 +17,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
+from .config import read_text
 from .tensor import Tensor
 
 
@@ -101,6 +102,8 @@ def _read_netpbm(path, magic: str, channels: int) -> np.ndarray:
     if not m or m.group(1).decode() != magic:
         raise ValueError(f"{path}: not a {magic} file")
     w, h, maxval = int(m.group(2)), int(m.group(3)), int(m.group(4))
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: empty {w}x{h} {magic} image")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")
     size = h * w * channels
@@ -134,17 +137,22 @@ def save_clip(dirpath, clip: VideoClip, mask: np.ndarray | None = None):
 
 def load_clip(dirpath) -> tuple[VideoClip, np.ndarray | None]:
     """Read a clip directory: the frames its manifest lists, and ``gt.pgm``
-    if present. The manifest must list at least one frame, each a regular
-    file in the directory itself; ValueError names the manifest otherwise."""
+    if present. The manifest must be UTF-8 and list at least one frame, each
+    a regular file in the directory itself and of the first frame's size;
+    ValueError names the manifest otherwise."""
     manifest = os.path.join(dirpath, "manifest.txt")
-    with open(manifest) as fh:
-        names = [ln.strip() for ln in fh if ln.strip()]
+    names = [ln.strip() for ln in read_text(manifest).splitlines() if ln.strip()]
     if not names:
         raise ValueError(f"{manifest}: lists no frames")
     for n in names:
         if os.path.basename(n) != n or not os.path.isfile(os.path.join(dirpath, n)):
             raise ValueError(f"{manifest}: entry {n!r} is not a regular file in {dirpath}")
-    frames = np.stack([read_ppm(os.path.join(dirpath, n)) for n in names])
+    frames = [read_ppm(os.path.join(dirpath, n)) for n in names]
+    for n, f in zip(names, frames):
+        if f.shape != frames[0].shape:
+            raise ValueError(f"{manifest}: entry {n!r} is {f.shape[0]}x{f.shape[1]}, "
+                             f"entry {names[0]!r} is {frames[0].shape[0]}x{frames[0].shape[1]}")
+    frames = np.stack(frames)
     mask_path = os.path.join(dirpath, "gt.pgm")
     mask = read_pgm(mask_path) if os.path.exists(mask_path) else None
     if mask is not None:

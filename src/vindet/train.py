@@ -127,15 +127,19 @@ def _dihedral(frames: np.ndarray, mask: np.ndarray, k: int):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def checkpoint_blobs(model: InpaintingDetector, velocities: dict[str, np.ndarray],
+                     iteration: int) -> dict[str, np.ndarray]:
+    """The container entries of a checkpoint: the live parameter and momentum
+    arrays, in registry and momentum order, then the iteration."""
+    blobs = {f"param/{name}": p.data for name, p in model.registry().items()}
+    blobs.update((f"opt/momentum/{name}", v) for name, v in velocities.items())
+    blobs["meta/iter"] = np.array(float(iteration))
+    return blobs
+
+
 def save_checkpoint(path, model: InpaintingDetector,
                     velocities: dict[str, np.ndarray], iteration: int):
-    blobs: dict[str, np.ndarray] = {}
-    for name, p in model.registry().items():
-        blobs[f"param/{name}"] = p.data
-    for name, v in velocities.items():
-        blobs[f"opt/momentum/{name}"] = v
-    blobs["meta/iter"] = np.array(float(iteration))
-    serialize.save_container(path, blobs)
+    serialize.save_container(path, checkpoint_blobs(model, velocities, iteration))
 
 
 def load_checkpoint(path, model: InpaintingDetector):
@@ -197,6 +201,9 @@ class EvalReport:
     mean_miou: float
     mean_f1: float
     auc: float | None
+    ious: list[float]            # per clip, in dataset order
+    f1s: list[float]
+    scores: list[float]          # frame scores
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -240,7 +247,7 @@ def evaluate_model(model: InpaintingDetector, dataset, cfg: ExperimentConfig,
     if auc is not None:
         summary += f" auc={auc:.6f}"
     lines.append(summary)
-    return EvalReport(lines, mean_miou, mean_f1, auc)
+    return EvalReport(lines, mean_miou, mean_f1, auc, ious, f1s, scores)
 
 
 # ---------------------------------------------------------------------------

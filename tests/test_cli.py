@@ -184,11 +184,12 @@ class TestTrainEval:
         assert str(frame) in err and "truncated" in err
 
     @pytest.mark.parametrize("manifest", ["", "frame_000.ppm\nsub\n",
-                                          "../clip_0000/frame_000.ppm\n", None],
-                             ids=["empty", "subdir", "outside", "manifest_is_dir"])
+                                          "../clip_0000/frame_000.ppm\n", None,
+                                          b"frame_000.ppm\n\xff\xfe\n"],
+                             ids=["empty", "subdir", "outside", "manifest_is_dir", "not_utf8"])
     def test_bad_manifest_exit_code(self, tmp_path, tiny_cfg_file, capsys, manifest):
         # an empty manifest, an entry that is a directory or lies outside the
-        # clip, and a manifest that is itself a directory
+        # clip, a manifest that is itself a directory, and one not UTF-8
         assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
                      str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
         clip = tmp_path / "data" / "clip_0000"
@@ -197,6 +198,8 @@ class TestTrainEval:
         if manifest is None:
             path.unlink()
             path.mkdir()
+        elif isinstance(manifest, bytes):
+            path.write_bytes(manifest)
         else:
             path.write_text(manifest)
         capsys.readouterr()
@@ -204,6 +207,30 @@ class TestTrainEval:
                      "--config", tiny_cfg_file]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content, named", [
+        (b"P6\n8 8\n255\n" + bytes(8 * 8 * 3), "manifest.txt"),
+        (b"P6\n0 16\n255\n", "frame_001.ppm"),
+    ], ids=["other_size", "zero_width"])
+    def test_bad_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys, content, named):
+        # a frame of another size than the first is named by its manifest
+        # entry, an empty P6 header by the frame's path
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        clip = tmp_path / "data" / "clip_0000"
+        (clip / "frame_001.ppm").write_bytes(content)
+        capsys.readouterr()
+        assert main(["freq-dump", "--clip", str(clip), "--out", str(tmp_path / "bands"),
+                     "--config", tiny_cfg_file]) == 1
+        err = capsys.readouterr().err
+        assert str(clip / named) in err and "Traceback" not in err, err
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n# \xff\n")
+        assert main(["show-config", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("frames_hw, mask_hw", [((24, 24), (24, 24)), ((16, 16), (8, 8))])
     def test_mismatched_clip_shape_exit_code(self, tmp_path, tiny_cfg_file, capsys,

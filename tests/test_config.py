@@ -5,14 +5,12 @@ import io
 import math
 import os
 import string
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vindet.cli import main
-from vindet.config import _GROUPS, ExperimentConfig, dump_config, load_config, parse_config
+from vindet.config import ExperimentConfig, dump_config, leaves, load_config, parse_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -124,15 +122,8 @@ class TestValidation:
 
 def _leaves():
     """(file key, default, rule or None) of every config value."""
-    cfg = ExperimentConfig()
-    names = {attr: name for name, attr in _GROUPS.items()}
-    for f in fields(cfg):
-        if f.name not in names:
-            yield f.name, getattr(cfg, f.name), f.metadata.get("rule")
-            continue
-        group = getattr(cfg, f.name)
-        for g in fields(group):
-            yield f"{names[f.name]}.{g.name}", getattr(group, g.name), g.metadata.get("rule")
+    for key, owner, f in leaves(ExperimentConfig()):
+        yield key, getattr(owner, f.name), f.metadata.get("rule")
 
 
 RULED = [leaf for leaf in _leaves() if leaf[2] is not None]

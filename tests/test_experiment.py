@@ -63,8 +63,7 @@ def _segment_chain(cfg, work_dir):
         resume = res.checkpoint
         model = InpaintingDetector(cfg)
         load_checkpoint(res.checkpoint, model)
-        miou, f1, auc, pos, neg = experiment._measure(model, inpainted, twins,
-                                                      cfg.train.batch)
+        miou, f1, auc, pos, neg = experiment._measure(model, inpainted, twins, cfg)
         history.append(f"iter={res.final_iter} miou={miou:.4f} f1={f1:.4f} auc={auc:.4f}")
         if best is None or miou > best[1]:
             best = (res.final_iter, miou, f1, auc, res.checkpoint, pos, neg)

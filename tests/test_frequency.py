@@ -76,7 +76,7 @@ class TestFrequencyFeatures:
         for seed in range(10):
             frames = self._clip(seed)
             ff = frequency_features(frames, stage_sides=[8, 4])
-            full = ff.full.data
+            full = ff.full
             c = frames.shape[-1]
             recon = full[:, :, :c] + full[:, :, c:2 * c] + full[:, :, 2 * c:]
             np.testing.assert_allclose(recon, frames[1], atol=1e-8)
@@ -89,14 +89,14 @@ class TestFrequencyFeatures:
     def test_constant_frame_has_dc_only(self):
         frames = np.full((3, 16, 16, 3), 0.25)
         ff = frequency_features(frames, stage_sides=[4])
-        np.testing.assert_allclose(ff.full.data[:, :, 3:], 0.0, atol=1e-10)
-        np.testing.assert_allclose(ff.full.data[:, :, :3], 0.25, atol=1e-10)
+        np.testing.assert_allclose(ff.full[:, :, 3:], 0.0, atol=1e-10)
+        np.testing.assert_allclose(ff.full[:, :, :3], 0.25, atol=1e-10)
 
     def test_pooling_preserves_mean(self):
         frames = self._clip(3)
         ff = frequency_features(frames, stage_sides=[8, 4])
         for p in ff.pyramid:
-            assert p.data.mean() == pytest.approx(ff.full.data.mean(), abs=1e-10)
+            assert p.mean() == pytest.approx(ff.full.mean(), abs=1e-10)
 
     def test_middle_frame_selection(self):
         assert middle_frame_index(3) == 1
@@ -107,4 +107,4 @@ class TestFrequencyFeatures:
     def test_no_learnable_state(self):
         ff = frequency_features(self._clip(), stage_sides=[8])
         assert isinstance(ff, FrequencyFeatures)
-        assert not ff.full.requires_grad
+        assert all(type(a) is np.ndarray for a in [ff.full, *ff.pyramid])

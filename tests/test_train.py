@@ -11,6 +11,7 @@ from vindet.config import ExperimentConfig
 from vindet.data import generate_dataset
 from vindet.gradcheck import primitive_case_names
 from vindet.model import InpaintingDetector
+from vindet.objectives import f1_metric, frame_score, miou_metric
 from vindet.tensor import Tensor
 from vindet.train import (
     NumericalError,
@@ -18,6 +19,7 @@ from vindet.train import (
     load_checkpoint,
     poly_lr,
     poly_lr_pair,
+    predict_maps,
     save_checkpoint,
     sgd_step,
     train,
@@ -335,7 +337,38 @@ def test_train_step_never_writes_an_op_output_gradient(monkeypatch):
     assert all(np.array_equal(got[n], want[n]) for n in want)
 
 
+def test_zero_grads_zeroes_each_buffer_in_place():
+    cfg = _tiny_cfg()
+    model = InpaintingDetector(cfg)
+    registry = model.registry()
+    train_mod._train_step(model, _tiny_dataset(cfg, n=2), np.arange(2),
+                          np.random.default_rng(0), cfg, 0)
+    before = {n: p.grad for n, p in registry.items()}
+    assert any(g.any() for g in before.values())
+    nn.zero_grads(registry.values())
+    for name, p in registry.items():
+        assert p.grad is before[name] and not p.grad.any(), name
+
+
 class TestEvaluate:
+    def test_report_keeps_per_clip_metrics(self):
+        # authentic clips between inpainted ones: the lists follow dataset order
+        cfg = _tiny_cfg()
+        ds = _tiny_dataset(cfg, n=3)
+        auth = generate_dataset(2, cfg.seed + 1, cfg, inpainted=False)
+        for at, sc in zip((1, 3), auth):
+            ds.insert(at, (f"auth_{at}", sc.clip, sc.gt_mask))
+        model = InpaintingDetector(cfg)
+        rng = np.random.default_rng(4)
+        for p in model.registry().values():  # leave the zero-initialised head
+            p.data[...] += rng.normal(0.0, 0.05, size=p.data.shape)
+        rep = evaluate_model(model, ds, cfg)
+        maps = predict_maps(model, [clip for _, clip, _ in ds], cfg.train.batch)
+        assert rep.ious == [miou_metric(m, mask) for m, (_, _, mask) in zip(maps, ds)]
+        assert rep.f1s == [f1_metric(m, mask) for m, (_, _, mask) in zip(maps, ds)]
+        assert rep.scores == [frame_score(m) for m in maps]
+        assert len(set(rep.scores)) == len(ds)
+
     def test_report_format(self):
         cfg = _tiny_cfg()
         ds = _tiny_dataset(cfg, n=2)
