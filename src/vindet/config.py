@@ -39,22 +39,23 @@ def rule(default, interval: str = "(-inf, inf)", choices: tuple = (), doc: str =
     return field(default=default, metadata={"rule": Rule(interval, choices, doc)})
 
 
-def leaves(cfg, prefix: str = ""):
+def leaves(cfg):
     """Yield ``(file key, owner, field)`` for every value of ``cfg`` (the
     config or one group) in file order; a ``key`` in field metadata renames."""
     for f in fields(cfg):
-        key = prefix + f.metadata.get("key", f.name)
+        key = f.metadata.get("key", f.name)
         value = getattr(cfg, f.name)
         if is_dataclass(value):
-            yield from leaves(value, key + ".")
+            yield from ((f"{key}.{sub}", owner, g) for sub, owner, g in leaves(value))
         else:
             yield key, cfg, f
 
 
-def check_rules(group, prefix: str = ""):
-    """Return ``group``, or raise ValueError naming ``prefix`` + the file key
-    of its first value (or tuple entry) that the field's rule rejects."""
-    for key, owner, f in leaves(group, prefix):
+def check_rules(group):
+    """Return ``group``, or raise ValueError naming the file key (within
+    ``group``) of its first value, or tuple entry, that the field's rule
+    rejects."""
+    for key, owner, f in leaves(group):
         r, value = f.metadata.get("rule"), getattr(owner, f.name)
         if r and not all(map(r.admits, value if isinstance(value, tuple) else (value,))):
             raise ValueError(f"{key}{f' ({r.doc})' if r.doc else ''} "

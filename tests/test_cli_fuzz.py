@@ -11,10 +11,10 @@ config text only the exit code and the absence of a traceback are checked.
 
 import contextlib
 import io
-import itertools
 import os
 import re
 import shutil
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -57,8 +57,7 @@ def pristine(tmp_path_factory):
     ckpt = str(root / "ck.mpci")
     save_checkpoint(ckpt, InpaintingDetector(cfg), {}, 0)
     save_dataset(str(root / "data"), generate_dataset(1, 0, cfg))
-    return {"root": str(root), "cfg": cfg_path, "ckpt": ckpt, "data": str(root / "data"),
-            "case": itertools.count()}
+    return {"root": str(root), "cfg": cfg_path, "ckpt": ckpt, "data": str(root / "data")}
 
 
 def _run(argv):
@@ -101,12 +100,6 @@ def _read(path) -> bytes:
         return fh.read()
 
 
-def _case_dir(pristine) -> str:
-    path = os.path.join(pristine["root"], f"case{next(pristine['case'])}")
-    os.makedirs(path)
-    return path
-
-
 def _check(code, err, *namings):
     """Exit 0, 1 or 2 without a traceback; an exit 1 shows every part of
     one of ``namings`` on stderr, when any are given."""
@@ -119,15 +112,12 @@ def _check(code, err, *namings):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_eval_with_corrupted_checkpoint(pristine, data):
-    mutated = data.draw(corrupted(_read(pristine["ckpt"])))
-    case = _case_dir(pristine)
-    ckpt = os.path.join(case, "ck.mpci")
+    ckpt = os.path.join(pristine["root"], "fuzz.mpci")
     with open(ckpt, "wb") as fh:
-        fh.write(mutated)
+        fh.write(data.draw(corrupted(_read(pristine["ckpt"]))))
     code, err = _run(["eval", "--config", pristine["cfg"], "--ckpt", ckpt,
                       "--data", pristine["data"]])
     _check(code, err, (ckpt,))
-    shutil.rmtree(case)
 
 
 @settings(max_examples=600, deadline=None)
@@ -136,7 +126,7 @@ def test_eval_with_corrupted_checkpoint(pristine, data):
 def test_corrupted_clip_file(pristine, command, name, data):
     source = os.path.join(pristine["data"], "clip_0000")
     mutated = data.draw(corrupted(_read(os.path.join(source, name))))
-    case = _case_dir(pristine)
+    case = tempfile.mkdtemp(dir=pristine["root"])
     clip = os.path.join(case, "clip_0000")
     shutil.copytree(source, clip)
     target = os.path.join(clip, name)
@@ -161,10 +151,8 @@ config_lines = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(lines=st.lists(config_lines, max_size=6))
 def test_show_config_with_arbitrary_text(pristine, lines):
-    case = _case_dir(pristine)
-    path = os.path.join(case, "fuzz.cfg")
+    path = os.path.join(pristine["root"], "fuzz.cfg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
     code, err = _run(["show-config", "--config", path])
     _check(code, err)
-    shutil.rmtree(case)
