@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 validation/configuration error or an unreadable
-input file, 2 numerical failure (non-finite loss).
+input file, 2 numerical failure (a non-finite loss, or a numpy overflow or
+invalid operation, which every command raises on).
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .config import ExperimentConfig, dump_config, load_config  # noqa: E402
 
 
 def _load_cfg(path) -> ExperimentConfig:
-    cfg = load_config(path) if path else ExperimentConfig()
-    cfg.validate()
-    return cfg
+    return load_config(path) if path else ExperimentConfig()
 
 
 def cmd_gen_data(args) -> int:
@@ -182,14 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.fn(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # numerical failures
         from .train import NumericalError
 
-        if isinstance(err, NumericalError):
+        if isinstance(err, (NumericalError, FloatingPointError)):
             print(f"numerical failure: {err}", file=sys.stderr)
             return 2
         raise

@@ -103,6 +103,9 @@ class DwtiConfig:
     common_dim: int = rule(24, "[1, inf)")
 
 
+FUSION_GROUPS = 4                  # group-norm groups of the decoder's view fusion
+
+
 @dataclass
 class DecoderConfig:
     channels: tuple = rule((32, 48), "[1, inf)")
@@ -204,6 +207,8 @@ class ExperimentConfig:
                              "one entry per stage")
         for l in range(e.stages):
             side = self.grid_side(l)
+            if l + 1 < e.stages and side % 2:
+                raise ValueError(f"stage {l}: side {side} must be even to merge into stage {l + 1}")
             if side < e.window:
                 raise ValueError(f"stage {l}: side {side} smaller than window {e.window}")
             if self.dwti.enabled and side < self.dwti.window:
@@ -211,6 +216,9 @@ class ExperimentConfig:
             for d in self.view_channels(l):
                 if d % e.heads[l]:
                     raise ValueError(f"stage {l}: dim {d} not divisible by heads {e.heads[l]}")
+        if any(c % FUSION_GROUPS for c in self.decoder.channels):
+            raise ValueError(f"decoder.channels must be multiples of {FUSION_GROUPS}, got "
+                             f"{_text(self.decoder.channels)}")
         if g.height % self.glob.patch:
             raise ValueError("global patch must divide the frame")
         if self.decoder.use_frequency and (g.patch & (g.patch - 1)):
@@ -268,7 +276,12 @@ def read_text(path) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(read_text(path))
+    """Parse and validate the file ``path``; a ValueError names the file."""
+    text = read_text(path)
+    try:
+        return parse_config(text).validate()
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

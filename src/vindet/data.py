@@ -37,8 +37,8 @@ def _box_blur(img: np.ndarray, radius: int = 2) -> np.ndarray:
 
 def _texture(rng: np.random.Generator, h: int, w: int, c: int) -> np.ndarray:
     """Smooth color field plus fine high-contrast grain."""
-    coarse = rng.uniform(0.15, 0.85, size=(h // 4, w // 4, c))
-    coarse = np.repeat(np.repeat(coarse, 4, axis=0), 4, axis=1)
+    coarse = rng.uniform(0.15, 0.85, size=(-(-h // 4), -(-w // 4), c))
+    coarse = np.repeat(np.repeat(coarse, 4, axis=0), 4, axis=1)[:h, :w]
     coarse = _box_blur(coarse, 2)
     grain = rng.uniform(-0.18, 0.18, size=(h, w, c))
     return np.clip(coarse + grain, 0.0, 1.0)
@@ -59,11 +59,12 @@ class SceneRecipe:
             rw = int(rng.integers(min_cells, max_cells + 1)) * g
             rh = int(rng.integers(min_cells, max_cells + 1)) * g
             return rh, rw
-        # keep the worst-case square inside the 0.4 area bound
-        hi = max(2, int(np.floor(np.sqrt(0.4 * self.h * self.w)) // g))
-        lo = max(2, hi - 2)
+        # keep the worst-case square inside the 0.4 area bound; rectangles
+        # span two cells or more unless two cells would break that bound
+        hi = max(1, int(np.floor(np.sqrt(0.4 * self.h * self.w)) // g))
+        lo = max(min(2, hi), hi - 2)
         target = rect(lo, hi)
-        distract = rect(2, min(3, hi))
+        distract = rect(min(2, hi), min(3, hi))
         def start_for(size):
             return (
                 int(rng.integers(0, (self.h - size[0]) // g + 1)) * g,
@@ -143,8 +144,9 @@ def make_clip(seed: int, cfg: ExperimentConfig, inpainted: bool = True) -> Synth
     if not inpainted:
         mask = np.zeros_like(mask)
     area = mask.mean()
-    if inpainted:
-        assert 0.02 <= area <= 0.4, f"mask fraction {area} outside [0.02, 0.4]"
+    if inpainted and not 0.02 <= area <= 0.4:
+        raise ValueError(f"synthetic clips: a {g.height}x{g.width} frame leaves no "
+                         f"{g.patch}-pixel-aligned mask covering 2-40% of it")
     return SyntheticClip(VideoClip(frames), mask, recipe, inpainted)
 
 

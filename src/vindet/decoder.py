@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .config import ExperimentConfig
+from .config import FUSION_GROUPS, ExperimentConfig
 from .tensor import Tensor
 
 
@@ -35,13 +35,12 @@ class TffBlock(nn.Module):
     """Fuse all views at one stage: realign time, concat channels, 3D conv,
     group norm, then reduce the temporal axis by mean."""
 
-    def __init__(self, c_in_total: int, c_out: int, rng: np.random.Generator,
-                 groups: int = 4):
+    def __init__(self, c_in_total: int, c_out: int, rng: np.random.Generator):
         super().__init__()
         self.conv = nn.Conv(c_in_total, c_out, (3, 3, 3), rng, padding=1)
-        self.norm = nn.GroupNorm(c_out, groups)
+        self.norm = nn.GroupNorm(c_out, FUSION_GROUPS)
 
-    def __call__(self, views: list[Tensor]) -> Tensor:
+    def forward(self, views: list[Tensor]) -> Tensor:
         side = views[0].shape[2]
         for z in views:
             if z.shape[2] != side or z.shape[3] != side:
@@ -65,7 +64,7 @@ class FrequencyFusion(nn.Module):
         # bias-free return: zero band features must contribute exactly nothing
         self.ret = nn.Conv(bands, c, (1, 1), rng, bias=False)
 
-    def __call__(self, f_c: Tensor, f_a: Tensor) -> Tensor:
+    def forward(self, f_c: Tensor, f_a: Tensor) -> Tensor:
         if f_c.shape[:3] != f_a.shape[:3]:
             raise T.ShapeError(
                 f"frequency fusion: sides differ, {f_c.shape} vs {f_a.shape}"
@@ -79,11 +78,8 @@ class PyramidDecoder(nn.Module):
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
         super().__init__()
         k = cfg.encoder.stages
-        self.k = k
-        self.use_tff = cfg.decoder.use_tff
         self.use_freq = cfg.decoder.use_frequency
-        self.sides = cfg.stage_sides()
-        self.stages_used = list(range(k)) if self.use_tff else [k - 1]
+        self.stages_used = list(range(k)) if cfg.decoder.use_tff else [k - 1]
         ch = cfg.decoder.channels
         bands = 3 * cfg.geometry.channels
 
@@ -121,9 +117,9 @@ class PyramidDecoder(nn.Module):
             out[i] = fs[i] * gate
         return out
 
-    def __call__(self, stage_views: list[list[Tensor]],
-                 freq_pyramid: list[Tensor] | None, f_high: Tensor,
-                 out_hw: tuple[int, int]) -> Tensor:
+    def forward(self, stage_views: list[list[Tensor]],
+                freq_pyramid: list[Tensor] | None, f_high: Tensor,
+                out_hw: tuple[int, int]) -> Tensor:
         fs = self.fuse_stages(stage_views)
         fc = self.accumulate(fs)
         if self.use_freq:

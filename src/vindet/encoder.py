@@ -110,7 +110,7 @@ class WindowAttention(nn.Module):
         super().__init__()
         if c % heads:
             raise ValueError(f"channels {c} not divisible by heads {heads}")
-        self.c, self.heads, self.window = c, heads, window
+        self.heads, self.window = heads, window
         self.scale = (c // heads) ** -0.5
         self.wq = nn.Linear(c, c, rng)
         self.wk = nn.Linear(c, c, rng)
@@ -121,8 +121,8 @@ class WindowAttention(nn.Module):
                 rng.normal(0.0, 0.02, size=((2 * window - 1) ** 2, heads)))
         self.last_attn: np.ndarray | None = None
 
-    def __call__(self, windows: Tensor, mask: np.ndarray | None = None,
-                 keep_attn: bool = False) -> Tensor:
+    def forward(self, windows: Tensor, mask: np.ndarray | None = None,
+                keep_attn: bool = False) -> Tensor:
         table = index = None
         if self.window is not None:
             table, index = self.bias_table, _relative_index(self.window)
@@ -146,7 +146,7 @@ class SwinBlock(nn.Module):
         self.ln2 = nn.LayerNorm(c)
         self.mlp = nn.Mlp(c, mlp_ratio * c, rng)
 
-    def __call__(self, x: Tensor, keep_attn: bool = False) -> Tensor:
+    def forward(self, x: Tensor, keep_attn: bool = False) -> Tensor:
         b, s, _, c = x.shape
         m = self.window
         if s < m:
@@ -167,7 +167,7 @@ class PatchMerging(nn.Module):
         self.ln = nn.LayerNorm(4 * c)
         self.reduce = nn.Linear(4 * c, 2 * c, rng, bias=False)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         b, s, _, c = x.shape
         if s % 2:
             raise T.ShapeError(f"patch merging needs even side, got {s}")
@@ -227,7 +227,7 @@ class GlobalEncoder(nn.Module):
             blk.mlp = nn.Mlp(dim, 4 * dim, rng)
             self.blocks.append(blk)
 
-    def __call__(self, frame: Tensor) -> Tensor:
+    def forward(self, frame: Tensor) -> Tensor:
         """(B,H,W,C) frames -> (B,H/p,W/p,dim); attention stays within a frame."""
         g = self.embed(frame)
         b, gh, gw, c = g.shape

@@ -42,7 +42,7 @@ class OffsetNet(nn.Module):
         self.fc1 = nn.Linear(c, hidden, rng)
         self.fc2 = nn.Linear(hidden, 2, rng, zero_init=True)
 
-    def __call__(self, q: Tensor) -> Tensor:
+    def forward(self, q: Tensor) -> Tensor:
         return T.tanh(self.fc2(T.gelu(self.fc1(q))))
 
 
@@ -59,7 +59,7 @@ class DeformableWindowCrossAttention(nn.Module):
         self.wv = nn.Linear(c, c, rng)
         self.theta = OffsetNet(c, rng)
 
-    def __call__(self, small: Tensor, large: Tensor) -> Tensor:
+    def forward(self, small: Tensor, large: Tensor) -> Tensor:
         """(B,S,S,c) maps -> (B,S,S,c); the windows of all clips form one batch."""
         if small.shape != large.shape:
             raise T.ShapeError(
@@ -102,7 +102,7 @@ class AdjacentPair(nn.Module):
         large2d = self.align_large(z_large.mean(axis=1))
         return small2d, large2d
 
-    def __call__(self, z_small: Tensor, z_large: Tensor) -> Tensor:
+    def forward(self, z_small: Tensor, z_large: Tensor) -> Tensor:
         small2d, large2d = self.align(z_small, z_large)
         h = self.back(self.attn(small2d, large2d))
         b, s, _, c = h.shape
@@ -125,7 +125,7 @@ class ViewInteraction(nn.Module):
                                           window, max_offset, rng))
             self.stages.append(pairs)
 
-    def __call__(self, views: list[Tensor], stage: int) -> list[Tensor]:
+    def forward(self, views: list[Tensor], stage: int) -> list[Tensor]:
         """Update larger views in place order; smaller views are read-only.
         Each step feeds the already updated view into the next pair."""
         out = list(views)

@@ -41,7 +41,7 @@ class InpaintingDetector(nn.Module):
         self.global_enc = GlobalEncoder(g.channels, cfg.glob.patch, cfg.glob.dim,
                                         cfg.glob.depth, cfg.glob.heads, rng)
         self.decoder = PyramidDecoder(cfg, rng)
-        nn.build_registry(self)
+        self._registry = nn.build_registry(self)
 
     # ------------------------------------------------------------------
     def encode(self, frames: Tensor) -> list[list[Tensor]]:
@@ -56,7 +56,7 @@ class InpaintingDetector(nn.Module):
             per_stage.append(cur)
         return per_stage
 
-    def __call__(self, frames: np.ndarray | Tensor) -> Tensor:
+    def forward(self, frames: np.ndarray | Tensor) -> Tensor:
         """Detection maps in [0,1] for the middle frame of each clip.
 
         ``frames`` is a batch (B,T,H,W,C), giving (B,H,W) maps, or one clip
@@ -64,10 +64,7 @@ class InpaintingDetector(nn.Module):
         """
         ft = frames if isinstance(frames, Tensor) else Tensor(frames)
         if ft.ndim == 4:
-            return self._forward(ft.reshape(1, *ft.shape)).reshape(ft.shape[1:3])
-        return self._forward(ft)
-
-    def _forward(self, ft: Tensor) -> Tensor:
+            return self.forward(ft.reshape(1, *ft.shape)).reshape(ft.shape[1:3])
         g = self.cfg.geometry
         stage_views = self.encode(ft)
         pyramid = None
@@ -85,12 +82,11 @@ class InpaintingDetector(nn.Module):
 
     # ------------------------------------------------------------------
     def registry(self):
-        return nn.build_registry(self)
+        """Dotted path -> parameter, in path order, as built at construction."""
+        return self._registry
 
     def encoder_param_names(self) -> set[str]:
         """Names in the encoder learning-rate group (branches, embeds,
         interaction, global encoder); everything else is decoder-group."""
-        names = set()
-        for prefix in ("embeds.", "branches.", "interaction.", "global_enc."):
-            names.update(n for n in self.registry() if n.startswith(prefix))
-        return names
+        prefixes = ("embeds.", "branches.", "interaction.", "global_enc.")
+        return {n for n in self._registry if n.startswith(prefixes)}

@@ -29,11 +29,15 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class tracking child modules and parameters by attribute name."""
+    """Base class tracking child modules and parameters by attribute name.
+    A layer defines ``forward``; calling the module runs it."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_children", {})
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def __setattr__(self, key, value):
         if isinstance(value, Parameter):
@@ -109,7 +113,7 @@ class Linear(Module):
         self.w = Parameter(w)
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
 
 
@@ -119,7 +123,7 @@ class LayerNorm(Module):
         self.g = Parameter(np.ones(c))
         self.b = Parameter(np.zeros(c))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.g, self.b)
 
 
@@ -130,7 +134,7 @@ class GroupNorm(Module):
         self.g = Parameter(np.ones(c))
         self.b = Parameter(np.zeros(c))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.group_norm(x, self.g, self.b, self.groups)
 
 
@@ -146,7 +150,7 @@ class Conv(Module):
         self.w = Parameter(np.zeros(shape) if zero_init else _normal(rng, shape))
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return T.conv(x, self.w, self.b, self.padding)
 
 
@@ -163,7 +167,7 @@ class PatchEmbed(Module):
         self.w = Parameter(_normal(rng, shape))
         self.b = Parameter(np.zeros(c_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         b, *sides, c = x.shape
         if len(sides) != len(self.kernel) or any(n % k for n, k in zip(sides, self.kernel)):
             raise T.ShapeError(f"patch embed: kernel {self.kernel} does not tile input {x.shape}")
@@ -184,5 +188,5 @@ class Mlp(Module):
         self.fc1 = Linear(c, hidden, rng)
         self.fc2 = Linear(hidden, c, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))

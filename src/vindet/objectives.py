@@ -2,8 +2,9 @@
 
 Two loss terms: a soft intersection-over-union loss on the raw probability
 map and a focal cross-entropy that counters the authentic/inpainted pixel
-imbalance. Both are mean-normalized over pixels and combined as a weighted
-sum. Metrics binarize at a fixed threshold.
+imbalance. Each reduces every map over its own last two axes, so a (B,H,W)
+batch gives one value per map; both are mean-normalized over pixels and
+combined as a weighted sum. Metrics binarize at a fixed threshold.
 """
 
 from __future__ import annotations
@@ -16,33 +17,36 @@ from .tensor import ShapeError, Tensor, as_tensor
 
 
 def _check_pair(m, gt):
+    """The axes each map reduces over: the last two, or a 1-D map's only one."""
     if m.shape != gt.shape:
         raise ShapeError(f"loss: prediction {m.shape} vs ground truth {gt.shape}")
+    return tuple(range(m.ndim))[-2:]
 
 
 def miou_loss(m, gt) -> Tensor:
-    """1 - soft IoU. Both masks all-zero is defined as zero loss."""
+    """1 - soft IoU of each map. Both masks all-zero is defined as zero loss."""
     m, gt = as_tensor(m), as_tensor(gt)
-    _check_pair(m, gt)
+    axes = _check_pair(m, gt)
     prod = m * gt
-    inter = T.reduce_sum(prod)
-    union = T.reduce_sum(m + gt - prod)
-    if union.item() == 0.0:
-        return union * 0.0
-    return 1.0 - inter / union
+    inter = T.reduce_sum(prod, axes)
+    union = T.reduce_sum(m + gt - prod, axes)
+    empty = union.data == 0.0
+    return (1.0 - inter / (union + empty)) * ~empty
 
 
 def focal_loss(m, gt, cfg: LossConfig) -> Tensor:
-    """Class-balanced focal cross-entropy, mean over pixels."""
+    """Class-balanced focal cross-entropy, mean over each map's pixels."""
     m, gt = as_tensor(m), as_tensor(gt)
-    _check_pair(m, gt)
+    axes = _check_pair(m, gt)
     pos = ((1.0 - m) ** cfg.gamma) * gt * T.log(m + cfg.eps)
     neg = (m ** cfg.gamma) * (1.0 - gt) * T.log(1.0 - m + cfg.eps)
-    return -T.reduce_mean(cfg.alpha * pos + (1.0 - cfg.alpha) * neg)
+    return -T.reduce_mean(cfg.alpha * pos + (1.0 - cfg.alpha) * neg, axes)
 
 
 def total_loss(m, gt, cfg: LossConfig) -> Tensor:
-    return cfg.lambda_miou * miou_loss(m, gt) + cfg.lambda_focal * focal_loss(m, gt, cfg)
+    """The weighted sum of both terms, averaged over the maps of a batch."""
+    per_map = cfg.lambda_miou * miou_loss(m, gt) + cfg.lambda_focal * focal_loss(m, gt, cfg)
+    return T.reduce_mean(per_map)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,10 @@ class TubeletEmbed(nn.Module):
     def __init__(self, view: int, patch: int, c_in: int, c_out: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.view, self.patch = view, patch
+        self.view = view
         self.proj = nn.PatchEmbed(c_in, c_out, (view, patch, patch), rng)
 
-    def __call__(self, frames: Tensor) -> Tensor:
+    def forward(self, frames: Tensor) -> Tensor:
         """(B,T,H,W,C) frames to (B, floor(T/view), H/patch, W/patch, c_out) tokens."""
         t = frames.shape[1]
         usable = (t // self.view) * self.view

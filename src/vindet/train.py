@@ -3,8 +3,8 @@
 Encoder and decoder parameters use separate learning rates. Batch selection
 is a stateless function of (seed, iteration) so resuming from a checkpoint
 replays the exact remaining trajectory. A step runs the whole batch through
-the model as one stacked forward and one backward; evaluation stacks
-``train.batch`` clips per no-grad forward.
+the model as one stacked forward, one loss call and one backward;
+evaluation stacks ``train.batch`` clips per no-grad forward.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def _batch_indices(rng: np.random.Generator, n: int, batch: int,
 
 def _train_step(model: InpaintingDetector, dataset, batch: np.ndarray,
                 rng: np.random.Generator, cfg: ExperimentConfig, it: int) -> float:
-    """Forward the stacked batch, back-propagate the mean per-clip loss and
-    return its value. The tape lives only in this frame, so it is freed on
+    """Forward the stacked batch, back-propagate the loss averaged over its
+    maps and return its value. The tape lives only in this frame, so it is freed on
     return."""
     frames, masks = [], []
     for bi in batch:
@@ -98,14 +98,7 @@ def _train_step(model: InpaintingDetector, dataset, batch: np.ndarray,
             f, mask = _dihedral(f, mask, int(rng.integers(0, 8)))
         frames.append(f)
         masks.append(mask)
-    maps = model(np.stack(frames))
-    h, w = maps.shape[1:]
-    loss = None
-    for b, mask in enumerate(masks):
-        m = T.slice_axis(maps, 0, b, b + 1).reshape(h, w)
-        term = total_loss(m, Tensor(mask), cfg.loss)
-        loss = term if loss is None else loss + term
-    loss = loss * (1.0 / len(masks))
+    loss = total_loss(model(np.stack(frames)), Tensor(np.stack(masks)), cfg.loss)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericalError(f"non-finite loss at iteration {it}")

@@ -167,6 +167,23 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "param/decoder.head_conv.w: non-finite" in err
 
+    def test_overflowing_forward_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        # a finite checkpoint value whose square overflows in the layer norm
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.train import save_checkpoint
+
+        model = InpaintingDetector(load_config(tiny_cfg_file))
+        model.registry()["branches.0.merges.0.ln.b"].data[...] = 1e300
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), model, {}, 0)
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: overflow encountered in multiply\n"
+        assert "summary" not in captured.out
+
     def test_truncated_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys):
         from vindet.config import load_config
         from vindet.model import InpaintingDetector
@@ -297,7 +314,18 @@ class TestTrainEval:
         cfg.write_text(text + "\n")
         assert main(["show-config", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert f"error: {text.split(' =')[0]}" in err and "Traceback" not in err
+        assert f"error: {cfg}: {text.split(' =')[0]}" in err and "Traceback" not in err
+
+    def test_config_error_names_the_file_once(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("x = 1\n")
+        assert main(["show-config", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: line 1: unknown key 'x'\n"
+
+    def test_flag_error_names_no_file(self, tiny_cfg_file, capsys):
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", "ck.mpci", "--jpeg", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: perturb.jpeg_quality") and tiny_cfg_file not in err
 
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -3,10 +3,9 @@
 A tiny 16x16 model's checkpoint and one clip directory are corrupted by
 drawn byte flips, cuts, replacements, dropped or repeated lines and changed
 numbers, and config files hold drawn text. Every run must exit 0, 1 or 2
-with no exception escaping ``main`` (the CLI would print a traceback), and
-an exit 1 caused by a corrupted checkpoint or clip file must name that
-file. Config errors name the key or the line instead, so for
-config text only the exit code and the absence of a traceback are checked.
+with no exception escaping ``main`` (the CLI would print a traceback) and
+no numpy warning (an overflow is a numerical failure, exit 2), and an
+exit 1 must name the corrupted checkpoint, clip or config file.
 """
 
 import contextlib
@@ -42,6 +41,7 @@ dwti.window = 2
 decoder.channels = 8,8
 train.batch = 2
 """
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 CLIP_FILES = ("frame_000.ppm", "frame_001.ppm", "frame_002.ppm", "gt.pgm", "manifest.txt")
 KEYS = [key for key, _, _ in leaves(ExperimentConfig())]
 
@@ -155,4 +155,4 @@ def test_show_config_with_arbitrary_text(pristine, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
     code, err = _run(["show-config", "--config", path])
-    _check(code, err)
+    _check(code, err, (path,))

@@ -113,6 +113,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="power-of-two"):
             cfg.validate()
 
+    def test_fusion_channels_split_into_groups(self):
+        cfg = ExperimentConfig()
+        cfg.decoder.channels = (32, 46)
+        with pytest.raises(ValueError, match="decoder.channels must be multiples of 4, got 32,46"):
+            cfg.validate()
+
+    def test_merged_stage_needs_even_side(self):
+        cfg = ExperimentConfig()
+        cfg.geometry.height = cfg.geometry.width = 36
+        cfg.glob.patch = 4
+        with pytest.raises(ValueError, match="stage 0: side 9 must be even to merge"):
+            cfg.validate()
+
     def test_perturb_kind(self):
         cfg = ExperimentConfig()
         cfg.perturb.kind = "blur"
@@ -195,7 +208,7 @@ class TestRules:
         line = f"{key} = {_value_text(data.draw, default, rule, inside=False)}"
         code, err = _show_config(fuzz_cfg, line)
         assert code == 1, line
-        assert f"error: {key}" in err and "Traceback" not in err, (line, err)
+        assert f"error: {fuzz_cfg}: {key}" in err and "Traceback" not in err, (line, err)
 
     @pytest.mark.parametrize("key, default, rule", RULED, ids=[leaf[0] for leaf in RULED])
     @settings(max_examples=12, deadline=None)

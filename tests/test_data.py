@@ -55,6 +55,23 @@ class TestGenerator:
         for sc in generate_dataset(16, 3, CFG):
             assert 0.02 <= sc.gt_mask.mean() <= 0.4
 
+    @pytest.mark.parametrize("side, patch", [(22, 2), (24, 8), (16, 8), (30, 3)])
+    def test_any_side_and_patch_the_config_admits(self, side, patch):
+        # sides off the texture's 4-pixel pitch, and frames under about 3.2
+        # patches a side, whose masks shrink to one patch-aligned cell
+        cfg = ExperimentConfig()
+        cfg.geometry.height = cfg.geometry.width = side
+        cfg.geometry.patch = patch
+        for sc in generate_dataset(4, 2, cfg):
+            assert sc.clip.frames.shape == (3, side, side, 3)
+            assert 0.02 <= sc.gt_mask.mean() <= 0.4
+
+    def test_frame_of_one_patch_rejected(self):
+        cfg = ExperimentConfig()
+        cfg.geometry.height = cfg.geometry.width = cfg.geometry.patch = 16
+        with pytest.raises(ValueError, match="16x16 frame leaves no 16-pixel-aligned mask"):
+            make_clip(0, cfg)
+
     def test_authentic_twin_differs_only_in_target_track(self):
         sc = make_clip(11, CFG)
         auth, _ = sc.recipe.render(False)

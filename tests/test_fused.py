@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vindet import encoder, interaction, nn
+from vindet import encoder, interaction, nn, train
 from vindet import tensor as T
 from vindet.config import ExperimentConfig
 from vindet.data import generate_dataset
@@ -112,11 +112,11 @@ def ref_patch_merging(self, x):
 
 
 def _use_reference(mp):
-    mp.setattr(nn.Linear, "__call__", ref_linear)
-    mp.setattr(encoder.PatchMerging, "__call__", ref_patch_merging)
-    mp.setattr(encoder.WindowAttention, "__call__", ref_window_attention)
-    mp.setattr(encoder.SwinBlock, "__call__", ref_swin_block)
-    mp.setattr(interaction.DeformableWindowCrossAttention, "__call__", ref_cross_attention)
+    mp.setattr(nn.Linear, "forward", ref_linear)
+    mp.setattr(encoder.PatchMerging, "forward", ref_patch_merging)
+    mp.setattr(encoder.WindowAttention, "forward", ref_window_attention)
+    mp.setattr(encoder.SwinBlock, "forward", ref_swin_block)
+    mp.setattr(interaction.DeformableWindowCrossAttention, "forward", ref_cross_attention)
 
 
 def _config(side):
@@ -135,12 +135,7 @@ def _step(cfg):
         p.data[...] += rng.normal(0.0, 0.05, p.data.shape)
     clips = generate_dataset(2, 5, cfg)
     maps = model(np.stack([c.clip.frames for c in clips]))
-    loss = None
-    for b, c in enumerate(clips):
-        term = total_loss(T.slice_axis(maps, 0, b, b + 1).reshape(maps.shape[1:]),
-                          Tensor(c.gt_mask), cfg.loss)
-        loss = term if loss is None else loss + term
-    backward(loss * 0.5)
+    backward(total_loss(maps, Tensor(np.stack([c.gt_mask for c in clips])), cfg.loss))
     return maps.data, {name: p.grad for name, p in model.registry().items()}
 
 
@@ -197,3 +192,16 @@ def test_desk_forward_tape_op_budget():
     ops = _tape_ops(model(np.stack([c.clip.frames for c in clips])))
     assert sum(ops.values()) <= 600, ops
     assert ops["attention"] == 30
+
+
+def test_desk_train_step_tape_op_budget(monkeypatch):
+    # one loss call on the (B,H,W) maps; a loss per sliced clip recorded 635
+    cfg = ExperimentConfig()
+    ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
+          for i, sc in enumerate(generate_dataset(cfg.train.batch, 1, cfg))]
+    losses = []
+    monkeypatch.setattr(train, "backward", losses.append)
+    train._train_step(InpaintingDetector(cfg), ds, np.arange(cfg.train.batch),
+                      np.random.default_rng(0), cfg, 0)
+    ops = _tape_ops(losses[0])
+    assert sum(ops.values()) <= 560, ops

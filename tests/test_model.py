@@ -5,6 +5,7 @@ import pytest
 
 from vindet.config import DecoderConfig, DwtiConfig, ExperimentConfig
 from vindet.data import make_clip
+from vindet import nn
 from vindet import tensor as T
 from vindet.model import InpaintingDetector
 from vindet.tensor import Tensor
@@ -54,6 +55,18 @@ class TestForward:
         assert any(n.startswith("global_enc.") for n in enc)
         assert any(n.startswith("interaction.") for n in enc)
         assert any(n.startswith("embeds.") for n in enc)
+
+
+    def test_every_layer_runs_through_module_call(self):
+        # a layer defines forward; nn.Module.__call__ is the only entry
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        layers = [c for c in subclasses(nn.Module) if c.__module__.startswith("vindet.")]
+        assert len(layers) >= 19
+        assert [c.__qualname__ for c in layers if "__call__" in vars(c)] == []
 
 
 class TestAblations:

@@ -111,6 +111,25 @@ class TestTotalLoss:
         rep = finite_diff_check(lambda m: total_loss(m, gt, CFG), x0, eps=1e-6, tol=1e-6)
         assert rep.passed, rep
 
+    def test_batch_is_mean_of_per_map_losses(self):
+        # a (3,H,W) batch whose middle map has all-zero prediction and truth,
+        # against one call per map averaged as a chain
+        rng = np.random.default_rng(5)
+        m = rng.uniform(0.1, 0.9, size=(3, 6, 6))
+        gt = (rng.uniform(size=(3, 6, 6)) > 0.5).astype(float)
+        m[1] = gt[1] = 0.0
+        batch = Tensor(m, requires_grad=True)
+        loss = total_loss(batch, Tensor(gt), CFG)
+        backward(loss)
+        maps = [Tensor(x, requires_grad=True) for x in m]
+        per_map = [total_loss(x, Tensor(g), CFG) for x, g in zip(maps, gt)]
+        backward((per_map[0] + per_map[1] + per_map[2]) * (1.0 / 3))
+        want = float(np.mean([t.item() for t in per_map]))
+        assert abs(loss.item() - want) <= np.spacing(want)
+        assert np.array_equal(batch.grad, np.stack([x.grad for x in maps]))
+        iou = miou_loss(batch, Tensor(gt)).data
+        assert iou.shape == (3,) and iou[1] == 0.0 and iou[0] > 0.0
+
     def test_differentiable_through_sigmoid(self):
         rng = np.random.default_rng(4)
         logits = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
