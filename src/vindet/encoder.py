@@ -74,8 +74,8 @@ def _relative_index(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _shift_mask(s_pad: int, m: int, shift: int, s_real: int):
-    """Additive attention mask (K, m*m, m*m) for the windows that
+def _shift_mask(s_pad: int, m: int, shift: int, s_real: int, dtype):
+    """Additive ``dtype`` attention mask (K, m*m, m*m) for the windows that
     :func:`window_partition` cuts from an (s_real, s_real) grid shifted by
     ``-shift`` and padded to ``s_pad``.
 
@@ -96,7 +96,7 @@ def _shift_mask(s_pad: int, m: int, shift: int, s_real: int):
     region = np.where(pad, -1, 2 * band[:, None] + band[None, :])
     win = region.reshape(-1)[_window_index(s_real, m, shift)[0]].reshape(-1, m * m)
     diff = win[:, :, None] != win[:, None, :]
-    return np.where(diff, MASK_NEG, 0.0)
+    return np.where(diff, MASK_NEG, 0.0).astype(dtype)
 
 
 class WindowAttention(nn.Module):
@@ -154,7 +154,7 @@ class SwinBlock(nn.Module):
         # a single-window grid has nothing to shift across
         shift = m // 2 if self.shifted and s > m else 0
         windows, meta = window_partition(self.ln1(x), m, shift)
-        mask = _shift_mask(meta[2], m, shift, s)
+        mask = _shift_mask(meta[2], m, shift, s, T.compute_dtype())
         x = x + window_merge(self.attn(windows, mask, keep_attn), meta)
         return x + self.mlp(self.ln2(x))
 

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .tensor import compute_dtype
+
 
 @lru_cache(maxsize=32)
 def dct_basis(n: int) -> np.ndarray:
@@ -79,14 +81,16 @@ def frequency_features(frames: np.ndarray, stage_sides: list[int],
 
     ``frames`` is (T,H,W,C); every channel is transformed once, masked per
     band, inverse transformed, and the three band images are concatenated
-    along channels giving H x W x 3C. Average pooling halves the side repeatedly
-    until each requested stage side is met.
+    along channels giving H x W x 3C. The transforms run in float64 and the
+    stack is cast once to the compute dtype, in which average pooling halves
+    the side repeatedly until each requested stage side is met.
     """
     t, h, w, c = frames.shape
     frame = frames[middle_frame_index(t)]
     coeffs = [dct2(frame[:, :, ch]) for ch in range(c)]
     full = np.concatenate([np.stack([idct2(k * m) for k in coeffs], axis=-1)
-                           for m in band_masks(h, w, thresholds)], axis=-1)
+                           for m in band_masks(h, w, thresholds)], axis=-1,
+                          dtype=compute_dtype())
 
     pyramid = []
     for side in stage_sides:

@@ -4,7 +4,9 @@ Each case projects the op's output onto a fixed random direction so the
 scalar loss has well-conditioned, order-one gradients. All auxiliary
 tensors are drawn once per case; the checked function must be a fixed
 deterministic map. ``check_full_model`` spot-checks a whole detector.
-Shared between the CLI and the acceptance suite.
+Every check builds its cases and its model in ``tensor.float64_scope``,
+whatever dtype its caller computes in. Shared between the CLI and the
+acceptance suite.
 """
 
 from __future__ import annotations
@@ -146,13 +148,14 @@ def check_primitive(name: str, seeds: int = 10, eps: float = 1e-6,
                     tol: float = 1e-5) -> GradCheckReport:
     """Worst report over the seeds for one primitive case."""
     worst: GradCheckReport | None = None
-    for seed in range(seeds):
-        f, x = primitive_cases(np.random.default_rng(1000 + seed))[name]
-        rep = finite_diff_check(f, x, eps=eps, tol=tol)
-        if worst is None or rep.max_rel_err > worst.max_rel_err or not rep.passed:
-            worst = rep
-        if not rep.passed:
-            break
+    with T.float64_scope():
+        for seed in range(seeds):
+            f, x = primitive_cases(np.random.default_rng(1000 + seed))[name]
+            rep = finite_diff_check(f, x, eps=eps, tol=tol)
+            if worst is None or rep.max_rel_err > worst.max_rel_err or not rep.passed:
+                worst = rep
+            if not rep.passed:
+                break
     return worst
 
 
@@ -167,16 +170,17 @@ def check_full_model(cfg: ExperimentConfig, seed: int) -> GradCheckReport:
     of a detector built from ``cfg`` on clip ``make_clip(cfg.seed)``. The
     zero-initialised layers (the decoder head, and each DWTI pair's ``back``
     and offset output) first move off zero, or most gradients would be 0."""
-    model = InpaintingDetector(cfg)
-    moved = [(model.decoder.head_out.w, 0.2)]
-    if model.interaction is not None:
-        moved += [(w, 0.1) for pairs in model.interaction.stages for p in pairs
-                  for w in (p.back.w, p.attn.theta.fc2.w)]
-    rng = np.random.default_rng(77)
-    for w, scale in moved:
-        w.data[:] = rng.normal(size=w.shape) * scale
-    sample = make_clip(cfg.seed, cfg)
-    gt = Tensor(sample.gt_mask)
-    return finite_diff_check_params(lambda: total_loss(model(sample.clip.frames), gt, cfg.loss),
-                                    model.registry().values(), n_coords=100, eps=1e-5,
-                                    tol=1e-3, seed=seed)
+    with T.float64_scope():
+        model = InpaintingDetector(cfg)
+        moved = [(model.decoder.head_out.w, 0.2)]
+        if model.interaction is not None:
+            moved += [(w, 0.1) for pairs in model.interaction.stages for p in pairs
+                      for w in (p.back.w, p.attn.theta.fc2.w)]
+        rng = np.random.default_rng(77)
+        for w, scale in moved:
+            w.data[:] = rng.normal(size=w.shape) * scale
+        sample = make_clip(cfg.seed, cfg)
+        gt = Tensor(sample.gt_mask)
+        return finite_diff_check_params(
+            lambda: total_loss(model(sample.clip.frames), gt, cfg.loss),
+            model.registry().values(), n_coords=100, eps=1e-5, tol=1e-3, seed=seed)

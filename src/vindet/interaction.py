@@ -21,12 +21,12 @@ from .tensor import Tensor
 
 
 @lru_cache(maxsize=32)
-def _cell_center_grid(m: int) -> np.ndarray:
-    """(m*m, 2) reference points at window cell centers, in [-1,1]."""
+def _cell_center_grid(m: int, dtype) -> np.ndarray:
+    """(m*m, 2) ``dtype`` reference points at window cell centers, in [-1,1]."""
     idx = np.arange(m)
     centers = (2 * idx + 1) / m - 1.0
     gy, gx = np.meshgrid(centers, centers, indexing="ij")
-    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=-1)
+    return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=-1).astype(dtype)
 
 
 class OffsetNet(nn.Module):
@@ -72,7 +72,7 @@ class DeformableWindowCrossAttention(nn.Module):
         q = self.wq(wins_large)                      # (B*K, m*m, c)
         # one deformed point per query position, bounded to max_offset cells
         offsets = self.theta(q) * (self.max_offset * 2.0 / m)
-        points = Tensor(_cell_center_grid(m)[None]) + offsets
+        points = Tensor(_cell_center_grid(m, T.compute_dtype())[None]) + offsets
         sampled = T.grid_sample_bilinear(
             wins_small.reshape(-1, m, m, self.c), points
         )                                            # (B*K, m*m, c)

@@ -61,6 +61,7 @@ class InpaintingDetector(nn.Module):
 
         ``frames`` is a batch (B,T,H,W,C), giving (B,H,W) maps, or one clip
         (T,H,W,C), giving one (H,W) map; the single clip runs as a batch of one.
+        An array is cast once, into the compute dtype, as it becomes a Tensor.
         """
         ft = frames if isinstance(frames, Tensor) else Tensor(frames)
         if ft.ndim == 4:

@@ -15,7 +15,8 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable float64 tensor; ``Module`` registers attributes of this type.
+    """A trainable tensor in the compute dtype (``tensor.compute_dtype``);
+    ``Module`` registers attributes of this type.
 
     The gradient buffer is always allocated so untouched parameters read as
     zero gradient after a backward pass.
@@ -24,7 +25,7 @@ class Parameter(Tensor):
     __slots__ = ()
 
     def __init__(self, data: np.ndarray):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True)
+        super().__init__(data, requires_grad=True)
         self.zero_grad()
 
 

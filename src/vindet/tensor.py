@@ -1,10 +1,12 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
-Values live in numpy arrays (float64 by default, float32 accepted). Every
-primitive that participates in gradients records a tape entry holding its
-inputs and a backward closure; ``backward`` replays entries in exact reverse
-execution order, which makes gradient accumulation deterministic and
-bit-reproducible in single-threaded mode.
+Values live in numpy arrays of one compute dtype, float32, which
+``compute_dtype`` reports; ``float64_scope`` switches the calling thread to
+float64 for gradient checks and for comparisons made at float64 precision.
+Every primitive that participates in gradients records a tape entry
+holding its inputs and a backward closure; ``backward`` replays entries in
+exact reverse execution order, which makes gradient accumulation
+deterministic and bit-reproducible in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
 
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
 # Monotonic counter stamping tape entries with execution order. Advancing
 # an itertools.count is a single C call, so it needs no lock.
 _next_seq = itertools.count(1).__next__
@@ -37,6 +37,34 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
+
+
+class _Precision(threading.local):
+    """Per-thread compute dtype: every thread starts in float32."""
+
+    dtype = np.dtype(np.float32)
+
+
+_precision = _Precision()
+
+
+def compute_dtype() -> np.dtype:
+    """The dtype every ``Tensor`` made in the calling thread holds."""
+    return _precision.dtype
+
+
+class float64_scope:
+    """Context manager computing in float64 in the calling thread: tensors
+    made inside it, and the constants built for them, hold float64."""
+
+    def __enter__(self):
+        self._prev = _precision.dtype
+        _precision.dtype = np.dtype(np.float64)
+        return self
+
+    def __exit__(self, *exc):
+        _precision.dtype = self._prev
+        return False
 
 
 class no_grad:
@@ -73,10 +101,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=_precision.dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._entry: Optional[TapeEntry] = None
@@ -793,14 +818,16 @@ def grid_sample_bilinear(x, grid) -> Tensor:
     in_y = (iy > 0.0) & (iy < h - 1.0)
     ixc = np.clip(ix, 0.0, w - 1.0)
     iyc = np.clip(iy, 0.0, h - 1.0)
+    fx, fy = np.floor(ixc), np.floor(iyc)
     # floor(NaN) casts to a huge negative index: clip again so coordinates
     # from a diverged offset net stay indexable and reach the finite checks
-    x0 = np.clip(np.floor(ixc).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(iyc).astype(np.int64), 0, h - 1)
+    x0 = np.clip(fx.astype(np.int64), 0, w - 1)
+    y0 = np.clip(fy.astype(np.int64), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    tx = (ixc - x0)[..., None]
-    ty = (iyc - y0)[..., None]
+    # the weights take the floor in the coordinates' dtype, not the indices'
+    tx = (ixc - fx)[..., None]
+    ty = (iyc - fy)[..., None]
 
     bidx = np.arange(bsz)[:, None].repeat(q, axis=1)
     v00 = x.data[bidx, y0, x0]
@@ -861,15 +888,16 @@ def finite_diff_check(
 ) -> GradCheckReport:
     """Compare the autodiff gradient of scalar-valued ``f`` to central differences.
 
-    Probes a float64 copy of ``x`` through ``finite_diff_check_params``:
-    every coordinate when ``x`` has at most ``max_coords``, otherwise a
-    random subset of ``max_coords``. Relative error per coordinate is
-    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+    Probes a float64 copy of ``x`` through ``finite_diff_check_params``, in
+    ``float64_scope``: every coordinate when ``x`` has at most
+    ``max_coords``, otherwise a random subset of ``max_coords``. Relative
+    error per coordinate is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
     """
     if not 0.0 < eps <= 1e-3:
         raise ValueError(f"finite_diff_check: eps {eps} outside (0, 1e-3]")
-    xt = Tensor(x.data.astype(np.float64).copy(), requires_grad=True)
-    return finite_diff_check_params(lambda: f(xt), [xt], max_coords, eps, tol)
+    with float64_scope():
+        xt = Tensor(x.data.copy(), requires_grad=True)
+        return finite_diff_check_params(lambda: f(xt), [xt], max_coords, eps, tol)
 
 
 def finite_diff_check_params(
@@ -883,14 +911,31 @@ def finite_diff_check_params(
     """Spot-check gradients: perturb sampled scalars of ``params`` in place.
 
     ``params`` are the tensors ``loss_fn`` reads, such as a model's registry
-    values. ``n_coords`` scalars are drawn without replacement over all of
-    them (every scalar when there are fewer), and each is reported as
-    (tensor index, flat index). The loss closure is re-evaluated under
-    no_grad for the +/- eps probes.
+    values. The check runs in ``float64_scope``; a tensor of another dtype
+    is probed through a float64 copy of its values and gets its own array
+    back afterwards, with the gradient cast to its dtype. ``n_coords``
+    scalars are drawn without replacement over all of them (every scalar
+    when there are fewer), and each is reported as (tensor index, flat
+    index). The loss closure is re-evaluated under no_grad for the +/- eps
+    probes.
     """
     tensors = list(params)
-    for t in tensors:
-        t.grad = None
+    kept = [t.data for t in tensors]
+    with float64_scope():
+        try:
+            for t in tensors:
+                t.data = np.asarray(t.data, dtype=compute_dtype())
+                t.grad = None
+            return _probe(loss_fn, tensors, n_coords, eps, tol, seed)
+        finally:
+            for t, data in zip(tensors, kept):
+                if t.data is not data:
+                    t.data = data
+                    if t.grad is not None:
+                        t.grad = t.grad.astype(data.dtype)
+
+
+def _probe(loss_fn, tensors, n_coords, eps, tol, seed) -> GradCheckReport:
     backward(loss_fn())
 
     bounds = np.cumsum([t.size for t in tensors])

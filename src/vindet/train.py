@@ -98,7 +98,9 @@ def _train_step(model: InpaintingDetector, dataset, batch: np.ndarray,
             f, mask = _dihedral(f, mask, int(rng.integers(0, 8)))
         frames.append(f)
         masks.append(mask)
-    loss = total_loss(model(np.stack(frames)), Tensor(np.stack(masks)), cfg.loss)
+    dtype = T.compute_dtype()
+    loss = total_loss(model(np.stack(frames, dtype=dtype)), Tensor(np.stack(masks, dtype=dtype)),
+                      cfg.loss)
     value = loss.item()
     if not math.isfinite(value):
         raise NumericalError(f"non-finite loss at iteration {it}")
@@ -137,34 +139,42 @@ def save_checkpoint(path, model: InpaintingDetector,
 
 def load_checkpoint(path, model: InpaintingDetector):
     """Load parameters into ``model``; return (momentum buffers, iteration).
-    A missing parameter, or a parameter or momentum buffer whose name or
-    shape does not match the model or that holds a non-finite value, or an
-    iteration that is not one whole number >= 0, raises ValueError naming
-    the file and the entry before any parameter is set."""
+    Entries of another dtype are rounded to the parameters' dtype. A missing
+    parameter, or a parameter or momentum buffer whose name or shape does
+    not match the model, that holds a non-finite value or a value beyond
+    the parameters' dtype, or an iteration that is not one whole number
+    >= 0, raises ValueError naming the file and the entry before any
+    parameter is set."""
     blobs = serialize.load_container(path)
     registry = model.registry()
 
-    def check(key, arr, name):
-        if arr.shape != registry[name].data.shape:
+    def cast(key, arr, name):
+        """``arr`` in the dtype of parameter ``name``, once it is checked."""
+        p = registry[name]
+        if arr.shape != p.shape:
             raise ValueError(f"{path}: {key}: shape {arr.shape}, parameter "
-                             f"{name} has {registry[name].data.shape}")
+                             f"{name} has {p.shape}")
         if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise ValueError(f"{path}: {key}: non-finite values")
+        with np.errstate(over="ignore"):
+            out = arr.astype(p.dtype, copy=False)
+        if not (math.isfinite(out.min()) and math.isfinite(out.max())):
+            raise ValueError(f"{path}: {key}: values overflow {p.dtype}")
+        return out
 
     for name in registry:
         key = f"param/{name}"
         if key not in blobs:
             raise ValueError(f"{path}: {key}: missing")
-        check(key, blobs[key], name)
+        blobs[key] = cast(key, blobs[key], name)
     velocities = {}
     for key, arr in blobs.items():
         if key.startswith("opt/momentum/"):
             name = key[len("opt/momentum/"):]
             if name not in registry:
                 raise ValueError(f"{path}: {key}: no such parameter")
-            check(key, arr, name)
             # sgd_step updates momentum in place, in the parameter's dtype
-            velocities[name] = arr.astype(registry[name].data.dtype, copy=False)
+            velocities[name] = cast(key, arr, name)
     it = blobs.get("meta/iter", np.array(0.0)).ravel()
     if it.size != 1 or not np.isfinite(it[0]) or it[0] < 0 or it[0] % 1:
         raise ValueError(f"{path}: meta/iter: not one whole number >= 0")
@@ -184,7 +194,8 @@ def predict_maps(model: InpaintingDetector, clips, batch: int) -> list[np.ndarra
     maps = []
     with T.no_grad():
         for lo in range(0, len(clips), batch):
-            maps.extend(model(np.stack([c.frames for c in clips[lo:lo + batch]])).data)
+            frames = np.stack([c.frames for c in clips[lo:lo + batch]], dtype=T.compute_dtype())
+            maps.extend(model(frames).data)
     return maps
 
 

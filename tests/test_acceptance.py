@@ -143,6 +143,7 @@ def test_criterion_4_dwti_degeneracy_and_locality():
             f"zero-offset diff {deg_err:.2e} (tol 1e-6), locality leak {local_err:.2e}")
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_5_swin_identity_and_masking():
     x = np.random.default_rng(50).normal(size=(2, 8, 8, 8))
     worst = 0.0
@@ -157,7 +158,7 @@ def test_criterion_5_swin_identity_and_masking():
     block = SwinBlock(8, 2, 4, True, np.random.default_rng(52))
     block(Tensor(x), keep_attn=True)
     attn = block.attn.last_attn
-    allowed = _shift_mask(8, 4, 2, 8) == 0.0
+    allowed = _shift_mask(8, 4, 2, 8, T.compute_dtype()) == 0.0
     leak = 0.0
     for k in range(attn.shape[0]):
         region = allowed[k % allowed.shape[0]]
@@ -168,6 +169,7 @@ def test_criterion_5_swin_identity_and_masking():
             f"neutral-block diff {worst:.2e} (tol 1e-12), cross-region mass {leak:.2e}")
 
 
+@pytest.mark.usefixtures("float64")
 def test_criterion_6_loss_identities():
     gt = np.zeros((8, 8))
     gt[2:5, 2:5] = 1.0

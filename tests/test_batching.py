@@ -84,6 +84,7 @@ class TestLayersMatchPerClip:
                  Tensor(rng.normal(size=(B, 1, 8, 8, 6)))]
         _assert_matches(lambda *vs: tff(list(vs)), *views)
 
+    @pytest.mark.usefixtures("float64")
     def test_pyramid_decoder(self):
         cfg = ExperimentConfig()
         dec = PyramidDecoder(cfg, np.random.default_rng(10))
@@ -104,6 +105,7 @@ class TestLayersMatchPerClip:
 
         _assert_matches(run, *views, *pyramid, f_high)
 
+    @pytest.mark.usefixtures("float64")
     def test_full_model(self):
         cfg = ExperimentConfig()
         model = InpaintingDetector(cfg)
@@ -143,6 +145,7 @@ class TestSampleIndependence:
 
 
 class TestTrainStep:
+    @pytest.mark.usefixtures("float64")
     def test_batched_step_gradients_are_mean_of_per_clip(self):
         cfg = ExperimentConfig()
         cfg.train.augment = True
@@ -205,6 +208,7 @@ def _gradcheck_cases():
     }
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("name", sorted(_gradcheck_cases()))
 def test_batched_primitive_gradients(name):
     f, x = _gradcheck_cases()[name]

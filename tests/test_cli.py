@@ -167,14 +167,34 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "param/decoder.head_conv.w: non-finite" in err
 
+    def test_checkpoint_beyond_float32_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        # a float64 checkpoint entry that is finite but overflows float32
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.serialize import load_container, save_container
+        from vindet.train import save_checkpoint
+
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        blobs = load_container(str(ckpt))
+        entry = "param/branches.0.merges.0.ln.b"
+        blobs[entry] = np.full(blobs[entry].shape, 1e39)
+        save_container(str(ckpt), blobs)
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ckpt}: {entry}: values overflow float32\n"
+        assert "summary" not in captured.out
+
     def test_overflowing_forward_exit_code(self, tmp_path, tiny_cfg_file, capsys):
-        # a finite checkpoint value whose square overflows in the layer norm
+        # a value finite in float32 whose square overflows in the layer norm
         from vindet.config import load_config
         from vindet.model import InpaintingDetector
         from vindet.train import save_checkpoint
 
         model = InpaintingDetector(load_config(tiny_cfg_file))
-        model.registry()["branches.0.merges.0.ln.b"].data[...] = 1e300
+        model.registry()["branches.0.merges.0.ln.b"].data[...] = 1e30
         ckpt = tmp_path / "ck.mpci"
         save_checkpoint(str(ckpt), model, {}, 0)
         assert main(["gen-data", "--n", "1", "--seed", "0", "--out",

@@ -3,11 +3,11 @@ builds a model that runs.
 
 Configs are drawn from each field's rule and the cross-field rules, kept
 small (sides 16-48, 1-3 views, 1-2 stages, depth 0-1, narrow widths), with
-every ablation flag drawn. On each, the batched no-grad maps equal the
-per-clip ones, lie in [0, 1], and a training step on jittered parameters
-leaves finite gradients and the mean of the per-clip losses. A checkpoint
-round trip is byte-identical, and the analytic parameter count equals the
-registry.
+every ablation flag drawn. On each, with jittered parameters, the no-grad
+maps lie in [0, 1] and a training step leaves finite gradients; in float64,
+the batched maps equal the per-clip ones and the step's loss the mean of the
+per-clip losses. A checkpoint round trip is byte-identical, and the
+analytic parameter count equals the registry.
 """
 
 import math
@@ -82,33 +82,15 @@ def test_every_valid_config_runs(scratch, cfg):
     b = cfg.train.batch
     ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
           for i, sc in enumerate(generate_dataset(b, cfg.seed, cfg))]
-    model = InpaintingDetector(cfg)
-    registry = model.registry()
-    # the zero-initialised layers would keep every map at 0.5
-    rng = np.random.default_rng(cfg.seed)
-    for p in registry.values():
-        p.data[...] += rng.normal(0.0, 0.05, size=p.shape)
-
     frames = np.stack([clip.frames for _, clip, _ in ds])
+    model = _jittered(cfg)
+    registry = model.registry()
     with T.no_grad():
         maps = model(frames).data
-        per_clip = np.stack([model(f).data for f in frames])
     assert maps.shape == (b, cfg.geometry.height, cfg.geometry.width)
-    assert np.max(np.abs(maps - per_clip)) <= 1e-12
     assert np.all(np.isfinite(maps)) and maps.min() >= 0.0 and maps.max() <= 1.0
-
-    # the per-clip losses of the clips the step draws, augmented alike
-    draw = np.random.default_rng(1)
-    losses = []
-    with T.no_grad():
-        for _, clip, mask in ds:
-            f, m = clip.frames, mask
-            if cfg.train.augment:
-                f, m = _dihedral(f, m, int(draw.integers(0, 8)))
-            losses.append(total_loss(model(f), Tensor(m), cfg.loss).item())
     nn.zero_grads(registry.values())
-    value = _train_step(model, ds, np.arange(b), np.random.default_rng(1), cfg, 0)
-    assert abs(value - np.mean(losses)) <= 1e-12
+    _train_step(model, ds, np.arange(b), np.random.default_rng(1), cfg, 0)
     assert all(np.all(np.isfinite(p.grad)) for p in registry.values())
 
     first, again = os.path.join(scratch, "first.mpci"), os.path.join(scratch, "again.mpci")
@@ -120,3 +102,32 @@ def test_every_valid_config_runs(scratch, cfg):
         assert a.read() == c.read()
 
     assert count_params_flops(cfg)["params"] == sum(p.size for p in registry.values())
+
+    with T.float64_scope():
+        model = _jittered(cfg)
+        with T.no_grad():
+            maps = model(frames).data
+            per_clip = np.stack([model(f).data for f in frames])
+        assert np.max(np.abs(maps - per_clip)) <= 1e-12
+
+        # the per-clip losses of the clips the step draws, augmented alike
+        draw = np.random.default_rng(1)
+        losses = []
+        with T.no_grad():
+            for _, clip, mask in ds:
+                f, m = clip.frames, mask
+                if cfg.train.augment:
+                    f, m = _dihedral(f, m, int(draw.integers(0, 8)))
+                losses.append(total_loss(model(f), Tensor(m), cfg.loss).item())
+        value = _train_step(model, ds, np.arange(b), np.random.default_rng(1), cfg, 0)
+        assert abs(value - np.mean(losses)) <= 1e-12
+
+
+def _jittered(cfg):
+    """A model of ``cfg`` in the compute dtype, every parameter moved by
+    N(0, 0.05): the zero-initialised layers would keep every map at 0.5."""
+    model = InpaintingDetector(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for p in model.registry().values():
+        p.data[...] += rng.normal(0.0, 0.05, size=p.shape)
+    return model

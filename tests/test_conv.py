@@ -76,6 +76,7 @@ CASES = {
 }
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_conv_matches_im2col_reference(name, batch):

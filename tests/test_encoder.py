@@ -20,7 +20,7 @@ from vindet.model import InpaintingDetector
 from vindet.tensor import Tensor, backward, finite_diff_check
 
 
-def _swin_reference_mask(s_pad, m, shift, s_real):
+def _swin_reference_mask(s_pad, m, shift, s_real, dtype):
     """The shift mask as the Swin reference code builds it, for grids that
     need no padding: region labels are laid out on the already shifted grid,
     cut at -m and -shift on each axis, and partitioned like the data."""
@@ -32,7 +32,7 @@ def _swin_reference_mask(s_pad, m, shift, s_real):
     for rid, (hs, ws) in enumerate((hs, ws) for hs in bounds for ws in bounds):
         region[hs, ws] = rid
     win = region.reshape(-1)[encoder._window_index(s_real, m, 0)[0]].reshape(-1, m * m)
-    return np.where(win[:, :, None] != win[:, None, :], encoder.MASK_NEG, 0.0)
+    return np.where(win[:, :, None] != win[:, None, :], encoder.MASK_NEG, 0.0).astype(dtype)
 
 
 def _zero_residuals(block: SwinBlock):
@@ -50,13 +50,13 @@ class TestWindows:
         assert windows.shape == (4, 16, 4)
 
     def test_roundtrip_bitwise(self):
-        x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
+        x = np.random.default_rng(1).normal(size=(2, 8, 8, 3)).astype(T.compute_dtype())
         windows, meta = window_partition(Tensor(x), 4)
         back = window_merge(windows, meta)
         assert np.array_equal(back.data, x)
 
     def test_ragged_side_padded_and_stripped(self):
-        x = np.random.default_rng(2).normal(size=(1, 6, 6, 2))
+        x = np.random.default_rng(2).normal(size=(1, 6, 6, 2)).astype(T.compute_dtype())
         windows, meta = window_partition(Tensor(x), 4)
         assert windows.shape[0] == 4  # padded to 8 -> 2x2 windows
         back = window_merge(windows, meta)
@@ -65,6 +65,7 @@ class TestWindows:
 
 
 class TestSwinBlock:
+    @pytest.mark.usefixtures("float64")
     def test_zeroed_projections_make_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 8, 8, 8))
@@ -74,6 +75,7 @@ class TestSwinBlock:
             out = block(Tensor(x))
             assert np.max(np.abs(out.data - x)) <= 1e-12
 
+    @pytest.mark.usefixtures("float64")
     def test_single_token_window_attention_returns_value(self):
         # softmax over one key is 1, so attention output is v at that token
         rng = np.random.default_rng(5)
@@ -87,7 +89,7 @@ class TestSwinBlock:
     def test_cyclic_shift_roundtrip(self):
         # the shift lives in the window index: windows of the rolled grid,
         # and merging them back undoes the roll
-        x = np.random.default_rng(6).normal(size=(1, 8, 8, 2))
+        x = np.random.default_rng(6).normal(size=(1, 8, 8, 2)).astype(T.compute_dtype())
         windows, meta = window_partition(Tensor(x), 4, shift=2)
         rolled, _ = window_partition(Tensor(np.roll(x, (-2, -2), axis=(1, 2))), 4)
         assert np.array_equal(windows.data, rolled.data)
@@ -101,7 +103,7 @@ class TestSwinBlock:
         block(x, keep_attn=True)
         attn = block.attn.last_attn  # (windows, heads, 16, 16)
         from vindet.encoder import _shift_mask
-        mask = _shift_mask(8, 4, 2, 8)
+        mask = _shift_mask(8, 4, 2, 8, T.compute_dtype())
         allowed = mask == 0.0
         for k in range(attn.shape[0]):
             for h in range(attn.shape[1]):
@@ -128,14 +130,15 @@ class TestSwinBlock:
         both_pad = pad[:, :, None] & pad[:, None, :]
         both_real = ~pad[:, :, None] & ~pad[:, None, :]
         expected = both_pad | (both_real & same)
-        assert np.array_equal(encoder._shift_mask(meta[2], m, shift, s) == 0.0, expected)
+        assert np.array_equal(
+            encoder._shift_mask(meta[2], m, shift, s, T.compute_dtype()) == 0.0, expected)
 
     def test_unpadded_grids_keep_their_masks(self, monkeypatch):
         # the desk, wide and paper grids never pad, so their masks and the
         # desk forward are those of the Swin reference construction
         for s, m in [(8, 4), (16, 4), (56, 7), (28, 7), (14, 7)]:
-            assert np.array_equal(encoder._shift_mask(s, m, m // 2, s),
-                                  _swin_reference_mask(s, m, m // 2, s))
+            assert np.array_equal(encoder._shift_mask(s, m, m // 2, s, T.compute_dtype()),
+                                  _swin_reference_mask(s, m, m // 2, s, T.compute_dtype()))
         model = InpaintingDetector(ExperimentConfig())
         rng = np.random.default_rng(12)
         for p in model.registry().values():
@@ -155,7 +158,7 @@ class TestSwinBlock:
         # window 4, shift 2: the window clear of the seam masks nothing, one
         # cut along the seam masks 2 * 8 * 8 of the 256 query/key pairs, and
         # the corner window cut on both axes masks 256 - 4 * 4 * 4
-        mask = encoder._shift_mask(s, 4, 2, s)
+        mask = encoder._shift_mask(s, 4, 2, s, T.compute_dtype())
         assert (mask != 0.0).sum(axis=(1, 2)).tolist() == counts
 
 
@@ -170,6 +173,7 @@ class TestViewBranch:
         assert s0.shape == (1, 3, 8, 8, 8)
         assert s1.shape == (1, 3, 4, 4, 16)
 
+    @pytest.mark.usefixtures("float64")
     def test_neutralized_stage_is_merged_input(self):
         rng = np.random.default_rng(11)
         plans = [StagePlan(2, 4, 2)]
@@ -226,6 +230,7 @@ class TestGlobalEncoder:
         out = enc(Tensor(np.random.default_rng(22).uniform(0, 1, size=(1, 32, 32, 3))))
         assert out.shape == (1, 4, 4, 32)
 
+    @pytest.mark.usefixtures("float64")
     def test_permutation_equivariance(self):
         # no positional term: swapping two patch contents swaps their outputs
         rng = np.random.default_rng(23)

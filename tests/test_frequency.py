@@ -72,6 +72,7 @@ class TestFrequencyFeatures:
         rng = np.random.default_rng(seed)
         return rng.uniform(0, 1, size=(t, h, w, c))
 
+    @pytest.mark.usefixtures("float64")
     def test_band_sum_reconstructs_frame(self):
         for seed in range(10):
             frames = self._clip(seed)

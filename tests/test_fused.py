@@ -85,7 +85,7 @@ def ref_swin_block(self, x, keep_attn=False):
     shift = m // 2 if self.shifted and s > m else 0
     y = _roll(_roll(self.ln1(x), -shift, 1), -shift, 2)
     windows, meta = _partition(y, m)
-    mask = encoder._shift_mask(meta[2], m, shift, s)
+    mask = encoder._shift_mask(meta[2], m, shift, s, T.compute_dtype())
     y = _roll(_roll(_merge(self.attn(windows, mask), meta), shift, 1), shift, 2)
     x = x + y
     return x + self.mlp(self.ln2(x))
@@ -98,7 +98,7 @@ def ref_cross_attention(self, small, large):
     n = wins_small.shape[0]
     q = self.wq(wins_large)
     offsets = self.theta(q) * (self.max_offset * 2.0 / m)
-    points = Tensor(interaction._cell_center_grid(m)[None]) + offsets
+    points = Tensor(interaction._cell_center_grid(m, T.compute_dtype())[None]) + offsets
     sampled = T.grid_sample_bilinear(wins_small.reshape(n, m, m, self.c), points)
     k, v = self.wk(sampled), self.wv(sampled)
     scores = T.matmul(q, T.permute(k, (0, 2, 1))) * self.scale
@@ -155,6 +155,7 @@ def test_fused_model_matches_unfused_reference_bitwise(side):
     assert all(np.any(g) for g in want_grads.values())
 
 
+@pytest.mark.usefixtures("float64")
 def test_kept_attention_weights_match_numpy_reference():
     block = encoder.SwinBlock(8, 2, 4, True, np.random.default_rng(1))
     x = Tensor(np.random.default_rng(2).normal(size=(2, 8, 8, 8)))
@@ -167,7 +168,8 @@ def test_kept_attention_weights_match_numpy_reference():
                        wk.data.reshape(n, q, 2, 4).transpose(0, 2, 3, 1)) * block.attn.scale
     table = block.attn.bias_table.data[encoder._relative_index(4)]
     scores = scores + table.reshape(q, q, 2).transpose(2, 0, 1)
-    scores = scores + np.tile(encoder._shift_mask(8, 4, 2, 8), (2, 1, 1))[:, None]
+    scores = scores + np.tile(encoder._shift_mask(8, 4, 2, 8, T.compute_dtype()),
+                              (2, 1, 1))[:, None]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     np.testing.assert_allclose(fused, e / e.sum(axis=-1, keepdims=True), atol=1e-14)
 

@@ -52,7 +52,7 @@ def _plain_window_cross_attention(small, large, attn):
 
 class TestReferenceGrid:
     def test_cell_centers(self):
-        g = _cell_center_grid(4)
+        g = _cell_center_grid(4, T.compute_dtype())
         assert g.shape == (16, 2)
         np.testing.assert_allclose(g[0], [-0.75, -0.75])
         np.testing.assert_allclose(g[-1], [0.75, 0.75])
@@ -69,6 +69,7 @@ class TestDeformableAttention:
         want = _plain_window_cross_attention(small, large, attn)
         assert np.max(np.abs(got - want)) <= 1e-6
 
+    @pytest.mark.usefixtures("float64")
     def test_single_cell_window_returns_sampled_value(self):
         rng = np.random.default_rng(2)
         attn = DeformableWindowCrossAttention(4, 1, 0.4, np.random.default_rng(3))
@@ -79,6 +80,7 @@ class TestDeformableAttention:
         want = small @ attn.wv.w.data + attn.wv.b.data
         np.testing.assert_allclose(got, want, atol=1e-10)
 
+    @pytest.mark.usefixtures("float64")
     def test_constant_small_view_ignores_offsets(self):
         rng = np.random.default_rng(4)
         attn = DeformableWindowCrossAttention(5, 4, 1.0, np.random.default_rng(5))

@@ -41,7 +41,7 @@ class TestForward:
         # gradient buffer allocated at construction
         for p in InpaintingDetector(ExperimentConfig()).registry().values():
             assert isinstance(p, Tensor) and T.as_tensor(p) is p
-            assert p.requires_grad and p.dtype == np.float64
+            assert p.requires_grad and p.dtype == np.float32
             assert p.grad is not None and p.grad.shape == p.shape and not p.grad.any()
             assert not hasattr(p, "__dict__")
 

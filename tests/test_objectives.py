@@ -46,6 +46,7 @@ class TestMiouLoss:
         with pytest.raises(ShapeError):
             miou_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 3))))
 
+    @pytest.mark.usefixtures("float64")
     def test_matches_one_minus_metric_on_binary(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -56,6 +57,7 @@ class TestMiouLoss:
 
 
 class TestFocalLoss:
+    @pytest.mark.usefixtures("float64")
     def test_gamma_zero_is_half_bce(self):
         rng = np.random.default_rng(1)
         m = rng.uniform(0.05, 0.95, size=(8, 8))
@@ -66,6 +68,7 @@ class TestFocalLoss:
         bce = -np.mean(gt * np.log(m + eps) + (1 - gt) * np.log(1 - m + eps))
         assert got == pytest.approx(0.5 * bce, abs=1e-10)
 
+    @pytest.mark.usefixtures("float64")
     def test_single_pixel_frozen_value(self):
         # independent evaluation: alpha*(1-m)^gamma * (-log(m+eps))
         # = 0.25 * 0.25 * -log(0.5 + 1e-7) = 0.043321682...
@@ -81,6 +84,7 @@ class TestFocalLoss:
         loss = focal_loss(Tensor(gt.copy()), Tensor(gt), CFG).item()
         assert abs(loss) <= 1e-6
 
+    @pytest.mark.usefixtures("float64")
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariant(self, seed):
@@ -111,6 +115,7 @@ class TestTotalLoss:
         rep = finite_diff_check(lambda m: total_loss(m, gt, CFG), x0, eps=1e-6, tol=1e-6)
         assert rep.passed, rep
 
+    @pytest.mark.usefixtures("float64")
     def test_batch_is_mean_of_per_map_losses(self):
         # a (3,H,W) batch whose middle map has all-zero prediction and truth,
         # against one call per map averaged as a chain

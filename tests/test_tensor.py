@@ -81,14 +81,14 @@ class TestBackwardBasics:
 class TestShapeOps:
     def test_concat_split_roundtrip(self):
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 5))
+        a = rng.normal(size=(3, 5)).astype(T.compute_dtype())
         parts = [T.slice_axis(t(a), 1, 0, 2), T.slice_axis(t(a), 1, 2, 5)]
         back = T.concat(parts, axis=1)
         np.testing.assert_array_equal(back.data, a)
 
     def test_permute_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
-        a = rng.normal(size=(2, 3, 4))
+        a = rng.normal(size=(2, 3, 4)).astype(T.compute_dtype())
         p = T.permute(t(a), (2, 0, 1))
         q = T.permute(p, (1, 2, 0))
         np.testing.assert_array_equal(q.data, a)
@@ -248,6 +248,7 @@ def _fd_cases():
 FD_CASES = _fd_cases()
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("name", sorted(FD_CASES))
 def test_primitive_gradients(name):
     for seed in range(3):
@@ -295,6 +296,49 @@ def test_finite_diff_flags_non_finite():
     assert not rep.passed and rep.non_finite
 
 
+def test_gradient_checks_pin_float64():
+    # called in the default float32 state, every check computes in float64
+    # and hands its caller's tensors and dtype back unchanged
+    from vindet.config import ExperimentConfig
+    from vindet.gradcheck import check_full_model, check_primitive
+    from vindet.nn import Parameter
+
+    assert T.compute_dtype() == np.float32
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.uniform(-1, 1, size=(3, 4)))
+    w = Parameter(rng.normal(size=(4, 5)))
+    data, grad = w.data, w.grad
+    seen = []
+
+    def loss(v, weight):
+        seen.append(v.dtype)
+        return T.reduce_sum(T.gelu(T.linear(v, weight)) ** 2)
+
+    rep = finite_diff_check(lambda v: loss(v, w), x, eps=1e-6, tol=1e-5)
+    assert rep.passed and rep.max_rel_err <= 1e-7 and set(seen) == {np.dtype(np.float64)}
+    rep = T.finite_diff_check_params(lambda: loss(x, w), [w], eps=1e-6, tol=1e-5)
+    assert rep.passed and rep.max_rel_err <= 1e-7
+    assert w.data is data and w.grad.dtype == np.float32 and grad.dtype == np.float32
+    assert x.dtype == np.float32
+
+    cfg = ExperimentConfig()
+    cfg.geometry.height = cfg.geometry.width = 16
+    cfg.geometry.views = (1, 2)
+    cfg.encoder.dims = cfg.decoder.channels = (8, 8)
+    cfg.encoder.depths = (1, 1)
+    cfg.encoder.window = cfg.dwti.window = 2
+    cfg.glob.patch = cfg.glob.dim = 8
+    cfg.validate()
+    outside = [check_primitive(name, seeds=1) for name in ("gelu", "conv2d", "attention")]
+    outside.append(check_full_model(cfg, seed=2))
+    with T.float64_scope():
+        inside = [check_primitive(name, seeds=1) for name in ("gelu", "conv2d", "attention")]
+        inside.append(check_full_model(cfg, seed=2))
+    assert T.compute_dtype() == np.float32
+    assert all(a.passed for a in outside)
+    assert [a.max_rel_err for a in outside] == [b.max_rel_err for b in inside]
+
+
 def _per_token_layer_norm(x, g, b, gout, eps=T.NORM_EPS):
     """The per-token kernel ``layer_norm`` ran before it shared ``group_norm``'s:
     the output and the gradients of x, g and b for the upstream gradient ``gout``."""
@@ -311,6 +355,7 @@ def _per_token_layer_norm(x, g, b, gout, eps=T.NORM_EPS):
             np.sum(gout * y, axis=lead), np.sum(gout, axis=lead))
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape", [(4, 6), (2, 9, 16), (3, 2, 5, 24)])
 def test_layer_norm_matches_per_token_kernel(shape):
     rng = np.random.default_rng(11)
@@ -343,6 +388,7 @@ def _unfused_normalize(x, g, b, gout, stats_shape, eps=T.NORM_EPS):
             np.sum(gout * y, axis=lead), np.sum(gout, axis=lead))
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape,groups", [((4, 6), 3), ((2, 9, 16), 4), ((3, 2, 5, 24), 6)])
 def test_group_norm_matches_unfused_kernel(shape, groups):
     rng = np.random.default_rng(12)
@@ -368,6 +414,7 @@ def _unfused_gelu(x, gout):
     return 0.5 * x * (1.0 + th), gout * d
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("shape", [(4, 6), (2, 9, 16), (3, 2, 5, 24)])
 def test_gelu_matches_unfused_kernel(shape):
     rng = np.random.default_rng(13)

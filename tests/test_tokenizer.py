@@ -68,6 +68,7 @@ class TestTokenizeView:
             grid = emb(Tensor(clip.frames[None]))
             assert grid.shape[1] == expect
 
+    @pytest.mark.usefixtures("float64")
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
         emb = TubeletEmbed(2, 4, 3, 8, rng)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vindet import nn
+from vindet import tensor as T
 from vindet import train as train_mod
 from vindet.config import ExperimentConfig
 from vindet.data import generate_dataset
@@ -104,10 +105,11 @@ def _sgd_step_before(registry, lr_of, weight_decay, momentum, velocities):
 @pytest.mark.parametrize("initial_velocities", [False, True])
 def test_sgd_step_matches_copying_update(initial_velocities):
     rng = np.random.default_rng(21)
+    draw = lambda s: rng.normal(size=s).astype(T.compute_dtype())
     shapes = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3, 5)}
-    start = {n: rng.normal(size=s) for n, s in shapes.items()}
-    vel0 = {n: rng.normal(size=s) for n, s in shapes.items()} if initial_velocities else {}
-    grads = [{n: rng.normal(size=s) for n, s in shapes.items()} for _ in range(3)]
+    start = {n: draw(s) for n, s in shapes.items()}
+    vel0 = {n: draw(s) for n, s in shapes.items()} if initial_velocities else {}
+    grads = [{n: draw(s) for n, s in shapes.items()} for _ in range(3)]
     lrs = {"a.w": 0.03, "a.b": 0.01, "b.w": 0.007}
     sides = []
     for step in (sgd_step, _sgd_step_before):
@@ -215,7 +217,55 @@ class TestCheckpoint:
         save_checkpoint(path, model, {n: np.full(p.data.shape, 0.25, dtype=np.float32)
                                       for n, p in model.registry().items()}, 2)
         vel, _ = load_checkpoint(path, model)
-        assert all(v.dtype == np.float64 and (v == 0.25).all() for v in vel.values())
+        assert all(v.dtype == np.float32 and (v == 0.25).all() for v in vel.values())
+
+    def test_float64_checkpoint_loads_rounded(self, tmp_path):
+        # a checkpoint written when parameters were float64, every parameter
+        # jittered so that the head and the DWTI offsets are live
+        from vindet.serialize import load_container
+
+        cfg = _tiny_cfg()
+        frames = np.stack([c.clip.frames for c in generate_dataset(2, 1, cfg)])
+        path = str(tmp_path / "ck.mpci")
+        rng = np.random.default_rng(9)
+        with T.float64_scope():
+            old = InpaintingDetector(cfg)
+            for p in old.registry().values():
+                p.data[...] += rng.normal(0.0, 0.05, size=p.shape)
+            vel = {n: np.full(p.shape, 0.5) for n, p in old.registry().items()}
+            save_checkpoint(path, old, vel, 4)
+            with T.no_grad():
+                want = old(frames).data
+        assert load_container(path)["param/decoder.head_out.w"].dtype == np.float64
+        model = InpaintingDetector(cfg, seed=1)
+        vel, it = load_checkpoint(path, model)
+        assert it == 4 and all(v.dtype == np.float32 for v in vel.values())
+        for name, p in model.registry().items():
+            assert p.dtype == np.float32
+            assert np.array_equal(p.data, old.registry()[name].data.astype(np.float32))
+        with T.no_grad():
+            got = model(frames).data
+        assert np.ptp(want) > 1e-2
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    def test_entry_beyond_float32_rejected(self, tmp_path):
+        # finite in the file, infinite once rounded to the parameter dtype
+        from vindet.serialize import load_container, save_container
+
+        cfg = _tiny_cfg()
+        path = str(tmp_path / "ck.mpci")
+        save_checkpoint(path, InpaintingDetector(cfg), {}, 0)
+        blobs = load_container(path)
+        entry = "param/decoder.head_conv.w"
+        blobs[entry] = blobs[entry].astype(np.float64)
+        blobs[entry].reshape(-1)[3] = -1e39
+        save_container(path, blobs)
+        model = InpaintingDetector(cfg)
+        before = {n: p.data.copy() for n, p in model.registry().items()}
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {entry}: values overflow float32")):
+            load_checkpoint(path, model)
+        for n, p in model.registry().items():
+            np.testing.assert_array_equal(p.data, before[n])
 
     def test_shape_mismatch_rejected(self, tmp_path):
         cfg = _tiny_cfg()
@@ -335,6 +385,75 @@ def test_train_step_never_writes_an_op_output_gradient(monkeypatch):
     got = step_grads()
     assert len(guarded) > 500
     assert all(np.array_equal(got[n], want[n]) for n in want)
+
+
+def test_no_float64_reaches_the_hot_path(monkeypatch):
+    # a desk B=4 step, its SGD update and a B=4 no-grad forward compute in
+    # float32 throughout: Tensor is handed no float64 array but the input
+    # frames the forward casts, attention no float64 mask, and no backward
+    # rule hands on a float64 gradient; every tape output, parameter,
+    # gradient and momentum buffer is float32
+    cfg = ExperimentConfig()
+    ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
+          for i, sc in enumerate(generate_dataset(cfg.train.batch, cfg.seed, cfg))]
+    frames = np.stack([clip.frames for _, clip, _ in ds])
+    model = InpaintingDetector(cfg)
+    registry = model.registry()
+    rng = np.random.default_rng(3)
+    for p in registry.values():  # carry signal past the zero-initialised head
+        p.data[...] += rng.normal(0.0, 0.05, size=p.data.shape)
+
+    upcasts = []
+    init, accumulate, attention = Tensor.__init__, Tensor.accumulate_grad, T.attention
+
+    def watched_init(self, data, requires_grad=False):
+        if getattr(data, "dtype", None) == np.float64 and data is not frames:
+            upcasts.append(("Tensor", np.shape(data)))
+        init(self, data, requires_grad)
+
+    def watched_accumulate(self, g):
+        if g.dtype != np.float32:
+            upcasts.append(("gradient", g.shape, g.dtype))
+        accumulate(self, g)
+
+    def watched_attention(q, k, v, heads, scale, table=None, index=None, mask=None):
+        if mask is not None and mask.dtype != np.float32:  # added in place to the scores
+            upcasts.append(("mask", mask.shape, mask.dtype))
+        return attention(q, k, v, heads, scale, table, index, mask)
+
+    losses = []
+
+    def kept_backward(loss):
+        losses.append(loss)
+        T.backward(loss)
+
+    monkeypatch.setattr(Tensor, "__init__", watched_init)
+    monkeypatch.setattr(Tensor, "accumulate_grad", watched_accumulate)
+    monkeypatch.setattr(T, "attention", watched_attention)
+    monkeypatch.setattr(train_mod, "backward", kept_backward)
+    train_mod._train_step(model, ds, np.arange(cfg.train.batch),
+                          np.random.default_rng(0), cfg, 0)
+    velocities = {}
+    for _ in range(2):  # the first step creates the momentum buffers
+        sgd_step(registry, lambda name: 0.01, 1e-4, 0.9, velocities)
+    with T.no_grad():
+        maps = model(frames)
+    assert not upcasts, upcasts[:10]
+
+    tape, seen, stack = [losses[0]], set(), [losses[0]._entry]
+    while stack:
+        e = stack.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        tape.extend(e.inputs)
+        stack.extend(t._entry for t in e.inputs)
+    assert len(seen) > 500
+    arrays = [t.data for t in tape] + [t.grad for t in tape if t.grad is not None]
+    arrays += [p.data for p in registry.values()] + [p.grad for p in registry.values()]
+    arrays += list(velocities.values()) + [maps.data]
+    assert len(velocities) == len(registry)
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
 def test_zero_grads_zeroes_each_buffer_in_place():
