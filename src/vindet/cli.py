@@ -75,6 +75,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import check_full_model, run_primitive_suite
 
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     failed = False
     reports = run_primitive_suite(seeds=args.seeds)
     for name, rep in reports.items():
@@ -102,17 +104,19 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_freq_dump(args) -> int:
-    from .frequency import frequency_features
+    from .frequency import frequency_features, middle_frame_index
     from .tokenizer import load_clip, write_pgm
 
     cfg = _load_cfg(args.config)
     clip, _ = load_clip(args.clip)
-    ff = frequency_features(clip.frames, [clip.h // 2], (cfg.freq.low, cfg.freq.high))
+    frame = clip.frames[middle_frame_index(clip.t)]
+    # the frame's own side: the full-resolution bands, pooled nothing
+    [bands] = frequency_features(frame[None], [clip.h], (cfg.freq.low, cfg.freq.high))
     os.makedirs(args.out, exist_ok=True)
     c = clip.c
     for bi, band in enumerate(("low", "mid", "high")):
         for ch in range(c):
-            img = ff.full[:, :, bi * c + ch]
+            img = bands[0, :, :, bi * c + ch]
             lo, hi = img.min(), img.max()
             norm = (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
             write_pgm(os.path.join(args.out, f"band_{band}_c{ch}.pgm"), norm)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .frequency import dct_basis, middle_frame_index
+from .frequency import dct2, idct2, middle_frame_index
 from .tokenizer import VideoClip, load_clip, save_clip
 
 
@@ -219,17 +219,16 @@ def jpeg_quant_table(quality: int) -> np.ndarray:
 
 def perturb_jpeg(clip: VideoClip, quality: int) -> VideoClip:
     """Blockwise DCT quantization round-trip on every frame and channel: the
-    edge-padded planes are cut into 8x8 blocks, and all blocks go through the
-    8-point DCT basis at once."""
+    edge-padded planes are cut into 8x8 blocks, and one ``dct2`` and one
+    ``idct2`` call transform all blocks at once."""
     q = jpeg_quant_table(quality)
-    d = dct_basis(8)
     t, h, w, c = clip.frames.shape
     planes = np.pad(clip.frames.transpose(0, 3, 1, 2) * 255.0 - 128.0,
                     ((0, 0), (0, 0), (0, -h % 8), (0, -w % 8)), mode="edge")
     hb, wb = planes.shape[2] // 8, planes.shape[3] // 8
     blocks = planes.reshape(t, c, hb, 8, wb, 8).transpose(0, 1, 2, 4, 3, 5)
-    coeffs = np.round(d @ blocks @ d.T / q) * q
-    rec = (d.T @ coeffs @ d).transpose(0, 1, 2, 4, 3, 5).reshape(planes.shape)
+    coeffs = np.round(dct2(blocks) / q) * q
+    rec = idct2(coeffs).transpose(0, 1, 2, 4, 3, 5).reshape(planes.shape)
     out = (rec[:, :, :h, :w].transpose(0, 2, 3, 1) + 128.0) / 255.0
     return VideoClip(np.clip(out, 0.0, 1.0))
 

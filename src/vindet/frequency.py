@@ -1,15 +1,17 @@
 """Frequency-assistance features.
 
-The middle frame of a clip is transformed with a full-frame orthonormal 2D
-DCT, split into low/mid/high bands by an exact spectral partition, inverse
-transformed per band, and concatenated along channels. Repeated 2x2 average
-pooling turns that into a pyramid matched to the decoder stage sides. The
-whole branch carries no learnable state.
+The middle frames of a batch of clips go through one full-frame orthonormal
+2D DCT, which transforms the last two axes of every clip and channel at
+once. The spectrum is split into low/mid/high bands by an exact partition,
+each band is inverse transformed, and the bands are concatenated along
+channels. Repeated 2x2 average pooling, each stage side from the level
+before it, turns that into a pyramid matched to the decoder stage sides.
+The whole branch carries no learnable state. ``data.perturb_jpeg`` runs its
+8x8 blocks through the same ``dct2``/``idct2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,16 +30,16 @@ def dct_basis(n: int) -> np.ndarray:
 
 
 def dct2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal 2D DCT-II of an H x W array."""
-    ch = dct_basis(x.shape[0])
-    cw = dct_basis(x.shape[1])
+    """Orthonormal 2D DCT-II over the last two axes of an (..., H, W) array."""
+    ch = dct_basis(x.shape[-2])
+    cw = dct_basis(x.shape[-1])
     return ch @ x @ cw.T
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dct2` (orthonormal DCT-III)."""
-    ch = dct_basis(coeffs.shape[0])
-    cw = dct_basis(coeffs.shape[1])
+    """Inverse of :func:`dct2` (orthonormal DCT-III), over the last two axes."""
+    ch = dct_basis(coeffs.shape[-2])
+    cw = dct_basis(coeffs.shape[-1])
     return ch.T @ coeffs @ cw
 
 
@@ -67,42 +69,31 @@ def middle_frame_index(t: int) -> int:
     return (t - 1) // 2
 
 
-@dataclass
-class FrequencyFeatures:
-    """Band-pass features of the middle frame plus their pooled pyramid."""
-
-    full: np.ndarray             # H x W x 3C
-    pyramid: list[np.ndarray]    # stage l entry matches decoder side at l
-
-
 def frequency_features(frames: np.ndarray, stage_sides: list[int],
-                       thresholds=(1 / 3, 2 / 3)) -> FrequencyFeatures:
-    """Build the band-pass feature stack for a clip's middle frame.
+                       thresholds=(1 / 3, 2 / 3)) -> list[np.ndarray]:
+    """Band-pass feature pyramid of a batch of middle frames.
 
-    ``frames`` is (T,H,W,C); every channel is transformed once, masked per
-    band, inverse transformed, and the three band images are concatenated
-    along channels giving H x W x 3C. The transforms run in float64 and the
-    stack is cast once to the compute dtype, in which average pooling halves
-    the side repeatedly until each requested stage side is met.
+    ``frames`` is (B,H,W,C). One DCT covers every clip and channel; each band
+    mask is applied and inverse transformed, and the three band images are
+    concatenated along channels, low to high, giving (B,H,W,3C). The
+    transforms run in float64 and the stack is cast once to the compute
+    dtype. Returns one (B,s,s,3C) array per entry of ``stage_sides``, each
+    halved by 2x2 average pooling from the one before it; the frame's own
+    side pools nothing.
     """
-    t, h, w, c = frames.shape
-    frame = frames[middle_frame_index(t)]
-    coeffs = [dct2(frame[:, :, ch]) for ch in range(c)]
-    full = np.concatenate([np.stack([idct2(k * m) for k in coeffs], axis=-1)
-                           for m in band_masks(h, w, thresholds)], axis=-1,
-                          dtype=compute_dtype())
+    b, h, w, c = frames.shape
+    coeffs = dct2(np.ascontiguousarray(frames.transpose(0, 3, 1, 2), dtype=np.float64))
+    masks = np.stack(band_masks(h, w, thresholds))[:, None]
+    bands = idct2(coeffs[:, None] * masks)  # (B,3,C,H,W)
+    cur = bands.transpose(0, 3, 4, 1, 2).astype(compute_dtype(), order="C")
+    cur = cur.reshape(b, h, w, 3 * c)
 
-    pyramid = []
+    levels = []
     for side in stage_sides:
-        cur = full
-        while cur.shape[0] > side:
-            if cur.shape[0] % 2 or cur.shape[1] % 2:
-                raise ValueError(
-                    f"cannot pool {cur.shape[:2]} down to side {side}: odd intermediate size"
-                )
-            hh, ww, cc = cur.shape
-            cur = cur.reshape(hh // 2, 2, ww // 2, 2, cc).mean(axis=(1, 3))
-        if cur.shape[0] != side:
+        while cur.shape[1] > side and cur.shape[1] % 2 == 0 and cur.shape[2] % 2 == 0:
+            n, hh, ww, cc = cur.shape
+            cur = cur.reshape(n, hh // 2, 2, ww // 2, 2, cc).mean(axis=(2, 4))
+        if cur.shape[1] != side:
             raise ValueError(f"stage side {side} unreachable from {h}x{w} by 2x2 pooling")
-        pyramid.append(cur)
-    return FrequencyFeatures(full, pyramid)
+        levels.append(cur)
+    return levels

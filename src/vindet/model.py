@@ -68,16 +68,14 @@ class InpaintingDetector(nn.Module):
             return self.forward(ft.reshape(1, *ft.shape)).reshape(ft.shape[1:3])
         g = self.cfg.geometry
         stage_views = self.encode(ft)
-        pyramid = None
-        if self.cfg.decoder.use_frequency:
-            # the band features carry no gradient: build them per clip and stack
-            per_clip = [frequency_features(clip, self.cfg.stage_sides(),
-                                           (self.cfg.freq.low, self.cfg.freq.high)).pyramid
-                        for clip in ft.data]
-            pyramid = [np.stack(level) for level in zip(*per_clip)]
         b, t = ft.shape[:2]
         mid = middle_frame_index(t)
         frame = T.slice_axis(ft, 1, mid, mid + 1).reshape(b, g.height, g.width, g.channels)
+        pyramid = None
+        if self.cfg.decoder.use_frequency:
+            # the band features carry no gradient
+            pyramid = frequency_features(frame.data, self.cfg.stage_sides(),
+                                         (self.cfg.freq.low, self.cfg.freq.high))
         f_high = self.global_enc(frame)
         return self.decoder(stage_views, pyramid, f_high, (g.height, g.width))
 

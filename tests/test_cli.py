@@ -368,6 +368,24 @@ class TestOtherCommands:
         assert len(line) == 1 and line[0].endswith("over 100 coords")
         assert float(line[0].split("max_rel_err=")[1].split()[0]) > 0.0
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_gradcheck_rejects_seeds_below_one(self, capsys, seeds):
+        assert main(["gradcheck", "--seeds", seeds]) == 1
+        err = capsys.readouterr().err
+        assert "--seeds" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("h, w", [(33, 33), (31, 40)])
+    def test_freq_dump_any_clip_size(self, tmp_path, h, w):
+        # the maps are full resolution, so no side needs to halve
+        from vindet.tokenizer import VideoClip, save_clip
+
+        clip = tmp_path / "clip"
+        frames = np.random.default_rng(0).uniform(size=(3, h, w, 3))
+        save_clip(clip, VideoClip(frames), np.zeros((h, w)))
+        out = tmp_path / "bands"
+        assert main(["freq-dump", "--clip", str(clip), "--out", str(out)]) == 0
+        assert len(os.listdir(out)) == 9
+
     def test_freq_dump(self, tmp_path, tiny_cfg_file, capsys):
         data_dir = str(tmp_path / "data")
         main(["gen-data", "--n", "1", "--seed", "5", "--out", data_dir,

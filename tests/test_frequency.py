@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vindet import tensor as T
 from vindet.frequency import (
-    FrequencyFeatures,
     band_masks,
     dct2,
     frequency_features,
@@ -68,36 +68,52 @@ class TestBandMasks:
 
 
 class TestFrequencyFeatures:
-    def _clip(self, seed=0, t=3, h=32, w=32, c=3):
+    def _frames(self, seed=0, b=1, h=32, w=32, c=3):
+        """A batch of (B,H,W,C) middle frames."""
         rng = np.random.default_rng(seed)
-        return rng.uniform(0, 1, size=(t, h, w, c))
+        return rng.uniform(0, 1, size=(b, h, w, c))
 
     @pytest.mark.usefixtures("float64")
     def test_band_sum_reconstructs_frame(self):
-        for seed in range(10):
-            frames = self._clip(seed)
-            ff = frequency_features(frames, stage_sides=[8, 4])
-            full = ff.full
-            c = frames.shape[-1]
-            recon = full[:, :, :c] + full[:, :, c:2 * c] + full[:, :, 2 * c:]
-            np.testing.assert_allclose(recon, frames[1], atol=1e-8)
+        frames = self._frames(0, b=10)
+        [full] = frequency_features(frames, stage_sides=[32])
+        c = frames.shape[-1]
+        recon = full[..., :c] + full[..., c:2 * c] + full[..., 2 * c:]
+        np.testing.assert_allclose(recon, frames, atol=1e-8)
 
     def test_channel_count_triples(self):
-        ff = frequency_features(self._clip(), stage_sides=[8])
-        assert ff.full.shape == (32, 32, 9)
-        assert ff.pyramid[0].shape == (8, 8, 9)
+        full, pooled = frequency_features(self._frames(b=2), stage_sides=[32, 8])
+        assert full.shape == (2, 32, 32, 9)
+        assert pooled.shape == (2, 8, 8, 9)
 
     def test_constant_frame_has_dc_only(self):
-        frames = np.full((3, 16, 16, 3), 0.25)
-        ff = frequency_features(frames, stage_sides=[4])
-        np.testing.assert_allclose(ff.full[:, :, 3:], 0.0, atol=1e-10)
-        np.testing.assert_allclose(ff.full[:, :, :3], 0.25, atol=1e-10)
+        frames = np.full((2, 16, 16, 3), 0.25)
+        [full] = frequency_features(frames, stage_sides=[16])
+        np.testing.assert_allclose(full[..., 3:], 0.0, atol=1e-10)
+        np.testing.assert_allclose(full[..., :3], 0.25, atol=1e-10)
 
     def test_pooling_preserves_mean(self):
-        frames = self._clip(3)
-        ff = frequency_features(frames, stage_sides=[8, 4])
-        for p in ff.pyramid:
-            assert p.mean() == pytest.approx(ff.full.mean(), abs=1e-10)
+        frames = np.random.default_rng(3).uniform(0, 1, size=(3, 32, 32, 3))[1:2]
+        full, *pooled = frequency_features(frames, stage_sides=[32, 8, 4])
+        for p in pooled:
+            assert p.mean() == pytest.approx(full.mean(), abs=1e-10)
+
+    @pytest.mark.parametrize("side, sides", [(32, [8, 4]), (40, [10, 5])])
+    def test_batch_rows_match_single_clips(self, side, sides):
+        # the model hands over a strided view of its compute-dtype clips
+        rng = np.random.default_rng(4)
+        clips = rng.uniform(size=(4, 3, side, side, 3)).astype(T.compute_dtype())
+        frames = clips[:, middle_frame_index(3)]
+        batched = frequency_features(frames, sides)
+        for b in range(4):
+            for whole, one in zip(batched, frequency_features(frames[b:b + 1], sides)):
+                np.testing.assert_array_equal(whole[b:b + 1], one)
+
+    @pytest.mark.parametrize("h, w, side", [(32, 32, 12), (32, 32, 64), (36, 36, 4),
+                                            (33, 33, 16)])
+    def test_unreachable_side_raises(self, h, w, side):
+        with pytest.raises(ValueError, match=f"stage side {side} unreachable"):
+            frequency_features(self._frames(h=h, w=w), stage_sides=[side])
 
     def test_middle_frame_selection(self):
         assert middle_frame_index(3) == 1
@@ -106,6 +122,6 @@ class TestFrequencyFeatures:
         assert middle_frame_index(5) == 2
 
     def test_no_learnable_state(self):
-        ff = frequency_features(self._clip(), stage_sides=[8])
-        assert isinstance(ff, FrequencyFeatures)
-        assert all(type(a) is np.ndarray for a in [ff.full, *ff.pyramid])
+        levels = frequency_features(self._frames(), stage_sides=[32, 8])
+        assert type(levels) is list
+        assert all(type(a) is np.ndarray for a in levels)

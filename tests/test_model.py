@@ -68,6 +68,19 @@ class TestForward:
         assert len(layers) >= 19
         assert [c.__qualname__ for c in layers if "__call__" in vars(c)] == []
 
+    def test_band_features_built_once_per_batch(self, monkeypatch):
+        import vindet.model as M
+
+        calls = []
+        real = M.frequency_features
+        monkeypatch.setattr(M, "frequency_features",
+                            lambda frames, *rest: calls.append(frames.shape) or real(frames, *rest))
+        cfg = ExperimentConfig()
+        model = InpaintingDetector(cfg)
+        with T.no_grad():
+            model(np.stack([make_clip(i, cfg).clip.frames for i in range(4)]))
+        assert calls == [(4, 32, 32, 3)]
+
 
 class TestAblations:
     def test_dwti_disabled_runs_and_drops_params(self):
