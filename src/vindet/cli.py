@@ -30,8 +30,8 @@ def cmd_gen_data(args) -> int:
     clips = generate_dataset(args.n, args.seed, cfg)
     save_dataset(args.out, clips)
     if args.with_authentic:
-        auth = generate_dataset(args.n, args.seed + 1, cfg, inpainted=False)
-        save_dataset(os.path.join(args.out + "_authentic"), auth)
+        auth = generate_dataset(args.n, args.seed, cfg, inpainted=False)
+        save_dataset(args.out + "_authentic", auth)
     print(f"wrote {len(clips)} clips to {args.out}")
     return 0
 
@@ -41,8 +41,9 @@ def cmd_train(args) -> int:
 
     cfg = _load_cfg(args.config)
     result = train(cfg, args.out, resume=args.resume)
-    print(f"finished at iteration {result.final_iter}: "
-          f"miou={result.final_miou:.4f} f1={result.final_f1:.4f}")
+    scores = ("no evaluation ran" if result.final_miou is None
+              else f"miou={result.final_miou:.4f} f1={result.final_f1:.4f}")
+    print(f"finished at iteration {result.final_iter}: {scores}")
     print(f"checkpoint: {result.checkpoint}")
     print(f"metrics log: {result.metrics_log}")
     return 0

@@ -127,9 +127,6 @@ class LossConfig:
     lambda_focal: float = rule(1.0, "[0, inf)")
     eps: float = rule(1e-7, "(0, inf)", doc="log guard")
 
-    def validate(self) -> "LossConfig":
-        return check_rules(self)
-
 
 @dataclass
 class OptimConfig:

@@ -4,8 +4,9 @@ Trains on a small synthetic set together with authentic twins of the same
 scenes (empty masks), so the detector must key on fill evidence rather than
 scene identity. Inpainted clips are oversampled 3:1 against twins.
 
-The experiment is one ``train()`` run. At each check iteration its
-``on_step`` hook measures the inpainted-clip masks and the
+The experiment is one ``train()`` run. Its ``on_step`` hook replaces
+``train()``'s scheduled evaluation, so the model is evaluated once per check
+iteration: the hook measures the inpainted-clip masks and the
 authentic-vs-inpainted frame AUC on the live model through
 ``evaluate_model``, keeps a copy of the best check's checkpoint entries by
 mask quality, and ends training once the stop thresholds are met. Those

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,9 +263,8 @@ class TrainResult:
     checkpoint: str
     metrics_log: str
     final_iter: int
-    final_miou: float
-    final_f1: float
-    log_lines: list[str] = field(default_factory=list)
+    final_miou: float | None     # None when no evaluation ran
+    final_f1: float | None
 
 
 def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
@@ -273,13 +272,12 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
     """Run the training loop, then write ``checkpoint.mpci`` and ``metrics.log``
     to ``out_dir``.
 
-    ``on_step(iteration, model, velocities)`` is called after each SGD step,
-    and after that step's evaluation if there is one, with the number of
-    steps done so far and the live model and momentum buffers. When it
-    returns True, training ends at that step. The hook leaves the
-    evaluation schedule alone: evaluation runs every ``eval_every`` steps
-    and at the configured last step, so a run the hook ends early reports
-    its latest scheduled evaluation.
+    Without ``on_step``, the model is evaluated every ``eval_every`` steps
+    and at the last step, and each evaluation adds a line to the log.
+    ``on_step(iteration, model, velocities)`` replaces that evaluation: it is
+    called after each SGD step with the number of steps done so far and the
+    live model and momentum buffers, and training ends at the step where it
+    returns True.
     """
     cfg.validate()
     if dataset is None:
@@ -297,7 +295,7 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
     n = len(dataset)
     positives = np.array([bool(np.any(mask > 0.5)) for _, _, mask in dataset])
     log: list[str] = []
-    last_miou = last_f1 = 0.0
+    last_miou = last_f1 = None
     end = cfg.train.iters
     final = start
     for it in range(start, end):
@@ -311,17 +309,18 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
         sgd_step(registry, lr_of, cfg.optim.weight_decay, cfg.optim.momentum, velocities)
 
         final = it + 1
-        if final % cfg.train.eval_every == 0 or final == end:
+        if on_step is not None:
+            if on_step(final, model, velocities):
+                break
+        elif final % cfg.train.eval_every == 0 or final == end:
             rep = evaluate_model(model, dataset, cfg)
             last_miou, last_f1 = rep.mean_miou, rep.mean_f1
             log.append(f"iter={final} loss={value:.8e} lr_enc={lr_enc:.8e} "
                        f"lr_dec={lr_dec:.8e} miou={rep.mean_miou:.6f} f1={rep.mean_f1:.6f}")
-        if on_step is not None and on_step(final, model, velocities):
-            break
 
     ckpt = os.path.join(out_dir, "checkpoint.mpci")
     save_checkpoint(ckpt, model, velocities, final)
     log_path = os.path.join(out_dir, "metrics.log")
     with open(log_path, "w") as fh:
         fh.write("\n".join(log) + ("\n" if log else ""))
-    return TrainResult(ckpt, log_path, final, last_miou, last_f1, log)
+    return TrainResult(ckpt, log_path, final, last_miou, last_f1)

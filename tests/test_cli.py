@@ -47,6 +47,21 @@ class TestGenData:
         assert (out / "clip_0000" / "manifest.txt").exists()
         assert (out / "clip_0000" / "gt.pgm").exists()
 
+    def test_authentic_clips_are_twins_of_the_scenes(self, tmp_path):
+        from vindet.data import generate_dataset, load_dataset
+
+        out = str(tmp_path / "ds")
+        assert main(["gen-data", "--n", "2", "--seed", "3", "--out", out,
+                     "--with-authentic"]) == 0
+        twins = generate_dataset(2, 3, ExperimentConfig(), inpainted=False)
+        written = load_dataset(out + "_authentic")
+        assert [name for name, _, _ in written] == ["clip_0000", "clip_0001"]
+        for (_, clip, mask), twin in zip(written, twins):
+            # the 8-bit P6 round trip
+            want = np.clip(np.round(twin.clip.frames * 255.0), 0, 255) / 255.0
+            np.testing.assert_array_equal(clip.frames, want)
+            assert not mask.any()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, tiny_cfg_file, capsys):
@@ -60,6 +75,23 @@ class TestTrainEval:
         assert main(["eval", "--config", tiny_cfg_file, "--ckpt", ckpt]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-1].startswith("summary ")
+
+    def test_resume_past_the_budget_reports_no_scores(self, tmp_path, tiny_cfg_file,
+                                                      capsys):
+        assert main(["gen-data", "--n", "2", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        capsys.readouterr()
+        run = str(tmp_path / "run")
+        assert main(["train", "--config", tiny_cfg_file, "--out", run]) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert first[0].startswith("finished at iteration 2: miou=")
+        again = str(tmp_path / "again")
+        assert main(["train", "--config", tiny_cfg_file, "--out", again,
+                     "--resume", os.path.join(run, "checkpoint.mpci")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "finished at iteration 2: no evaluation ran"
+        with open(os.path.join(again, "metrics.log")) as fh:
+            assert fh.read() == ""
 
     def test_eval_with_jpeg_flag(self, tmp_path, tiny_cfg_file, capsys):
         data_dir = str(tmp_path / "data")

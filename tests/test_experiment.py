@@ -148,6 +148,22 @@ def test_one_train_call_and_no_checkpoint_reads(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["best.mpci", "checkpoint.mpci", "metrics.log"]
 
 
+def test_one_evaluation_per_check(tmp_path, monkeypatch):
+    calls = []
+    evaluate = train_mod.evaluate_model
+
+    def counted(model, dataset, *args, **kwargs):
+        calls.append(len(dataset))
+        return evaluate(model, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "evaluate_model", counted)
+    monkeypatch.setattr(experiment, "evaluate_model", counted)
+    res = _run(tmp_path)
+    assert len(res.history) == 3
+    assert calls == [2 * N_CLIPS] * 3        # the inpainted clips and their twins
+    assert (tmp_path / "metrics.log").read_text() == ""
+
+
 @pytest.mark.parametrize("first_check", [2, 5, 40])
 def test_last_iteration_is_always_checked(tmp_path, first_check):
     # checks past the budget clamp to it, so the last iteration is checked

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vindet import tensor as T
+from vindet.config import check_rules
 from vindet.objectives import (
     LossConfig,
     f1_metric,
@@ -237,9 +238,9 @@ class TestAuc:
 class TestLossConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LossConfig(alpha=0.0).validate()
+            check_rules(LossConfig(alpha=0.0))
         with pytest.raises(ValueError):
-            LossConfig(gamma=-1.0).validate()
+            check_rules(LossConfig(gamma=-1.0))
         with pytest.raises(ValueError):
-            LossConfig(eps=0.0).validate()
-        assert LossConfig().validate() is not None
+            check_rules(LossConfig(eps=0.0))
+        assert check_rules(LossConfig()) is not None

@@ -157,8 +157,7 @@ class TestTrainLoop:
         res = train(cfg, str(tmp_path / "out"), dataset=_tiny_dataset(cfg))
         assert res.final_iter == 4
         assert (tmp_path / "out" / "checkpoint.mpci").exists()
-        assert (tmp_path / "out" / "metrics.log").exists()
-        assert len(res.log_lines) == 2
+        assert len((tmp_path / "out" / "metrics.log").read_text().splitlines()) == 2
 
     def test_bit_identical_repeat_runs(self, tmp_path):
         cfg = _tiny_cfg(iters=6)
@@ -180,6 +179,37 @@ class TestTrainLoop:
         rest = train(cfg, str(tmp_path / "rest"), dataset=ds, resume=half.checkpoint)
         with open(full.checkpoint, "rb") as fa, open(rest.checkpoint, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def _count_evaluations(self, monkeypatch):
+        calls = []
+        evaluate = train_mod.evaluate_model
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "evaluate_model", counted)
+        return calls
+
+    def test_evaluates_on_schedule_and_at_the_last_step(self, tmp_path, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        cfg = _tiny_cfg(iters=5)
+        res = train(cfg, str(tmp_path / "out"), dataset=_tiny_dataset(cfg))
+        with open(res.metrics_log) as fh:
+            assert [ln.split()[0] for ln in fh] == ["iter=2", "iter=4", "iter=5"]
+        assert len(calls) == 3
+        assert res.final_miou is not None and res.final_f1 is not None
+
+    def test_hook_replaces_the_evaluation(self, tmp_path, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        cfg = _tiny_cfg(iters=5)
+        seen = []
+        res = train(cfg, str(tmp_path / "out"), dataset=_tiny_dataset(cfg),
+                    on_step=lambda it, *_: seen.append(it))
+        assert seen == [1, 2, 3, 4, 5] and calls == []
+        assert (res.final_iter, res.final_miou, res.final_f1) == (5, None, None)
+        with open(res.metrics_log) as fh:
+            assert fh.read() == ""
 
     def test_nan_loss_raises_numerical_error(self, tmp_path):
         cfg = _tiny_cfg(iters=2)
