@@ -26,6 +26,8 @@ def _load_cfg(path) -> ExperimentConfig:
 def cmd_gen_data(args) -> int:
     from .data import generate_dataset, save_dataset
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     cfg = _load_cfg(args.config)
     clips = generate_dataset(args.n, args.seed, cfg)
     save_dataset(args.out, clips)

@@ -1,17 +1,22 @@
-"""Central-difference verification of every differentiable primitive.
+"""Central-difference verification of autodiff gradients.
 
-Each case projects the op's output onto a fixed random direction so the
-scalar loss has well-conditioned, order-one gradients. All auxiliary
-tensors are drawn once per case; the checked function must be a fixed
-deterministic map. ``check_full_model`` spot-checks a whole detector.
-Every check builds its cases and its model in ``tensor.float64_scope``,
+``finite_diff_check`` and ``finite_diff_check_params`` compare a gradient
+to central differences. ``primitive_cases`` holds one case per input of
+every differentiable primitive, plus the axis, exponent, index and batch
+branches of their backward rules. Each case projects the op's output onto
+a fixed random direction so the scalar loss has well-conditioned,
+order-one gradients. All auxiliary tensors are drawn once per case; the
+checked function must be a fixed deterministic map. ``check_full_model``
+spot-checks a whole detector. Every check runs in ``tensor.float64_scope``,
 whatever dtype its caller computes in. Shared between the CLI and the
-acceptance suite.
+tests.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -20,7 +25,107 @@ from .config import ExperimentConfig
 from .data import make_clip
 from .model import InpaintingDetector
 from .objectives import total_loss
-from .tensor import GradCheckReport, Tensor, finite_diff_check, finite_diff_check_params
+from .tensor import Tensor
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_err: float
+    passed: bool
+    n_coords: int
+    worst_coord: Optional[tuple] = None
+    non_finite: list = field(default_factory=list)
+
+    def __str__(self):
+        state = "PASS" if self.passed else "FAIL"
+        return f"{state} max_rel_err={self.max_rel_err:.3e} over {self.n_coords} coords"
+
+
+def finite_diff_check(
+    f: Callable[[Tensor], Tensor],
+    x: Tensor,
+    eps: float = 1e-6,
+    tol: float = 1e-5,
+    max_coords: int = 100,
+) -> GradCheckReport:
+    """Compare the autodiff gradient of scalar-valued ``f`` to central differences.
+
+    Probes a float64 copy of ``x`` through ``finite_diff_check_params``:
+    every coordinate when ``x`` has at most ``max_coords``, otherwise a
+    random subset of ``max_coords``. Relative error per coordinate is
+    |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
+    """
+    with T.float64_scope():
+        xt = Tensor(x.data.copy(), requires_grad=True)
+        return finite_diff_check_params(lambda: f(xt), [xt], max_coords, eps, tol)
+
+
+def finite_diff_check_params(
+    loss_fn: Callable[[], Tensor],
+    params: Iterable[Tensor],
+    n_coords: int = 100,
+    eps: float = 1e-5,
+    tol: float = 1e-3,
+    seed: int = 0,
+) -> GradCheckReport:
+    """Spot-check gradients: perturb sampled scalars of ``params`` in place.
+
+    ``params`` are the tensors ``loss_fn`` reads, such as a model's registry
+    values. The check runs in ``float64_scope``; a tensor of another dtype
+    is probed through a float64 copy of its values and gets its own array
+    back afterwards, with the gradient cast to its dtype. ``n_coords``
+    scalars are drawn without replacement over all of them (every scalar
+    when there are fewer), and each is reported as (tensor index, flat
+    index). The loss closure is re-evaluated under no_grad for the +/- eps
+    probes. A coordinate whose autodiff gradient or either probe is not
+    finite is listed in ``non_finite`` and fails the check; ``eps`` outside
+    (0, 1e-3], or no coordinate to probe, raises ValueError.
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise ValueError(f"finite_diff_check: eps {eps} outside (0, 1e-3]")
+    tensors = list(params)
+    bounds = np.cumsum([0] + [t.size for t in tensors])
+    n = min(n_coords, int(bounds[-1]))
+    if n < 1:
+        raise ValueError(f"finite_diff_check: no coordinate to probe "
+                         f"({n_coords} asked of {int(bounds[-1])})")
+    kept = [t.data for t in tensors]
+    with T.float64_scope():
+        try:
+            for t in tensors:
+                t.data = np.asarray(t.data, dtype=T.compute_dtype())
+                t.grad = None
+            T.backward(loss_fn())
+            rng = np.random.default_rng(seed)
+            worst, worst_coord, non_finite = 0.0, None, []
+            for fid in np.sort(rng.choice(int(bounds[-1]), size=n, replace=False)):
+                ti = int(np.searchsorted(bounds, fid, side="right")) - 1
+                i = int(fid - bounds[ti])
+                t = tensors[ti]
+                g_ad = 0.0 if t.grad is None else float(t.grad.reshape(-1)[i])
+                buf = t.data.reshape(-1)
+                orig = buf[i]
+                with T.no_grad():
+                    buf[i] = orig + eps
+                    fp = loss_fn().item()
+                    buf[i] = orig - eps
+                    fm = loss_fn().item()
+                buf[i] = orig
+                if not (math.isfinite(g_ad) and math.isfinite(fp) and math.isfinite(fm)):
+                    non_finite.append((ti, i))
+                    continue
+                g_fd = (fp - fm) / (2.0 * eps)
+                r = abs(g_ad - g_fd) / max(1e-8, abs(g_ad) + abs(g_fd))
+                if r > worst:
+                    worst, worst_coord = r, ((ti, i), g_ad, g_fd)
+            return GradCheckReport(worst, worst <= tol and not non_finite, n,
+                                   worst_coord, non_finite)
+        finally:
+            for t, data in zip(tensors, kept):
+                if t.data is not data:
+                    t.data = data
+                    if t.grad is not None:
+                        t.grad = t.grad.astype(data.dtype)
 
 
 def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tensor]]:
@@ -100,7 +205,7 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     ln_b = Tensor(rng.normal(size=6) * 0.1)
     r46 = proj(4, 6)
     case("layer_norm", lambda x: T.reduce_sum(T.layer_norm(x, ln_g, ln_b) * r46), u(4, 6))
-    # batched ops take a batch of one here; tests/test_batching.py covers B=2
+    # batched ops take a batch of one here; the cases after "slice" take B=2
     gn_g = Tensor(rng.uniform(0.5, 1.5, size=8))
     gn_b = Tensor(rng.normal(size=8) * 0.1)
     r338 = proj(1, 3, 3, 8)
@@ -134,9 +239,65 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("grid_sample_coords",
          lambda g: T.reduce_sum(T.grid_sample_bilinear(gs_x, g) * r62),
          Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2))))
-    # drawn last, so every earlier case keeps its inputs
+    # a new case is drawn after every case before it, so each earlier case
+    # keeps its inputs: add cases at the end
     r322 = proj(3, 2, 2)
     case("slice", lambda x: T.reduce_sum(T.slice_axis(x, -2, 1, 3) * r322), u(3, 4, 2))
+
+    # the inputs the cases above leave unprobed, and the axis, exponent,
+    # index and batch branches of the backward rules
+    case("add_right", lambda x: T.reduce_sum((other + x) * r34), u(3, 4))
+    case("sub_left", lambda x: T.reduce_sum((x - other) * r34), u(3, 4))
+    den = upos(3, 4)
+    case("div_numerator", lambda x: T.reduce_sum((x / den) * r34), u(3, 4))
+    mm_x = proj(4, 5)
+    case("matmul_right", lambda w: T.reduce_sum(T.matmul(mm_x, w) * r44), u(5, 4))
+    # x fills the second and third parts, along the last axis
+    cc3, r2_10 = proj(2, 2), proj(2, 10)
+    case("concat_three", lambda x: T.reduce_sum(T.concat([cc3, x, x], axis=-1) * r2_10),
+         u(2, 4))
+
+    r32, r4 = proj(3, 2), proj(4)
+    case("sum_axis1", lambda x: T.reduce_sum(T.reduce_sum(x, axis=1) * r32), u(3, 4, 2))
+    case("sum_axes", lambda x: T.reduce_sum(T.reduce_sum(x, axis=(0, -1)) * r4), u(3, 4, 2))
+    case("mean_axes02", lambda x: T.reduce_sum(T.reduce_mean(x, axis=(0, 2)) * r4), u(3, 4, 2))
+    case("mean_all", lambda x: T.reduce_mean(x * r34), u(3, 4))
+    r33 = proj(3, 3)
+    case("pow_zero", lambda x: T.reduce_sum((x ** 0) * r33), u(3, 3))
+    case("pow_half", lambda x: T.reduce_sum((x ** 0.5) * r33), upos(3, 3))
+    gi1, r263 = rng.integers(0, 4, size=6), proj(2, 6, 3)
+    case("gather_rows_axis1",
+         lambda x: T.reduce_sum(T.gather_rows(x, gi1, axis=1) * r263), u(2, 4, 3))
+
+    ln_x = u(4, 6)
+    case("layer_norm_gamma",
+         lambda g: T.reduce_sum(T.layer_norm(ln_x, g, ln_b) * r46), upos(6))
+    case("layer_norm_beta",
+         lambda b: T.reduce_sum(T.layer_norm(ln_x, ln_g, b) * r46), u(6))
+    gn_x, r2238 = u(2, 2, 3, 8), proj(2, 2, 3, 8)
+    case("group_norm_batch",
+         lambda x: T.reduce_sum(T.group_norm(x, gn_g, gn_b, 4) * r2238), u(2, 2, 3, 8))
+    case("group_norm_gamma",
+         lambda g: T.reduce_sum(T.group_norm(gn_x, g, gn_b, 4) * r2238), upos(8))
+    case("group_norm_beta",
+         lambda b: T.reduce_sum(T.group_norm(gn_x, gn_g, b, 4) * r2238), u(8))
+
+    # a ragged 5x4 grid with padding 1
+    kb, bb = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4), Tensor(rng.normal(size=3) * 0.1)
+    cbx, r2543 = u(2, 5, 4, 2), proj(2, 5, 4, 3)
+    case("conv2d_batch", lambda x: T.reduce_sum(T.conv(x, kb, bb, 1) * r2543), u(2, 5, 4, 2))
+    case("conv2d_batch_weight",
+         lambda w: T.reduce_sum(T.conv(cbx, w, bb, 1) * r2543),
+         Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4))
+    case("conv2d_bias", lambda b: T.reduce_sum(T.conv(cbx, kb, b, 1) * r2543), u(3))
+    # a (2, 3, 3) kernel with padding per axis
+    kp, bp = Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4), Tensor(rng.normal(size=2) * 0.1)
+    cpx, r23412 = u(2, 2, 4, 3, 2), proj(2, 3, 4, 1, 2)
+    case("conv3d_pad",
+         lambda x: T.reduce_sum(T.conv(x, kp, bp, (1, 1, 0)) * r23412), u(2, 2, 4, 3, 2))
+    case("conv3d_pad_weight",
+         lambda w: T.reduce_sum(T.conv(cpx, w, bp, (1, 1, 0)) * r23412),
+         Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4))
     return cases
 
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -860,109 +859,3 @@ def grid_sample_bilinear(x, grid) -> Tensor:
             ))
 
     return _record(out, (x, grid), bwd, "grid_sample")
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    passed: bool
-    n_coords: int
-    worst_coord: Optional[tuple] = None
-    non_finite: list = field(default_factory=list)
-
-    def __str__(self):
-        state = "PASS" if self.passed else "FAIL"
-        return f"{state} max_rel_err={self.max_rel_err:.3e} over {self.n_coords} coords"
-
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-6,
-    tol: float = 1e-5,
-    max_coords: int = 100,
-) -> GradCheckReport:
-    """Compare the autodiff gradient of scalar-valued ``f`` to central differences.
-
-    Probes a float64 copy of ``x`` through ``finite_diff_check_params``, in
-    ``float64_scope``: every coordinate when ``x`` has at most
-    ``max_coords``, otherwise a random subset of ``max_coords``. Relative
-    error per coordinate is |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
-    """
-    if not 0.0 < eps <= 1e-3:
-        raise ValueError(f"finite_diff_check: eps {eps} outside (0, 1e-3]")
-    with float64_scope():
-        xt = Tensor(x.data.copy(), requires_grad=True)
-        return finite_diff_check_params(lambda: f(xt), [xt], max_coords, eps, tol)
-
-
-def finite_diff_check_params(
-    loss_fn: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    n_coords: int = 100,
-    eps: float = 1e-5,
-    tol: float = 1e-3,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Spot-check gradients: perturb sampled scalars of ``params`` in place.
-
-    ``params`` are the tensors ``loss_fn`` reads, such as a model's registry
-    values. The check runs in ``float64_scope``; a tensor of another dtype
-    is probed through a float64 copy of its values and gets its own array
-    back afterwards, with the gradient cast to its dtype. ``n_coords``
-    scalars are drawn without replacement over all of them (every scalar
-    when there are fewer), and each is reported as (tensor index, flat
-    index). The loss closure is re-evaluated under no_grad for the +/- eps
-    probes.
-    """
-    tensors = list(params)
-    kept = [t.data for t in tensors]
-    with float64_scope():
-        try:
-            for t in tensors:
-                t.data = np.asarray(t.data, dtype=compute_dtype())
-                t.grad = None
-            return _probe(loss_fn, tensors, n_coords, eps, tol, seed)
-        finally:
-            for t, data in zip(tensors, kept):
-                if t.data is not data:
-                    t.data = data
-                    if t.grad is not None:
-                        t.grad = t.grad.astype(data.dtype)
-
-
-def _probe(loss_fn, tensors, n_coords, eps, tol, seed) -> GradCheckReport:
-    backward(loss_fn())
-
-    bounds = np.cumsum([t.size for t in tensors])
-    total = int(bounds[-1])
-    rng = np.random.default_rng(seed)
-    flat_ids = np.sort(rng.choice(total, size=min(n_coords, total), replace=False))
-
-    worst, worst_coord, non_finite = 0.0, None, []
-    for fid in flat_ids:
-        ti = int(np.searchsorted(bounds, fid, side="right"))
-        i = int(fid - (bounds[ti - 1] if ti else 0))
-        t = tensors[ti]
-        g_ad = 0.0 if t.grad is None else float(t.grad.reshape(-1)[i])
-        buf = t.data.reshape(-1)
-        orig = buf[i]
-        with no_grad():
-            buf[i] = orig + eps
-            fp = loss_fn().item()
-            buf[i] = orig - eps
-            fm = loss_fn().item()
-        buf[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            non_finite.append((ti, i))
-            continue
-        g_fd = (fp - fm) / (2.0 * eps)
-        r = abs(g_ad - g_fd) / max(1e-8, abs(g_ad) + abs(g_fd))
-        if r > worst:
-            worst, worst_coord = r, ((ti, i), g_ad, g_fd)
-    return GradCheckReport(worst, worst <= tol and not non_finite, len(flat_ids),
-                           worst_coord, non_finite)

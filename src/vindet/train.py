@@ -169,10 +169,13 @@ def load_checkpoint(path, model: InpaintingDetector):
         blobs[key] = cast(key, blobs[key], name)
     velocities = {}
     for key, arr in blobs.items():
-        if key.startswith("opt/momentum/"):
-            name = key[len("opt/momentum/"):]
-            if name not in registry:
-                raise ValueError(f"{path}: {key}: no such parameter")
+        prefix = "param/" if key.startswith("param/") else "opt/momentum/"
+        if not key.startswith(prefix):
+            continue
+        name = key[len(prefix):]
+        if name not in registry:
+            raise ValueError(f"{path}: {key}: no such parameter")
+        if prefix == "opt/momentum/":
             # sgd_step updates momentum in place, in the parameter's dtype
             velocities[name] = cast(key, arr, name)
     it = blobs.get("meta/iter", np.array(0.0)).ravel()

@@ -14,7 +14,7 @@ from vindet.encoder import GlobalEncoder, StagePlan, ViewBranch
 from vindet.interaction import ViewInteraction
 from vindet.model import InpaintingDetector
 from vindet.objectives import total_loss
-from vindet.tensor import Tensor, backward, finite_diff_check
+from vindet.tensor import Tensor, backward
 from vindet.tokenizer import TubeletEmbed
 from vindet.train import _dihedral, _train_step
 
@@ -178,42 +178,6 @@ class TestTrainStep:
                     for n in registry)
         assert worst <= TOL
         assert max(float(np.abs(g).max()) for g in batched.values()) > 1e-3
-
-
-def _gradcheck_cases():
-    rng = np.random.default_rng(17)
-    proj = lambda *s: Tensor(rng.normal(size=s))
-    # 2-D: a ragged 6x5 input with padding 1
-    w2 = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4)
-    b2 = Tensor(rng.normal(size=3) * 0.1)
-    x2 = Tensor(rng.uniform(-1, 1, size=(2, 6, 5, 2)))
-    r2 = proj(2, 6, 5, 3)
-    # 3-D: per-axis padding
-    w3 = Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4)
-    b3 = Tensor(rng.normal(size=2) * 0.1)
-    x3 = Tensor(rng.uniform(-1, 1, size=(2, 3, 5, 4, 2)))
-    pd3 = (1, 1, 0)
-    r3 = proj(2, 4, 5, 2, 2)
-    gn_g = Tensor(rng.uniform(0.5, 1.5, size=8))
-    gn_b = Tensor(rng.normal(size=8) * 0.1)
-    rg = proj(2, 3, 3, 8)
-    return {
-        "conv2d_x": (lambda x: T.reduce_sum(T.conv(x, w2, b2, 1) * r2), x2),
-        "conv2d_w": (lambda w: T.reduce_sum(T.conv(x2, w, b2, 1) * r2), w2),
-        "conv2d_b": (lambda b: T.reduce_sum(T.conv(x2, w2, b, 1) * r2), b2),
-        "conv3d_x": (lambda x: T.reduce_sum(T.conv(x, w3, b3, pd3) * r3), x3),
-        "conv3d_w": (lambda w: T.reduce_sum(T.conv(x3, w, b3, pd3) * r3), w3),
-        "group_norm": (lambda x: T.reduce_sum(T.group_norm(x, gn_g, gn_b, 4) * rg),
-                       Tensor(rng.uniform(-1, 1, size=(2, 3, 3, 8)))),
-    }
-
-
-@pytest.mark.usefixtures("float64")
-@pytest.mark.parametrize("name", sorted(_gradcheck_cases()))
-def test_batched_primitive_gradients(name):
-    f, x = _gradcheck_cases()[name]
-    rep = finite_diff_check(f, x, eps=1e-6, tol=1e-5, max_coords=200)
-    assert rep.passed, f"{name}: {rep}"
 
 
 def test_conv_output_shape_follows_padding():

@@ -47,6 +47,12 @@ class TestGenData:
         assert (out / "clip_0000" / "manifest.txt").exists()
         assert (out / "clip_0000" / "gt.pgm").exists()
 
+    def test_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--n", "1", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
+
     def test_authentic_clips_are_twins_of_the_scenes(self, tmp_path):
         from vindet.data import generate_dataset, load_dataset
 
@@ -183,6 +189,24 @@ class TestTrainEval:
                      "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and f"opt/momentum/{name}" in err
+
+    def test_other_models_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        # a full-model checkpoint holds DWTI parameters the DWTI-off model lacks
+        from vindet.config import load_config
+        from vindet.model import InpaintingDetector
+        from vindet.train import save_checkpoint
+
+        ckpt = tmp_path / "ck.mpci"
+        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        off = tmp_path / "off.cfg"
+        off.write_text((tmp_path / "tiny.cfg").read_text() + "dwti.enabled = false\n")
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
+                     str(tmp_path / "data"), "--config", str(off)]) == 0
+        assert main(["eval", "--config", str(off), "--ckpt", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {ckpt}: param/interaction.")
+        assert captured.err.endswith(": no such parameter\n")
+        assert "summary" not in captured.out
 
     def test_non_finite_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys):
         from vindet.config import load_config

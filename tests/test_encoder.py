@@ -16,8 +16,9 @@ from vindet.encoder import (
     window_merge,
     window_partition,
 )
+from vindet.gradcheck import finite_diff_check
 from vindet.model import InpaintingDetector
-from vindet.tensor import Tensor, backward, finite_diff_check
+from vindet.tensor import Tensor, backward
 
 
 def _swin_reference_mask(s_pad, m, shift, s_real, dtype):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vindet import tensor as T
+from vindet.gradcheck import finite_diff_check
 from vindet.interaction import (
     AdjacentPair,
     DeformableWindowCrossAttention,
@@ -11,7 +12,7 @@ from vindet.interaction import (
     ViewInteraction,
     _cell_center_grid,
 )
-from vindet.tensor import Tensor, finite_diff_check
+from vindet.tensor import Tensor
 
 
 def _zero_theta(attn: DeformableWindowCrossAttention):

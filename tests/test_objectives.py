@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vindet import tensor as T
 from vindet.config import check_rules
+from vindet.gradcheck import finite_diff_check
 from vindet.objectives import (
     LossConfig,
     f1_metric,
@@ -17,7 +18,7 @@ from vindet.objectives import (
     miou_metric,
     total_loss,
 )
-from vindet.tensor import ShapeError, Tensor, backward, finite_diff_check
+from vindet.tensor import ShapeError, Tensor, backward
 
 
 CFG = LossConfig()

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from vindet import tensor as T
-from vindet.gradcheck import primitive_case_names, primitive_cases
-from vindet.tensor import Tensor, ShapeError, backward, finite_diff_check
+from vindet.gradcheck import (
+    check_primitive,
+    finite_diff_check,
+    finite_diff_check_params,
+    primitive_case_names,
+)
+from vindet.tensor import Tensor, ShapeError, backward
 
 
 def t(data, rg=False):
@@ -132,129 +137,10 @@ class TestSampling:
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
-def _fd_cases():
-    """(name, builder) pairs; builder(rng) -> (f, x) with scalar-valued f."""
-    def mk(fn, shape, lo=-1.0, hi=1.0):
-        def build(rng):
-            x = Tensor(rng.uniform(lo, hi, size=shape))
-            return fn, x
-        return build
-
-    sum_ = T.reduce_sum
-    cases = {
-        "add": mk(lambda x: sum_(x + x * 0.5), (3, 4)),
-        "sub": mk(lambda x: sum_(x - x * 2.0), (3, 4)),
-        "mul": mk(lambda x: sum_(x * x), (3, 4)),
-        "div": mk(lambda x: sum_(1.0 / x), (3, 4), lo=0.5, hi=1.5),
-        "neg": mk(lambda x: sum_(-x), (4,)),
-        "pow": mk(lambda x: sum_(x ** 3), (3, 3)),
-        "log": mk(lambda x: sum_(T.log(x)), (3, 3), lo=0.5, hi=2.0),
-        "tanh": mk(lambda x: sum_(T.tanh(x)), (3, 3)),
-        "sigmoid": mk(lambda x: sum_(T.sigmoid(x)), (3, 3)),
-        "gelu": mk(lambda x: sum_(T.gelu(x)), (3, 3)),
-        "softmax": mk(lambda x: sum_(T.softmax(x, axis=-1) * T.softmax(x, axis=-1)), (4, 5)),
-        "matmul": mk(lambda x: sum_(T.matmul(x, x)), (4, 4)),
-        "reshape": mk(lambda x: sum_(x.reshape(2, 6) * x.reshape(2, 6)), (3, 4)),
-        "permute": mk(lambda x: sum_(T.permute(x, (1, 0)) * 2.0 * T.permute(x, (1, 0))), (3, 4)),
-        "concat": mk(lambda x: sum_(T.concat([x, x * 2.0], axis=0) ** 2), (2, 3)),
-        "slice": mk(lambda x: sum_(T.slice_axis(x, 0, 1, 3) ** 2), (4, 3)),
-        "pad": mk(lambda x: sum_(T.pad(x, ((1, 1), (1, 1))) ** 2), (3, 3)),
-        "mean": mk(lambda x: T.reduce_mean(x * x), (3, 4)),
-        "layer_norm": None,
-        "group_norm": None,
-        "upsample": mk(lambda x: sum_(T.upsample_bilinear2d(x, (7, 5)) ** 2), (1, 4, 4, 2)),
-    }
-
-    def conv2d_case(rng):
-        k = Tensor(rng.normal(size=(3, 3, 2, 4)) * 0.3)
-        b = Tensor(rng.normal(size=(4,)) * 0.1)
-        return (lambda x: sum_(T.conv(x, k, b, padding=1) ** 2),
-                Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2))))
-
-    def conv2d_weight_case(rng):
-        x = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
-        return (lambda w: sum_(T.conv(x, w, None, padding=0) ** 2),
-                Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.3))
-
-    def conv3d_case(rng):
-        k = Tensor(rng.normal(size=(3, 3, 3, 2, 3)) * 0.3)
-        b = Tensor(rng.normal(size=(3,)) * 0.1)
-        return (lambda x: sum_(T.conv(x, k, b, padding=1) ** 2),
-                Tensor(rng.uniform(-1, 1, size=(1, 3, 4, 4, 2))))
-
-    def grid_data_case(rng):
-        grid = Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2)))
-        return (lambda x: sum_(T.grid_sample_bilinear(x, grid) ** 2),
-                Tensor(rng.uniform(-1, 1, size=(1, 6, 6, 2))))
-
-    def grid_coord_case(rng):
-        x = Tensor(rng.uniform(-1, 1, size=(1, 6, 6, 2)))
-        return (lambda g: sum_(T.grid_sample_bilinear(x, g) ** 2),
-                Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2))))
-
-    def gather_case(rng):
-        idx = rng.integers(0, 5, size=7)
-        return (lambda tb: sum_(T.gather_rows(tb, idx) ** 2),
-                Tensor(rng.normal(size=(5, 3))))
-
-    def projected(fn, shape, out_shape, lo=-1.0, hi=1.0):
-        def build(rng):
-            r = Tensor(rng.normal(size=out_shape))
-            return (lambda x: sum_(fn(x) * r), Tensor(rng.uniform(lo, hi, size=shape)))
-        return build
-
-    # the axis, exponent and index branches of the reduction, pow, gather
-    # and slice gradients
-    cases["sum_axis1"] = projected(lambda x: T.reduce_sum(x, axis=1), (3, 4, 2), (3, 2))
-    cases["sum_axes"] = projected(lambda x: T.reduce_sum(x, axis=(0, -1)), (3, 4, 2), (4,))
-    cases["mean_axes02"] = projected(lambda x: T.reduce_mean(x, axis=(0, 2)), (3, 4, 2), (4,))
-    cases["pow_zero"] = projected(lambda x: x ** 0, (3, 3), (3, 3))
-    cases["pow_half"] = projected(lambda x: x ** 0.5, (3, 3), (3, 3), lo=0.5, hi=1.5)
-    cases["slice_negative_axis"] = projected(lambda x: T.slice_axis(x, -1, 1, 3),
-                                             (2, 3, 4), (2, 3, 2))
-    cases["gather_rows_axis1"] = projected(
-        lambda x: T.gather_rows(x, np.array([3, 0, 3, 1, 3, 0]), axis=1), (2, 4, 3), (2, 6, 3))
-
-    def layer_norm_case(rng):
-        # project onto a random direction so the loss is not scale-invariant
-        r = Tensor(rng.normal(size=(4, 6)))
-        g = Tensor(rng.uniform(0.5, 1.5, size=6))
-        b = Tensor(rng.normal(size=6) * 0.1)
-        return (lambda x: sum_(T.layer_norm(x, g, b) * r),
-                Tensor(rng.uniform(-1, 1, size=(4, 6))))
-
-    def group_norm_case(rng):
-        r = Tensor(rng.normal(size=(3, 3, 8)))
-        g = Tensor(rng.uniform(0.5, 1.5, size=8))
-        b = Tensor(rng.normal(size=8) * 0.1)
-        return (lambda x: sum_(T.group_norm(x, g, b, 4) * r),
-                Tensor(rng.uniform(-1, 1, size=(3, 3, 8))))
-
-    cases["layer_norm"] = layer_norm_case
-    cases["group_norm"] = group_norm_case
-    cases["conv2d"] = conv2d_case
-    cases["conv2d_weight"] = conv2d_weight_case
-    cases["conv3d"] = conv3d_case
-    cases["grid_sample_data"] = grid_data_case
-    cases["grid_sample_coords"] = grid_coord_case
-    cases["gather_rows"] = gather_case
-    # the fused primitives' cases are the ones in gradcheck.py
-    for name in primitive_case_names():
-        if name.startswith(("linear", "attention", "take_tokens")):
-            cases[name] = lambda rng, name=name: primitive_cases(rng)[name]
-    return cases
-
-
-FD_CASES = _fd_cases()
-
-
-@pytest.mark.usefixtures("float64")
-@pytest.mark.parametrize("name", sorted(FD_CASES))
+@pytest.mark.parametrize("name", primitive_case_names())
 def test_primitive_gradients(name):
-    for seed in range(3):
-        f, x = FD_CASES[name](np.random.default_rng(100 + seed))
-        rep = finite_diff_check(f, x, eps=1e-6, tol=1e-5)
-        assert rep.passed, f"{name} seed {seed}: {rep}"
+    rep = check_primitive(name, seeds=3)
+    assert rep.passed, f"{name}: {rep}"
 
 
 def test_finite_diff_quadratic_is_tight():
@@ -296,11 +182,32 @@ def test_finite_diff_flags_non_finite():
     assert not rep.passed and rep.non_finite
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_diff_flags_a_non_finite_gradient(bad):
+    # the forward is the identity; the backward hands on a non-finite gradient
+    def f(v):
+        return T.reduce_sum(T._unary(v, v.data.copy(), lambda g: g * bad, "broken"))
+
+    rep = finite_diff_check(f, Tensor(np.linspace(-1, 1, 5)), eps=1e-6, tol=1e-5)
+    assert not rep.passed and rep.non_finite == [(0, i) for i in range(5)]
+
+
+def test_finite_diff_refuses_an_empty_or_unsound_probe():
+    x = Tensor(np.ones(3))
+    with pytest.raises(ValueError, match="no coordinate"):
+        finite_diff_check(lambda v: T.reduce_sum(v), x, max_coords=0)
+    with pytest.raises(ValueError, match="no coordinate"):
+        finite_diff_check_params(lambda: T.reduce_sum(x), [])
+    # both entry points share the eps bound
+    with pytest.raises(ValueError, match="eps"):
+        finite_diff_check_params(lambda: T.reduce_sum(x), [x], eps=1e-2)
+
+
 def test_gradient_checks_pin_float64():
     # called in the default float32 state, every check computes in float64
     # and hands its caller's tensors and dtype back unchanged
     from vindet.config import ExperimentConfig
-    from vindet.gradcheck import check_full_model, check_primitive
+    from vindet.gradcheck import check_full_model
     from vindet.nn import Parameter
 
     assert T.compute_dtype() == np.float32
@@ -316,7 +223,7 @@ def test_gradient_checks_pin_float64():
 
     rep = finite_diff_check(lambda v: loss(v, w), x, eps=1e-6, tol=1e-5)
     assert rep.passed and rep.max_rel_err <= 1e-7 and set(seen) == {np.dtype(np.float64)}
-    rep = T.finite_diff_check_params(lambda: loss(x, w), [w], eps=1e-6, tol=1e-5)
+    rep = finite_diff_check_params(lambda: loss(x, w), [w], eps=1e-6, tol=1e-5)
     assert rep.passed and rep.max_rel_err <= 1e-7
     assert w.data is data and w.grad.dtype == np.float32 and grad.dtype == np.float32
     assert x.dtype == np.float32

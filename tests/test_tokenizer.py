@@ -5,7 +5,8 @@ import pytest
 
 from vindet import tensor as T
 from vindet.config import ExperimentConfig
-from vindet.tensor import Tensor, backward, finite_diff_check
+from vindet.gradcheck import finite_diff_check
+from vindet.tensor import Tensor, backward
 from vindet.tokenizer import (
     TubeletEmbed,
     VideoClip,

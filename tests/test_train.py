@@ -10,7 +10,7 @@ from vindet import tensor as T
 from vindet import train as train_mod
 from vindet.config import ExperimentConfig
 from vindet.data import generate_dataset
-from vindet.gradcheck import primitive_case_names
+from vindet.gradcheck import primitive_case_names, primitive_cases
 from vindet.model import InpaintingDetector
 from vindet.objectives import f1_metric, frame_score, miou_metric
 from vindet.tensor import Tensor
@@ -356,21 +356,24 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p.data, before[n])
 
 
-def _tape_names(loss):
-    """Names of every tape entry ``loss`` depends on."""
-    names, seen, stack = set(), set(), [loss._entry]
+def _tape_pairs(loss):
+    """(op name, input position) of each gradient-carrying input of every
+    tape entry ``loss`` depends on."""
+    pairs, seen, stack = set(), set(), [loss._entry]
     while stack:
         e = stack.pop()
         if e is None or id(e) in seen:
             continue
         seen.add(id(e))
-        names.add(e.name)
+        pairs.update((e.name, i) for i, t in enumerate(e.inputs) if t.requires_grad)
         stack.extend(t._entry for t in e.inputs)
-    return names
+    return pairs
 
 
 def test_gradient_suite_covers_every_training_op(monkeypatch):
-    # a desk B=4 step; the backward is swapped for one that keeps the loss
+    # a desk B=4 step; the backward is swapped for one that keeps the loss.
+    # Every op input that carries a gradient there carries one on the tape
+    # of some primitive case, so the suite probes it.
     cfg = ExperimentConfig()
     ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
           for i, sc in enumerate(generate_dataset(cfg.train.batch, cfg.seed, cfg))]
@@ -378,10 +381,16 @@ def test_gradient_suite_covers_every_training_op(monkeypatch):
     monkeypatch.setattr(train_mod, "backward", losses.append)
     train_mod._train_step(InpaintingDetector(cfg), ds, np.arange(cfg.train.batch),
                           np.random.default_rng(0), cfg, 0)
-    names = _tape_names(losses[0])
+    pairs = _tape_pairs(losses[0])
+    names = {name for name, _ in pairs}
     cases = primitive_case_names()
     assert {"conv", "attention", "linear", "grid_sample"} <= names
     assert not [n for n in names if not any(c.startswith(n) for c in cases)]
+    probed = set()
+    with T.float64_scope():
+        for f, x in primitive_cases(np.random.default_rng(0)).values():
+            probed |= _tape_pairs(f(Tensor(x.data, requires_grad=True)))
+    assert sorted(pairs - probed) == []
 
 
 def test_train_step_never_writes_an_op_output_gradient(monkeypatch):
