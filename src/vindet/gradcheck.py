@@ -298,6 +298,9 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("conv3d_pad_weight",
          lambda w: T.reduce_sum(T.conv(cpx, w, bp, (1, 1, 0)) * r23412),
          Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4))
+    r232 = proj(2, 3, 2)
+    case("slice_negative_axis",
+         lambda x: T.reduce_sum(T.slice_axis(x, -1, 1, 3) * r232), u(2, 3, 4))
     return cases
 
 
