@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 validation/configuration error or an unreadable
-input file, 2 numerical failure (a non-finite loss, or a numpy overflow or
-invalid operation, which every command raises on).
+input file, 2 numerical failure (a non-finite loss, an arithmetic overflow, or a numpy
+overflow or invalid operation, which every command raises on).
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import check_full_model, run_primitive_suite
 
+    cfg = _load_cfg(args.config)
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     failed = False
@@ -86,7 +87,6 @@ def cmd_gradcheck(args) -> int:
         print(f"{name}: {rep}")
         failed |= not rep.passed
     if args.full_model:
-        cfg = _load_cfg(args.config)
         rep = check_full_model(cfg, cfg.seed)
         print(f"full-model: {rep}")
         failed |= not rep.passed
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     except Exception as err:  # numerical failures
         from .train import NumericalError
 
-        if isinstance(err, (NumericalError, FloatingPointError)):
+        if isinstance(err, (NumericalError, ArithmeticError)):
             print(f"numerical failure: {err}", file=sys.stderr)
             return 2
         raise

@@ -158,6 +158,12 @@ def generate_dataset(n_clips: int, seed: int, cfg: ExperimentConfig,
 
 
 def save_dataset(dirpath, clips: list[SyntheticClip]):
+    """Write ``clips`` as ``clip_0000``, ... under ``dirpath``. A directory
+    that already holds a subdirectory raises ValueError before anything is
+    written, since ``load_dataset`` would read its clips along with these."""
+    if os.path.isdir(dirpath) and any(os.path.isdir(os.path.join(dirpath, d))
+                                      for d in os.listdir(dirpath)):
+        raise ValueError(f"{dirpath}: already holds a subdirectory")
     os.makedirs(dirpath, exist_ok=True)
     for i, sc in enumerate(clips):
         save_clip(os.path.join(dirpath, f"clip_{i:04d}"), sc.clip, sc.gt_mask)

@@ -5,11 +5,13 @@ to central differences. ``primitive_cases`` holds one case per input of
 every differentiable primitive, plus the axis, exponent, index and batch
 branches of their backward rules. Each case projects the op's output onto
 a fixed random direction so the scalar loss has well-conditioned,
-order-one gradients. All auxiliary tensors are drawn once per case; the
-checked function must be a fixed deterministic map. ``check_full_model``
-spot-checks a whole detector. Every check runs in ``tensor.float64_scope``,
-whatever dtype its caller computes in. Shared between the CLI and the
-tests.
+order-one gradients. The auxiliary tensors are drawn with the cases, and
+cases may share them, so a checked function must be a fixed deterministic
+map that changes none of them. ``run_primitive_suite``, the one runner of
+the cases, draws them once per seed and keeps each case's worst report
+over the seeds. ``check_full_model`` spot-checks a whole detector. Every
+check runs in ``tensor.float64_scope``, whatever dtype its caller computes
+in. Shared between the CLI and the tests.
 """
 
 from __future__ import annotations
@@ -308,25 +310,24 @@ def primitive_case_names() -> list[str]:
     return sorted(primitive_cases(np.random.default_rng(0)))
 
 
-def check_primitive(name: str, seeds: int = 10, eps: float = 1e-6,
-                    tol: float = 1e-5) -> GradCheckReport:
-    """Worst report over the seeds for one primitive case."""
-    worst: GradCheckReport | None = None
-    with T.float64_scope():
-        for seed in range(seeds):
-            f, x = primitive_cases(np.random.default_rng(1000 + seed))[name]
-            rep = finite_diff_check(f, x, eps=eps, tol=tol)
-            if worst is None or rep.max_rel_err > worst.max_rel_err or not rep.passed:
-                worst = rep
-            if not rep.passed:
-                break
-    return worst
-
-
 def run_primitive_suite(seeds: int = 10, eps: float = 1e-6,
                         tol: float = 1e-5) -> dict[str, GradCheckReport]:
-    return {name: check_primitive(name, seeds, eps, tol)
-            for name in primitive_case_names()}
+    """The worst report of each primitive case over the seeds, by name.
+
+    Each seed's cases are drawn once, from ``default_rng(1000 + seed)``. A
+    report replaces the kept one when its error is larger or when it fails,
+    and a case that fails is not checked at later seeds."""
+    reports: dict[str, GradCheckReport] = {}
+    with T.float64_scope():
+        for seed in range(seeds):
+            for name, (f, x) in primitive_cases(np.random.default_rng(1000 + seed)).items():
+                kept = reports.get(name)
+                if kept is not None and not kept.passed:
+                    continue
+                rep = finite_diff_check(f, x, eps=eps, tol=tol)
+                if kept is None or rep.max_rel_err > kept.max_rel_err or not rep.passed:
+                    reports[name] = rep
+    return dict(sorted(reports.items()))
 
 
 def check_full_model(cfg: ExperimentConfig, seed: int) -> GradCheckReport:

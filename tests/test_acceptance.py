@@ -23,7 +23,7 @@ from vindet.data import generate_dataset, perturb_gaussian, perturb_jpeg, psnr
 from vindet.encoder import SwinBlock, _shift_mask
 from vindet.experiment import run_overfit_experiment
 from vindet.frequency import band_masks, dct2, idct2
-from vindet.gradcheck import check_full_model, run_primitive_suite
+from vindet.gradcheck import check_full_model
 from vindet.interaction import DeformableWindowCrossAttention
 from vindet.model import InpaintingDetector
 from vindet.objectives import (
@@ -61,10 +61,9 @@ def overfit(tmp_path_factory):
     return cfg, result, model, clips, elapsed
 
 
-def test_criterion_1_primitive_gradient_suite():
-    t0 = time.time()
-    reports = run_primitive_suite(seeds=10, eps=1e-6, tol=1e-5)
-    elapsed = time.time() - t0
+def test_criterion_1_primitive_gradient_suite(primitive_suite):
+    # the session's one 10-seed run, which test_tensor.py reads per case
+    reports, elapsed = primitive_suite
     worst = max(reports.values(), key=lambda r: r.max_rel_err)
     failed = [n for n, r in reports.items() if not r.passed]
     ok = not failed and elapsed < 60.0

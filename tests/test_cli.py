@@ -4,30 +4,34 @@ import os
 
 import numpy as np
 import pytest
+from conftest import TINY_MODEL
 
+import vindet.train as train_mod
 from vindet.cli import main
-from vindet.config import ExperimentConfig, dump_config
+from vindet.config import ExperimentConfig, dump_config, load_config
+from vindet.data import generate_dataset, load_dataset
+from vindet.model import InpaintingDetector
+from vindet.serialize import MAGIC, load_container, save_container
+from vindet.tokenizer import VideoClip, save_clip
+from vindet.train import NumericalError, save_checkpoint
 
 
-TINY = """
-seed = 0
-geometry.height = 16
-geometry.width = 16
-geometry.views = 1,2
-encoder.dims = 8,8
-encoder.depths = 1,1
-encoder.heads = 2,2
-encoder.window = 2
-global.patch = 8
-global.dim = 8
-global.depth = 1
-dwti.common_dim = 8
-dwti.window = 2
-decoder.channels = 8,8
+TINY = TINY_MODEL + """\
 train.iters = 2
-train.batch = 2
 train.eval_every = 1
 """
+
+
+def _gen_one_clip(tmp_path, cfg_file):
+    assert main(["gen-data", "--n", "1", "--seed", "0", "--out", str(tmp_path / "data"),
+                 "--config", cfg_file]) == 0
+
+
+def _tiny_ckpt(tmp_path, cfg_file):
+    """A freshly initialised model's checkpoint."""
+    ckpt = tmp_path / "ck.mpci"
+    save_checkpoint(str(ckpt), InpaintingDetector(load_config(cfg_file)), {}, 0)
+    return ckpt
 
 
 @pytest.fixture
@@ -53,9 +57,15 @@ class TestGenData:
         assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
         assert not out.exists()
 
-    def test_authentic_clips_are_twins_of_the_scenes(self, tmp_path):
-        from vindet.data import generate_dataset, load_dataset
+    def test_refuses_a_directory_that_holds_clips(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["gen-data", "--n", "2", "--seed", "1", "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["gen-data", "--n", "1", "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: already holds a subdirectory\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_authentic_clips_are_twins_of_the_scenes(self, tmp_path):
         out = str(tmp_path / "ds")
         assert main(["gen-data", "--n", "2", "--seed", "3", "--out", out,
                      "--with-authentic"]) == 0
@@ -112,9 +122,7 @@ class TestTrainEval:
                      "--jpeg", "70", "--snr", "25"]) == 1  # mutually exclusive
 
     def test_eval_dump_writes_maps(self, tmp_path, tiny_cfg_file):
-        data_dir = str(tmp_path / "data")
-        main(["gen-data", "--n", "1", "--seed", "0", "--out", data_dir,
-              "--config", tiny_cfg_file])
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         out_dir = str(tmp_path / "run")
         main(["train", "--config", tiny_cfg_file, "--out", out_dir])
         dump = tmp_path / "dump"
@@ -129,9 +137,6 @@ class TestTrainEval:
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, tiny_cfg_file, monkeypatch):
-        import vindet.train as train_mod
-        from vindet.train import NumericalError
-
         def boom(*a, **k):
             raise NumericalError("non-finite loss at iteration 0")
 
@@ -145,13 +150,7 @@ class TestTrainEval:
         assert main(["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "o")]) == 1
 
     def test_unknown_tensor_dtype_exit_code(self, tmp_path, tiny_cfg_file):
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.serialize import MAGIC
-        from vindet.train import save_checkpoint
-
-        ckpt = tmp_path / "ck.mpci"
-        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
         buf = bytearray(ckpt.read_bytes())
         first = buf.index(MAGIC)
         buf[first + 4] = 7  # dtype code byte of the first blob
@@ -160,13 +159,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("cut", [6, "blob+5"])
     def test_truncated_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys, cut):
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.serialize import MAGIC
-        from vindet.train import save_checkpoint
-
-        ckpt = tmp_path / "ck.mpci"
-        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
         buf = ckpt.read_bytes()
         end = cut if isinstance(cut, int) else buf.index(MAGIC) + 5
         ckpt.write_bytes(buf[:end])
@@ -175,16 +168,11 @@ class TestTrainEval:
         assert str(ckpt) in err and "truncated" in err
 
     def test_bad_momentum_buffer_exit_code(self, tmp_path, tiny_cfg_file, capsys):
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.train import save_checkpoint
-
         model = InpaintingDetector(load_config(tiny_cfg_file))
         name, p = next(iter(model.registry().items()))
         ckpt = tmp_path / "ck.mpci"
         save_checkpoint(str(ckpt), model, {name: np.zeros(p.data.size + 2)}, 1)
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         assert main(["train", "--config", tiny_cfg_file, "--out", str(tmp_path / "o"),
                      "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
@@ -192,12 +180,7 @@ class TestTrainEval:
 
     def test_other_models_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys):
         # a full-model checkpoint holds DWTI parameters the DWTI-off model lacks
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.train import save_checkpoint
-
-        ckpt = tmp_path / "ck.mpci"
-        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
         off = tmp_path / "off.cfg"
         off.write_text((tmp_path / "tiny.cfg").read_text() + "dwti.enabled = false\n")
         assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
@@ -209,35 +192,23 @@ class TestTrainEval:
         assert "summary" not in captured.out
 
     def test_non_finite_checkpoint_exit_code(self, tmp_path, tiny_cfg_file, capsys):
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.train import save_checkpoint
-
         model = InpaintingDetector(load_config(tiny_cfg_file))
         model.decoder.head_conv.w.data[0] = np.nan
         ckpt = tmp_path / "ck.mpci"
         save_checkpoint(str(ckpt), model, {}, 0)
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and "param/decoder.head_conv.w: non-finite" in err
 
     def test_checkpoint_beyond_float32_exit_code(self, tmp_path, tiny_cfg_file, capsys):
         # a float64 checkpoint entry that is finite but overflows float32
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.serialize import load_container, save_container
-        from vindet.train import save_checkpoint
-
-        ckpt = tmp_path / "ck.mpci"
-        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
         blobs = load_container(str(ckpt))
         entry = "param/branches.0.merges.0.ln.b"
         blobs[entry] = np.full(blobs[entry].shape, 1e39)
         save_container(str(ckpt), blobs)
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {ckpt}: {entry}: values overflow float32\n"
@@ -245,30 +216,29 @@ class TestTrainEval:
 
     def test_overflowing_forward_exit_code(self, tmp_path, tiny_cfg_file, capsys):
         # a value finite in float32 whose square overflows in the layer norm
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.train import save_checkpoint
-
         model = InpaintingDetector(load_config(tiny_cfg_file))
         model.registry()["branches.0.merges.0.ln.b"].data[...] = 1e30
         ckpt = tmp_path / "ck.mpci"
         save_checkpoint(str(ckpt), model, {}, 0)
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "numerical failure: overflow encountered in multiply\n"
         assert "summary" not in captured.out
 
-    def test_truncated_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys):
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.train import save_checkpoint
+    def test_overflowing_snr_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        # 10 ** 400 overflows a Python float, which numpy's errstate does not see
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
+        _gen_one_clip(tmp_path, tiny_cfg_file)
+        assert main(["eval", "--config", tiny_cfg_file, "--ckpt", str(ckpt),
+                     "--snr", "-4000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure:")
+        assert "Traceback" not in captured.err and "summary" not in captured.out
 
-        ckpt = tmp_path / "ck.mpci"
-        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+    def test_truncated_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys):
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         frame = tmp_path / "data" / "clip_0000" / "frame_001.ppm"
         buf = frame.read_bytes()
         frame.write_bytes(buf[:len(buf) // 2])
@@ -283,8 +253,7 @@ class TestTrainEval:
     def test_bad_manifest_exit_code(self, tmp_path, tiny_cfg_file, capsys, manifest):
         # an empty manifest, an entry that is a directory or lies outside the
         # clip, a manifest that is itself a directory, and one not UTF-8
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         clip = tmp_path / "data" / "clip_0000"
         (clip / "sub").mkdir()
         path = clip / "manifest.txt"
@@ -308,8 +277,7 @@ class TestTrainEval:
     def test_bad_frame_exit_code(self, tmp_path, tiny_cfg_file, capsys, content, named):
         # a frame of another size than the first is named by its manifest
         # entry, an empty P6 header by the frame's path
-        assert main(["gen-data", "--n", "1", "--seed", "0", "--out",
-                     str(tmp_path / "data"), "--config", tiny_cfg_file]) == 0
+        _gen_one_clip(tmp_path, tiny_cfg_file)
         clip = tmp_path / "data" / "clip_0000"
         (clip / "frame_001.ppm").write_bytes(content)
         capsys.readouterr()
@@ -330,13 +298,7 @@ class TestTrainEval:
                                              frames_hw, mask_hw):
         # frames off the config geometry, or a mask off its frames, must be
         # reported with the clip directory before any clip reaches the model
-        from vindet.config import load_config
-        from vindet.model import InpaintingDetector
-        from vindet.tokenizer import VideoClip, save_clip
-        from vindet.train import save_checkpoint
-
-        ckpt = tmp_path / "ck.mpci"
-        save_checkpoint(str(ckpt), InpaintingDetector(load_config(tiny_cfg_file)), {}, 0)
+        ckpt = _tiny_ckpt(tmp_path, tiny_cfg_file)
         rng = np.random.default_rng(0)
         save_clip(tmp_path / "data" / "clip_0000",
                   VideoClip(rng.uniform(size=(3, 16, 16, 3))), np.zeros((16, 16)))
@@ -415,14 +377,27 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "params:" in out and "flops_per_clip:" in out
 
-    def test_gradcheck_smoke(self, capsys):
-        assert main(["gradcheck", "--seeds", "1", "--full-model"]) == 0
+    def test_gradcheck_smoke(self, tiny_cfg_file, capsys):
+        # the desk model's full-model check is criterion 2's
+        assert main(["gradcheck", "--seeds", "1", "--full-model",
+                     "--config", tiny_cfg_file]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         # the zero-initialised head would leave the sampled gradients all zero
         line = [ln for ln in out.splitlines() if ln.startswith("full-model:")]
         assert len(line) == 1 and line[0].endswith("over 100 coords")
         assert float(line[0].split("max_rel_err=")[1].split()[0]) > 0.0
+
+    @pytest.mark.parametrize("text", [None, "geometry.patch = 5\n"],
+                             ids=["missing", "invalid"])
+    def test_gradcheck_reads_its_config_first(self, tmp_path, capsys, text):
+        # a missing or invalid file, with or without --full-model
+        cfg = tmp_path / "gc.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["gradcheck", "--seeds", "1", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert str(cfg) in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_gradcheck_rejects_seeds_below_one(self, capsys, seeds):
@@ -433,8 +408,6 @@ class TestOtherCommands:
     @pytest.mark.parametrize("h, w", [(33, 33), (31, 40)])
     def test_freq_dump_any_clip_size(self, tmp_path, h, w):
         # the maps are full resolution, so no side needs to halve
-        from vindet.tokenizer import VideoClip, save_clip
-
         clip = tmp_path / "clip"
         frames = np.random.default_rng(0).uniform(size=(3, h, w, 3))
         save_clip(clip, VideoClip(frames), np.zeros((h, w)))

@@ -16,6 +16,7 @@ import shutil
 import tempfile
 
 import pytest
+from conftest import TINY_MODEL
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,22 +26,6 @@ from vindet.data import generate_dataset, save_dataset
 from vindet.model import InpaintingDetector
 from vindet.train import save_checkpoint
 
-TINY = """
-geometry.height = 16
-geometry.width = 16
-geometry.views = 1,2
-encoder.dims = 8,8
-encoder.depths = 1,1
-encoder.heads = 2,2
-encoder.window = 2
-global.patch = 8
-global.dim = 8
-global.depth = 1
-dwti.common_dim = 8
-dwti.window = 2
-decoder.channels = 8,8
-train.batch = 2
-"""
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 CLIP_FILES = ("frame_000.ppm", "frame_001.ppm", "frame_002.ppm", "gt.pgm", "manifest.txt")
 KEYS = [key for key, _, _ in leaves(ExperimentConfig())]
@@ -52,8 +37,8 @@ def pristine(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     cfg_path = str(root / "tiny.cfg")
     with open(cfg_path, "w") as fh:
-        fh.write(TINY)
-    cfg = parse_config(TINY)
+        fh.write(TINY_MODEL)
+    cfg = parse_config(TINY_MODEL)
     ckpt = str(root / "ck.mpci")
     save_checkpoint(ckpt, InpaintingDetector(cfg), {}, 0)
     save_dataset(str(root / "data"), generate_dataset(1, 0, cfg))

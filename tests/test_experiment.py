@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import TINY_MODEL
 
 import vindet.experiment as experiment
 import vindet.train as train_mod
@@ -16,24 +17,10 @@ from vindet.serialize import load_container
 from vindet.tokenizer import VideoClip
 from vindet.train import load_checkpoint, train
 
-TINY = """
-geometry.height = 16
-geometry.width = 16
-geometry.views = 1,2
-encoder.dims = 8,8
-encoder.depths = 1,1
-encoder.heads = 2,2
-encoder.window = 2
-global.patch = 8
-global.dim = 8
-global.depth = 1
-dwti.common_dim = 8
-dwti.window = 2
-decoder.channels = 8,8
+TINY = TINY_MODEL + """\
 optim.lr_encoder = 0.05
 optim.lr_decoder = 0.5
 train.iters = 6
-train.batch = 2
 train.eval_every = 4
 """
 N_CLIPS = 2      # the raised learning rates make the checks' scores differ

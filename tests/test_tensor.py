@@ -8,10 +8,11 @@ import pytest
 
 from vindet import tensor as T
 from vindet.gradcheck import (
-    check_primitive,
+    check_full_model,
     finite_diff_check,
     finite_diff_check_params,
     primitive_case_names,
+    run_primitive_suite,
 )
 from vindet.tensor import Tensor, ShapeError, backward
 
@@ -138,9 +139,35 @@ class TestSampling:
 
 
 @pytest.mark.parametrize("name", primitive_case_names())
-def test_primitive_gradients(name):
-    rep = check_primitive(name, seeds=3)
+def test_primitive_gradients(primitive_suite, name):
+    # one case's line of criterion 1's 10-seed run, which is made once
+    rep = primitive_suite[0][name]
     assert rep.passed, f"{name}: {rep}"
+
+
+def test_primitive_suite_draws_each_seeds_cases_once(monkeypatch):
+    # on scripted reports: the larger error or the failure is kept, and a
+    # case is not checked after its first failing seed
+    import vindet.gradcheck as gc
+
+    drawn, checked = [], []
+    script = {("a", 0): 0.1, ("a", 1): 0.3, ("a", 2): 0.2,
+              ("b", 0): 0.2, ("b", 1): 2.0, ("b", 2): 0.1}
+
+    def cases(rng):
+        drawn.append(rng.bit_generator.state)
+        return {name: (name, len(drawn) - 1) for name in ("b", "a")}
+
+    def check(name, seed, eps, tol):
+        checked.append((name, seed))
+        return gc.GradCheckReport(script[name, seed], script[name, seed] <= tol, 1)
+
+    monkeypatch.setattr(gc, "primitive_cases", cases)
+    monkeypatch.setattr(gc, "finite_diff_check", check)
+    reports = gc.run_primitive_suite(seeds=3, tol=1.0)
+    assert drawn == [np.random.default_rng(1000 + s).bit_generator.state for s in range(3)]
+    assert list(reports) == ["a", "b"] and sorted(checked) == sorted(set(script) - {("b", 2)})
+    assert [(r.max_rel_err, r.passed) for r in reports.values()] == [(0.3, True), (2.0, False)]
 
 
 def test_finite_diff_quadratic_is_tight():
@@ -207,7 +234,6 @@ def test_gradient_checks_pin_float64():
     # called in the default float32 state, every check computes in float64
     # and hands its caller's tensors and dtype back unchanged
     from vindet.config import ExperimentConfig
-    from vindet.gradcheck import check_full_model
     from vindet.nn import Parameter
 
     assert T.compute_dtype() == np.float32
@@ -236,11 +262,9 @@ def test_gradient_checks_pin_float64():
     cfg.encoder.window = cfg.dwti.window = 2
     cfg.glob.patch = cfg.glob.dim = 8
     cfg.validate()
-    outside = [check_primitive(name, seeds=1) for name in ("gelu", "conv2d", "attention")]
-    outside.append(check_full_model(cfg, seed=2))
+    outside = [*run_primitive_suite(seeds=1).values(), check_full_model(cfg, seed=2)]
     with T.float64_scope():
-        inside = [check_primitive(name, seeds=1) for name in ("gelu", "conv2d", "attention")]
-        inside.append(check_full_model(cfg, seed=2))
+        inside = [*run_primitive_suite(seeds=1).values(), check_full_model(cfg, seed=2)]
     assert T.compute_dtype() == np.float32
     assert all(a.passed for a in outside)
     assert [a.max_rel_err for a in outside] == [b.max_rel_err for b in inside]

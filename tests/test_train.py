@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from conftest import TINY_MODEL
 
 from vindet import nn
 from vindet import tensor as T
 from vindet import train as train_mod
-from vindet.config import ExperimentConfig
+from vindet.config import ExperimentConfig, parse_config
 from vindet.data import generate_dataset
 from vindet.gradcheck import primitive_case_names, primitive_cases
 from vindet.model import InpaintingDetector
@@ -126,24 +127,8 @@ def test_sgd_step_matches_copying_update(initial_velocities):
         assert np.array_equal(vel[n], vel_ref[n])
 
 
-def _tiny_cfg(iters=4, seed=0):
-    cfg = ExperimentConfig(seed=seed)
-    cfg.geometry.height = cfg.geometry.width = 16
-    cfg.geometry.views = (1, 2)
-    cfg.encoder.dims = (8, 8)
-    cfg.encoder.depths = (1, 1)
-    cfg.encoder.heads = (2, 2)
-    cfg.encoder.window = 2
-    cfg.glob.patch = 8
-    cfg.glob.dim = 8
-    cfg.glob.depth = 1
-    cfg.dwti.common_dim = 8
-    cfg.dwti.window = 2
-    cfg.decoder.channels = (8, 8)
-    cfg.train.iters = iters
-    cfg.train.batch = 2
-    cfg.train.eval_every = 2
-    return cfg
+def _tiny_cfg(iters=4):
+    return parse_config(TINY_MODEL + f"train.iters = {iters}\ntrain.eval_every = 2\n")
 
 
 def _tiny_dataset(cfg, n=3):
