@@ -24,17 +24,16 @@ def _load_cfg(path) -> ExperimentConfig:
 
 
 def cmd_gen_data(args) -> int:
-    from .data import generate_dataset, save_dataset
+    from .data import generate_dataset, save_datasets
 
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     cfg = _load_cfg(args.config)
-    clips = generate_dataset(args.n, args.seed, cfg)
-    save_dataset(args.out, clips)
+    sets = {args.out: generate_dataset(args.n, args.seed, cfg)}
     if args.with_authentic:
-        auth = generate_dataset(args.n, args.seed, cfg, inpainted=False)
-        save_dataset(args.out + "_authentic", auth)
-    print(f"wrote {len(clips)} clips to {args.out}")
+        sets[args.out + "_authentic"] = generate_dataset(args.n, args.seed, cfg, inpainted=False)
+    save_datasets(sets)
+    print(f"wrote {args.n} clips to {args.out}")
     return 0
 
 

@@ -157,16 +157,18 @@ def generate_dataset(n_clips: int, seed: int, cfg: ExperimentConfig,
     return [make_clip(seed * 100003 + i, cfg, inpainted) for i in range(n_clips)]
 
 
-def save_dataset(dirpath, clips: list[SyntheticClip]):
-    """Write ``clips`` as ``clip_0000``, ... under ``dirpath``. A directory
-    that already holds a subdirectory raises ValueError before anything is
-    written, since ``load_dataset`` would read its clips along with these."""
-    if os.path.isdir(dirpath) and any(os.path.isdir(os.path.join(dirpath, d))
-                                      for d in os.listdir(dirpath)):
-        raise ValueError(f"{dirpath}: already holds a subdirectory")
-    os.makedirs(dirpath, exist_ok=True)
-    for i, sc in enumerate(clips):
-        save_clip(os.path.join(dirpath, f"clip_{i:04d}"), sc.clip, sc.gt_mask)
+def save_datasets(sets: dict[str, list[SyntheticClip]]):
+    """Write each list of clips as ``clip_0000``, ... under its directory. A
+    directory that already holds a subdirectory raises ValueError before
+    anything is written: ``load_dataset`` would read its clips with these."""
+    for dirpath in sets:
+        if os.path.isdir(dirpath) and any(os.path.isdir(os.path.join(dirpath, d))
+                                          for d in os.listdir(dirpath)):
+            raise ValueError(f"{dirpath}: already holds a subdirectory")
+    for dirpath, clips in sets.items():
+        os.makedirs(dirpath, exist_ok=True)
+        for i, sc in enumerate(clips):
+            save_clip(os.path.join(dirpath, f"clip_{i:04d}"), sc.clip, sc.gt_mask)
 
 
 def load_dataset(dirpath, cfg: ExperimentConfig | None = None

@@ -65,6 +65,15 @@ class TestGenData:
         assert capsys.readouterr().err == f"error: {out}: already holds a subdirectory\n"
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_refuses_a_held_authentic_directory_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        auth = tmp_path / "ds_authentic"
+        assert main(["gen-data", "--n", "1", "--seed", "0", "--out", str(auth)]) == 0
+        assert main(["gen-data", "--n", "1", "--seed", "1", "--out", str(out),
+                     "--with-authentic"]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {auth}: already holds a subdirectory\n")
+        assert not out.exists()
+
     def test_authentic_clips_are_twins_of_the_scenes(self, tmp_path):
         out = str(tmp_path / "ds")
         assert main(["gen-data", "--n", "2", "--seed", "3", "--out", out,

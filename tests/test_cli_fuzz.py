@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from vindet.cli import main
 from vindet.config import ExperimentConfig, leaves, parse_config
-from vindet.data import generate_dataset, save_dataset
+from vindet.data import generate_dataset, save_datasets
 from vindet.model import InpaintingDetector
 from vindet.train import save_checkpoint
 
@@ -41,7 +41,7 @@ def pristine(tmp_path_factory):
     cfg = parse_config(TINY_MODEL)
     ckpt = str(root / "ck.mpci")
     save_checkpoint(ckpt, InpaintingDetector(cfg), {}, 0)
-    save_dataset(str(root / "data"), generate_dataset(1, 0, cfg))
+    save_datasets({str(root / "data"): generate_dataset(1, 0, cfg)})
     return {"root": str(root), "cfg": cfg_path, "ckpt": ckpt, "data": str(root / "data")}
 
 

@@ -12,7 +12,7 @@ from vindet.data import (
     perturb_gaussian,
     perturb_jpeg,
     psnr,
-    save_dataset,
+    save_datasets,
 )
 from vindet.frequency import dct2, idct2
 from vindet.tokenizer import VideoClip
@@ -94,7 +94,7 @@ class TestGenerator:
 
     def test_dataset_roundtrip(self, tmp_path):
         clips = generate_dataset(3, 9, CFG)
-        save_dataset(tmp_path, clips)
+        save_datasets({tmp_path: clips})
         loaded = load_dataset(tmp_path)
         assert len(loaded) == 3
         for (name, clip, mask), sc in zip(loaded, clips):
