@@ -1,7 +1,7 @@
 """Minimal module system: parameter registry and common layers.
 
 A ``Parameter`` is a ``Tensor``, so layers pass their weights straight to
-the engine's primitives and the optimizer reads ``p.data`` and ``p.grad``.
+the engine's primitives; ``pack`` hands the optimizer flat arrays of them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class Parameter(Tensor):
 
     def __init__(self, data: np.ndarray):
         super().__init__(data, requires_grad=True)
-        self.zero_grad()
+        self.grad = np.zeros_like(self.data)
 
 
 class Module:
@@ -86,9 +86,26 @@ def build_registry(model: Module) -> Dict[str, Parameter]:
     return dict(sorted(reg.items()))
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
+def views(flat: np.ndarray, params) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one shaped like each of ``params``."""
+    ends = np.cumsum([p.size for p in params])
+    return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+
+
+def pack(params) -> tuple[np.ndarray, np.ndarray]:
+    """Copy ``params``, in order, into one data and one zeroed gradient
+    array, and rebind each one's ``data`` and ``grad`` as views of them."""
+    params = list(params)
+    data = np.concatenate([p.data.ravel() for p in params])
+    grad = np.zeros_like(data)
+    for p, d, g in zip(params, views(data, params), views(grad, params)):
+        p.data, p.grad = d, g
+    return data, grad
+
+
+def zero_grads(grad: np.ndarray) -> None:
+    """Zero the packed gradient array of ``pack`` in place."""
+    grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -126,14 +126,6 @@ class Tensor:
             raise ShapeError(f"item: tensor of shape {self.shape} is not scalar")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        """Zero a leaf's gradient buffer, which it owns, in place; allocate
-        one only when there is none."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
     def accumulate_grad(self, g: np.ndarray):
         """Add ``g`` to the gradient. A leaf (an ``nn.Parameter`` among them)
         keeps a private buffer and adds into it in place. An op output adopts

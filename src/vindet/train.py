@@ -44,29 +44,22 @@ def poly_lr_pair(it: int, cfg: ExperimentConfig) -> tuple[float, float]:
             poly_lr(it, n, o.lr_decoder, o.min_lr, o.poly_power))
 
 
-def sgd_step(registry: dict[str, nn.Parameter], lr_of, weight_decay: float,
-             momentum: float, velocities: dict[str, np.ndarray]) -> None:
-    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in name order,
-    updating parameters and momentum buffers in place.
-
-    Every gradient is checked before any parameter moves: a missing one
-    raises ValueError and a non-finite one NumericalError, naming the first
-    such parameter in registry order."""
-    for name, p in registry.items():
-        if p.grad is None:
-            raise ValueError(f"sgd_step: parameter {name} has no gradient")
-        if not (math.isfinite(p.grad.min()) and math.isfinite(p.grad.max())):
-            raise NumericalError(f"non-finite gradient in parameter {name}")
-    for name, p in registry.items():
-        g = p.data * weight_decay
-        g += p.grad
-        v = velocities.get(name)
-        if v is None:
-            velocities[name] = v = g
-        else:
-            v *= momentum
-            v += g
-        p.data -= v * lr_of(name)
+def sgd_step(registry: dict[str, nn.Parameter], data: np.ndarray, grad: np.ndarray,
+             velocity: np.ndarray, lr_groups, weight_decay: float, momentum: float) -> None:
+    """v <- mu*v + g + wd*theta; theta <- theta - lr*v, in place, over the
+    arrays of ``nn.pack`` and a momentum array of their size, with one
+    (slice, lr) pair in ``lr_groups`` per learning-rate group. A non-finite
+    gradient raises NumericalError, naming the first such parameter in
+    ``registry``, before anything moves."""
+    if not (math.isfinite(grad.min()) and math.isfinite(grad.max())):
+        name = next(n for n, p in registry.items() if not np.isfinite(p.grad).all())
+        raise NumericalError(f"non-finite gradient in parameter {name}")
+    g = data * weight_decay
+    g += grad
+    velocity *= momentum
+    velocity += g
+    for group, lr in lr_groups:
+        data[group] -= velocity[group] * lr
 
 
 def _batch_indices(rng: np.random.Generator, n: int, batch: int,
@@ -289,27 +282,39 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
 
     model = InpaintingDetector(cfg)
     registry = model.registry()
-    enc_names = model.encoder_param_names()
     velocities: dict[str, np.ndarray] = {}
     start = 0
     if resume is not None:
         velocities, start = load_checkpoint(resume, model)
+    # encoder group first, so that each learning-rate group is one slice
+    enc_names = model.encoder_param_names()
+    order = sorted(registry, key=lambda name: name not in enc_names)
+    params = [registry[name] for name in order]
+    data, grad = nn.pack(params)
+    n_enc = sum(p.size for p in params[:len(enc_names)])
+    velocity = np.zeros_like(data)
+    end = cfg.train.iters
+    if start < end:  # a run that takes no step keeps the loaded entries
+        live = dict(zip(order, nn.views(velocity, params)))
+        for name, v in velocities.items():
+            live[name][...] = v
+        velocities = {name: live[name] for name in registry}
 
     n = len(dataset)
     positives = np.array([bool(np.any(mask > 0.5)) for _, _, mask in dataset])
     log: list[str] = []
     last_miou = last_f1 = None
-    end = cfg.train.iters
     final = start
     for it in range(start, end):
         lr_enc, lr_dec = poly_lr_pair(it, cfg)
-        lr_of = lambda name: lr_enc if name in enc_names else lr_dec
-        nn.zero_grads(registry.values())
+        nn.zero_grads(grad)
 
         rng = np.random.default_rng([cfg.seed, 7919, it])
         batch = _batch_indices(rng, n, cfg.train.batch, positives)
         value = _train_step(model, dataset, batch, rng, cfg, it)
-        sgd_step(registry, lr_of, cfg.optim.weight_decay, cfg.optim.momentum, velocities)
+        sgd_step(registry, data, grad, velocity,
+                 [(slice(0, n_enc), lr_enc), (slice(n_enc, None), lr_dec)],
+                 cfg.optim.weight_decay, cfg.optim.momentum)
 
         final = it + 1
         if on_step is not None:

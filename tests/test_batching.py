@@ -156,7 +156,7 @@ class TestTrainStep:
                    for i, sc in enumerate(make_clip(s, cfg) for s in range(4))]
         batch = np.array([2, 0, 3, 0])
 
-        nn.zero_grads(registry.values())
+        _, grad = nn.pack(registry.values())
         value = _train_step(model, dataset, batch, np.random.default_rng(16), cfg, 0)
         batched = {n: p.grad.copy() for n, p in registry.items()}
 
@@ -167,7 +167,7 @@ class TestTrainStep:
         for bi in batch:
             _, clip, mask = dataset[bi]
             frames, mask = _dihedral(clip.frames, mask, int(rng.integers(0, 8)))
-            nn.zero_grads(registry.values())
+            nn.zero_grads(grad)
             loss = total_loss(model(frames), Tensor(mask), cfg.loss)
             backward(loss)
             losses.append(loss.item())

@@ -89,7 +89,7 @@ def test_every_valid_config_runs(scratch, cfg):
         maps = model(frames).data
     assert maps.shape == (b, cfg.geometry.height, cfg.geometry.width)
     assert np.all(np.isfinite(maps)) and maps.min() >= 0.0 and maps.max() <= 1.0
-    nn.zero_grads(registry.values())
+    nn.pack(registry.values())
     _train_step(model, ds, np.arange(b), np.random.default_rng(1), cfg, 0)
     assert all(np.all(np.isfinite(p.grad)) for p in registry.values())
 

@@ -103,8 +103,8 @@ def _patch_embed_vs_strided_conv(module, proj, x0, kernel):
     r = Tensor(rng.normal(size=out.shape))
     backward(T.reduce_sum(out * r))
     got = (out.data, x.grad, proj.w.grad.copy(), proj.b.grad.copy())
-    proj.w.zero_grad()
-    proj.b.zero_grad()
+    proj.w.grad.fill(0.0)
+    proj.b.grad.fill(0.0)
     xr = Tensor(x0.copy(), requires_grad=True)
     ref_out = im2col_conv(xr, proj.w, proj.b, stride=kernel)
     backward(T.reduce_sum(ref_out * r))

@@ -9,7 +9,7 @@ from conftest import TINY_MODEL
 
 import vindet.experiment as experiment
 import vindet.train as train_mod
-from vindet import serialize
+from vindet import nn, serialize
 from vindet.config import parse_config
 from vindet.data import generate_dataset
 from vindet.model import InpaintingDetector
@@ -160,3 +160,29 @@ def test_last_iteration_is_always_checked(tmp_path, first_check):
                                             check_every=4, **NEVER)
     iters = [int(line.split()[0][len("iter="):]) for line in res.history]
     assert iters == sorted({min(6, k) for k in range(first_check, 10, 4)} | {6})
+
+
+def test_runs_keep_their_checkpoints_under_wrapped_step_functions(tmp_path, monkeypatch):
+    # the benchmark wraps train.sgd_step and nn.zero_grads by name and drops
+    # what they return: each runs once per step and updates in place
+    cfg = parse_config(TINY)
+    cfg.train.iters = 3
+    dataset = [(f"clip_{i}", sc.clip, sc.gt_mask)
+               for i, sc in enumerate(generate_dataset(N_CLIPS, cfg.seed, cfg))]
+
+    def checkpoints(work):
+        """A 3-step train() and the 6-step experiment: their checkpoints' bytes."""
+        trained = train(cfg, str(work / "train"), dataset=dataset)
+        overfit = _run(work / "overfit")
+        return [open(path, "rb").read() for path in (
+            trained.checkpoint, overfit.checkpoint, work / "overfit" / "checkpoint.mpci")]
+
+    plain = checkpoints(tmp_path / "plain")
+    calls = {"sgd_step": 0, "zero_grads": 0}
+    for module, name in ((train_mod, "sgd_step"), (nn, "zero_grads")):
+        def dropping(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, dropping)
+    assert checkpoints(tmp_path / "wrapped") == plain
+    assert calls == {"sgd_step": 3 + 6, "zero_grads": 3 + 6}

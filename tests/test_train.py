@@ -51,50 +51,45 @@ class TestPolyLr:
 
 
 class TestSgdStep:
-    def _param(self, value, grad):
-        p = nn.Parameter(np.array([float(value)]))
-        p.grad = np.array([float(grad)])
-        return p
+    def _packed(self, values, grads):
+        """One-element parameters packed in name order, their gradients
+        set, and a zeroed momentum array."""
+        reg = {name: nn.Parameter(np.array([float(v)])) for name, v in values.items()}
+        data, grad = nn.pack(reg.values())
+        grad[...] = grads
+        return reg, data, grad, np.zeros_like(data)
 
     def test_vanilla_step(self):
-        p = self._param(1.0, 0.5)
-        sgd_step({"w": p}, lambda n: 0.1, weight_decay=0.0, momentum=0.0, velocities={})
-        assert p.data[0] == pytest.approx(0.95)
+        reg, data, grad, vel = self._packed({"w": 1.0}, [0.5])
+        # in place: the benchmark's wrapper drops what sgd_step returns
+        assert sgd_step(reg, data, grad, vel, [(slice(None), 0.1)],
+                        weight_decay=0.0, momentum=0.0) is None
+        assert reg["w"].data[0] == pytest.approx(0.95)
 
     def test_pure_weight_decay(self):
-        p = self._param(1.0, 0.0)
-        sgd_step({"w": p}, lambda n: 1.0, weight_decay=0.1, momentum=0.0, velocities={})
-        assert p.data[0] == pytest.approx(0.9)
+        reg, data, grad, vel = self._packed({"w": 1.0}, [0.0])
+        sgd_step(reg, data, grad, vel, [(slice(None), 1.0)], weight_decay=0.1, momentum=0.0)
+        assert reg["w"].data[0] == pytest.approx(0.9)
 
     def test_momentum_accumulates(self):
-        p = self._param(0.0, 1.0)
-        vel = {}
-        sgd_step({"w": p}, lambda n: 1.0, 0.0, 0.9, vel)
-        p.grad = np.array([1.0])
-        sgd_step({"w": p}, lambda n: 1.0, 0.0, 0.9, vel)
+        reg, data, grad, vel = self._packed({"w": 0.0}, [1.0])
+        sgd_step(reg, data, grad, vel, [(slice(None), 1.0)], 0.0, 0.9)
+        sgd_step(reg, data, grad, vel, [(slice(None), 1.0)], 0.0, 0.9)
         # steps: -1, then -(0.9+1)
-        assert p.data[0] == pytest.approx(-2.9)
-
-    def test_missing_grad_names_parameter(self):
-        p = nn.Parameter(np.ones(2))
-        p.grad = None
-        with pytest.raises(ValueError, match="theta0"):
-            sgd_step({"theta0": p}, lambda n: 0.1, 0.0, 0.0, {})
+        assert reg["w"].data[0] == pytest.approx(-2.9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grad_moves_nothing(self, bad):
-        reg = {name: self._param(1.0, 0.5) for name in ("a", "b", "c", "d")}
-        reg["b"].grad = np.array([bad])
-        reg["d"].grad = np.array([np.nan])
-        vel = {name: np.array([0.25]) for name in reg}
+        reg, data, grad, vel = self._packed(dict.fromkeys("abcd", 1.0), [0.5, bad, 0.5, np.nan])
+        vel[...] = 0.25
         with pytest.raises(NumericalError, match="parameter b$"):
-            sgd_step(reg, lambda n: 0.1, 1e-4, 0.9, vel)
-        assert all(p.data[0] == 1.0 for p in reg.values())
-        assert all(v[0] == 0.25 for v in vel.values())
+            sgd_step(reg, data, grad, vel, [(slice(None), 0.1)], 1e-4, 0.9)
+        assert (data == 1.0).all() and (vel == 0.25).all()
 
 
 def _sgd_step_before(registry, lr_of, weight_decay, momentum, velocities):
-    """The update sgd_step made before it worked in place."""
+    """The per-parameter update sgd_step made before it worked in place,
+    creating each momentum buffer at its parameter's first step."""
     for name, p in registry.items():
         g = p.grad + weight_decay * p.data
         v = velocities.get(name)
@@ -105,6 +100,8 @@ def _sgd_step_before(registry, lr_of, weight_decay, momentum, velocities):
 
 @pytest.mark.parametrize("initial_velocities", [False, True])
 def test_sgd_step_matches_copying_update(initial_velocities):
+    # without initial momentum, the zeroed packed buffer matches buffers
+    # created at the first step
     rng = np.random.default_rng(21)
     draw = lambda s: rng.normal(size=s).astype(T.compute_dtype())
     shapes = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3, 5)}
@@ -112,19 +109,55 @@ def test_sgd_step_matches_copying_update(initial_velocities):
     vel0 = {n: draw(s) for n, s in shapes.items()} if initial_velocities else {}
     grads = [{n: draw(s) for n, s in shapes.items()} for _ in range(3)]
     lrs = {"a.w": 0.03, "a.b": 0.01, "b.w": 0.007}
-    sides = []
-    for step in (sgd_step, _sgd_step_before):
-        reg = {n: nn.Parameter(v.copy()) for n, v in start.items()}
-        vel = {n: v.copy() for n, v in vel0.items()}
-        for gs in grads:
-            for n, p in reg.items():
-                p.grad = gs[n].copy()
-            step(reg, lrs.__getitem__, 1e-4, 0.9, vel)
-        sides.append(({n: p.data for n, p in reg.items()}, vel))
-    (params, vel), (params_ref, vel_ref) = sides
+
+    reg = {n: nn.Parameter(v.copy()) for n, v in start.items()}
+    data, grad = nn.pack(reg.values())
+    velocity = np.zeros_like(data)
+    vel = dict(zip(reg, nn.views(velocity, reg.values())))
+    for n, v in vel0.items():
+        vel[n][...] = v
+    bounds = np.cumsum([0] + [p.size for p in reg.values()])
+    groups = [(slice(lo, hi), lrs[n]) for n, lo, hi in zip(reg, bounds, bounds[1:])]
+
+    ref = {n: nn.Parameter(v.copy()) for n, v in start.items()}
+    vel_ref = {n: v.copy() for n, v in vel0.items()}
+    for gs in grads:
+        for n in shapes:
+            reg[n].grad[...] = gs[n]
+            ref[n].grad = gs[n].copy()
+        sgd_step(reg, data, grad, velocity, groups, 1e-4, 0.9)
+        _sgd_step_before(ref, lrs.__getitem__, 1e-4, 0.9, vel_ref)
     for n in shapes:
-        assert np.array_equal(params[n], params_ref[n])
+        assert np.array_equal(reg[n].data, ref[n].data)
         assert np.array_equal(vel[n], vel_ref[n])
+
+
+class TestPack:
+    def test_parameters_become_views_of_the_packed_arrays(self):
+        rng = np.random.default_rng(2)
+        reg = {n: nn.Parameter(rng.normal(size=s)) for n, s in (("w", (2, 3)), ("b", (3,)))}
+        before = {n: p.data.copy() for n, p in reg.items()}
+        data, grad = nn.pack(reg.values())
+        assert data.dtype == grad.dtype == T.compute_dtype() and data.shape == (9,)
+        assert not grad.any()
+        for n, p in reg.items():
+            assert p.dtype == T.compute_dtype() and np.array_equal(p.data, before[n])
+            assert np.shares_memory(p.data, data) and np.shares_memory(p.grad, grad)
+        x = Tensor(rng.normal(size=(4, 2)))
+        T.backward(T.reduce_sum(T.linear(x, reg["w"], reg["b"])))
+        assert np.array_equal(grad[6:], np.full(3, 4.0, dtype=grad.dtype))
+        assert np.array_equal(grad[:6].reshape(2, 3), reg["w"].grad) and reg["w"].grad.any()
+
+    def test_load_checkpoint_writes_through_the_views(self, tmp_path):
+        cfg = _tiny_cfg()
+        path = str(tmp_path / "ck.mpci")
+        saved = InpaintingDetector(cfg, seed=5)
+        save_checkpoint(path, saved, {}, 0)
+        model = InpaintingDetector(cfg)
+        data, _ = nn.pack(model.registry().values())
+        load_checkpoint(path, model)
+        want = np.concatenate([p.data.ravel() for p in saved.registry().values()])
+        assert np.array_equal(data, want)
 
 
 def _tiny_cfg(iters=4):
@@ -426,6 +459,8 @@ def test_no_float64_reaches_the_hot_path(monkeypatch):
     rng = np.random.default_rng(3)
     for p in registry.values():  # carry signal past the zero-initialised head
         p.data[...] += rng.normal(0.0, 0.05, size=p.data.shape)
+    data, grad = nn.pack(registry.values())
+    velocity = np.zeros_like(data)
 
     upcasts = []
     init, accumulate, attention = Tensor.__init__, Tensor.accumulate_grad, T.attention
@@ -457,9 +492,8 @@ def test_no_float64_reaches_the_hot_path(monkeypatch):
     monkeypatch.setattr(train_mod, "backward", kept_backward)
     train_mod._train_step(model, ds, np.arange(cfg.train.batch),
                           np.random.default_rng(0), cfg, 0)
-    velocities = {}
-    for _ in range(2):  # the first step creates the momentum buffers
-        sgd_step(registry, lambda name: 0.01, 1e-4, 0.9, velocities)
+    for _ in range(2):
+        sgd_step(registry, data, grad, velocity, [(slice(None), 0.01)], 1e-4, 0.9)
     with T.no_grad():
         maps = model(frames)
     assert not upcasts, upcasts[:10]
@@ -475,8 +509,7 @@ def test_no_float64_reaches_the_hot_path(monkeypatch):
     assert len(seen) > 500
     arrays = [t.data for t in tape] + [t.grad for t in tape if t.grad is not None]
     arrays += [p.data for p in registry.values()] + [p.grad for p in registry.values()]
-    arrays += list(velocities.values()) + [maps.data]
-    assert len(velocities) == len(registry)
+    arrays += [data, grad, velocity, maps.data]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
@@ -484,13 +517,15 @@ def test_zero_grads_zeroes_each_buffer_in_place():
     cfg = _tiny_cfg()
     model = InpaintingDetector(cfg)
     registry = model.registry()
+    _, grad = nn.pack(registry.values())
     train_mod._train_step(model, _tiny_dataset(cfg, n=2), np.arange(2),
                           np.random.default_rng(0), cfg, 0)
     before = {n: p.grad for n, p in registry.items()}
-    assert any(g.any() for g in before.values())
-    nn.zero_grads(registry.values())
+    assert grad.any()
+    nn.zero_grads(grad)
+    assert not grad.any()
     for name, p in registry.items():
-        assert p.grad is before[name] and not p.grad.any(), name
+        assert p.grad is before[name] and np.shares_memory(p.grad, grad), name
 
 
 class TestEvaluate:
