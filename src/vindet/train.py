@@ -169,7 +169,7 @@ def load_checkpoint(path, model: InpaintingDetector):
         if name not in registry:
             raise ValueError(f"{path}: {key}: no such parameter")
         if prefix == "opt/momentum/":
-            # sgd_step updates momentum in place, in the parameter's dtype
+            # train() copies momentum into one array of the parameters' dtype
             velocities[name] = cast(key, arr, name)
     it = blobs.get("meta/iter", np.array(0.0)).ravel()
     if it.size != 1 or not np.isfinite(it[0]) or it[0] < 0 or it[0] % 1:
@@ -282,12 +282,12 @@ def train(cfg: ExperimentConfig, out_dir: str, resume: str | None = None,
 
     model = InpaintingDetector(cfg)
     registry = model.registry()
+    enc_names = model.encoder_param_names()
     velocities: dict[str, np.ndarray] = {}
     start = 0
     if resume is not None:
         velocities, start = load_checkpoint(resume, model)
     # encoder group first, so that each learning-rate group is one slice
-    enc_names = model.encoder_param_names()
     order = sorted(registry, key=lambda name: name not in enc_names)
     params = [registry[name] for name in order]
     data, grad = nn.pack(params)

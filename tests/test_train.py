@@ -259,7 +259,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(vel2[name], vel[name])
 
     def test_float32_momentum_loads_in_parameter_dtype(self, tmp_path):
-        # sgd_step updates momentum buffers in place, in the parameter's dtype
+        # train() copies momentum into one array of the parameters' dtype
         model = InpaintingDetector(_tiny_cfg())
         path = str(tmp_path / "ck.mpci")
         save_checkpoint(path, model, {n: np.full(p.data.shape, 0.25, dtype=np.float32)
