@@ -9,6 +9,7 @@ activations, softmax, and resampling are excluded from the tally.
 from __future__ import annotations
 
 from .config import ExperimentConfig
+from .encoder import MLP_RATIO
 
 
 class _Tally:
@@ -76,11 +77,11 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
                       (2 * e.window - 1) ** 2 * e.heads[l])
                 _attention_core(t, f"{tag}.attn.core", n, e.window ** 2, c)
                 _norm(t, f"{tag}.ln2", c)
-                _conv(t, f"{tag}.mlp.fc1", 1, c, 4 * c, n)
-                _conv(t, f"{tag}.mlp.fc2", 1, 4 * c, c, n)
+                _conv(t, f"{tag}.mlp.fc1", 1, c, MLP_RATIO * c, n)
+                _conv(t, f"{tag}.mlp.fc2", 1, MLP_RATIO * c, c, n)
 
     # cross-view interaction
-    if cfg.dwti.enabled and len(views) > 1:
+    if cfg.uses_dwti():
         cc = cfg.dwti.common_dim
         hid = max(cc // 2, 2)
         for l in range(k):
@@ -109,12 +110,12 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
             _conv(t, f"{tag}.attn.{w}", 1, cg, cg, ng)
         _attention_core(t, f"{tag}.attn.core", ng, ng, cg)
         _norm(t, f"{tag}.ln2", cg)
-        _conv(t, f"{tag}.mlp.fc1", 1, cg, 4 * cg, ng)
-        _conv(t, f"{tag}.mlp.fc2", 1, 4 * cg, cg, ng)
+        _conv(t, f"{tag}.mlp.fc1", 1, cg, MLP_RATIO * cg, ng)
+        _conv(t, f"{tag}.mlp.fc2", 1, MLP_RATIO * cg, cg, ng)
 
     # decoder
     ch = cfg.decoder.channels
-    used = list(range(k)) if cfg.decoder.use_tff else [k - 1]
+    used = cfg.decoder_stages()
     for l in used:
         side = cfg.grid_side(l)
         _conv(t, f"dec.tff{l}.conv", 27, sum(cfg.view_channels(l)), ch[l],

@@ -184,6 +184,15 @@ class ExperimentConfig:
     def view_channels(self, stage: int) -> list[int]:
         return [d * (2 ** stage) for d in self.encoder.dims]
 
+    def uses_dwti(self) -> bool:
+        """Whether the model builds DWTI: it is enabled and has two views to join."""
+        return self.dwti.enabled and len(self.geometry.views) > 1
+
+    def decoder_stages(self) -> list[int]:
+        """The stages that feed the decoder: all with ``use_tff``, else the last."""
+        k = self.encoder.stages
+        return list(range(k)) if self.decoder.use_tff else [k - 1]
+
     def validate(self) -> "ExperimentConfig":
         """Check every field's rule, then the rules that tie fields together."""
         check_rules(self)

@@ -267,10 +267,3 @@ def apply_perturbation(clip: VideoClip, cfg: ExperimentConfig, seed: int) -> Vid
     if p.kind == "gaussian":
         return perturb_gaussian(clip, p.snr_db, seed)[0]
     raise ValueError(f"unknown perturbation {p.kind!r}")
-
-
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    mse = float(np.mean((np.asarray(a) - np.asarray(b)) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)

@@ -79,7 +79,7 @@ class PyramidDecoder(nn.Module):
         super().__init__()
         k = cfg.encoder.stages
         self.use_freq = cfg.decoder.use_frequency
-        self.stages_used = list(range(k)) if cfg.decoder.use_tff else [k - 1]
+        self.stages_used = cfg.decoder_stages()
         ch = cfg.decoder.channels
         bands = 3 * cfg.geometry.channels
 

@@ -22,6 +22,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 MASK_NEG = -1e9
+MLP_RATIO = 4                      # a block's MLP hidden width, in multiples of its input
 
 
 @lru_cache(maxsize=64)
@@ -119,17 +120,13 @@ class WindowAttention(nn.Module):
         if window is not None:
             self.bias_table = nn.Parameter(
                 rng.normal(0.0, 0.02, size=((2 * window - 1) ** 2, heads)))
-        self.last_attn: np.ndarray | None = None
 
-    def forward(self, windows: Tensor, mask: np.ndarray | None = None,
-                keep_attn: bool = False) -> Tensor:
+    def forward(self, windows: Tensor, mask: np.ndarray | None = None) -> Tensor:
         table = index = None
         if self.window is not None:
             table, index = self.bias_table, _relative_index(self.window)
-        out, attn = T.attention(self.wq(windows), self.wk(windows), self.wv(windows),
-                                self.heads, self.scale, table, index, mask)
-        if keep_attn:
-            self.last_attn = attn.copy()
+        out, _ = T.attention(self.wq(windows), self.wk(windows), self.wv(windows),
+                             self.heads, self.scale, table, index, mask)
         return self.wo(out)
 
 
@@ -137,16 +134,16 @@ class SwinBlock(nn.Module):
     """One pre-norm attention block over a spatial grid, optionally shifted."""
 
     def __init__(self, c: int, heads: int, window: int, shifted: bool,
-                 rng: np.random.Generator, mlp_ratio: int = 4):
+                 rng: np.random.Generator):
         super().__init__()
         self.window = window
         self.shifted = shifted
         self.ln1 = nn.LayerNorm(c)
         self.attn = WindowAttention(c, heads, window, rng)
         self.ln2 = nn.LayerNorm(c)
-        self.mlp = nn.Mlp(c, mlp_ratio * c, rng)
+        self.mlp = nn.Mlp(c, MLP_RATIO * c, rng)
 
-    def forward(self, x: Tensor, keep_attn: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         b, s, _, c = x.shape
         m = self.window
         if s < m:
@@ -155,7 +152,7 @@ class SwinBlock(nn.Module):
         shift = m // 2 if self.shifted and s > m else 0
         windows, meta = window_partition(self.ln1(x), m, shift)
         mask = _shift_mask(meta[2], m, shift, s, T.compute_dtype())
-        x = x + window_merge(self.attn(windows, mask, keep_attn), meta)
+        x = x + window_merge(self.attn(windows, mask), meta)
         return x + self.mlp(self.ln2(x))
 
 
@@ -224,7 +221,7 @@ class GlobalEncoder(nn.Module):
             blk.ln1 = nn.LayerNorm(dim)
             blk.attn = WindowAttention(dim, heads, None, rng)
             blk.ln2 = nn.LayerNorm(dim)
-            blk.mlp = nn.Mlp(dim, 4 * dim, rng)
+            blk.mlp = nn.Mlp(dim, MLP_RATIO * dim, rng)
             self.blocks.append(blk)
 
     def forward(self, frame: Tensor) -> Tensor:

@@ -17,11 +17,11 @@ from .tokenizer import TubeletEmbed
 
 
 class InpaintingDetector(nn.Module):
-    def __init__(self, cfg: ExperimentConfig, seed: int | None = None):
+    def __init__(self, cfg: ExperimentConfig):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        rng = np.random.default_rng(cfg.seed)
         g, e = cfg.geometry, cfg.encoder
 
         self.embeds = nn.ModuleList(
@@ -30,7 +30,7 @@ class InpaintingDetector(nn.Module):
         )
         plans = [StagePlan(e.depths[l], e.window, e.heads[l]) for l in range(e.stages)]
         self.branches = nn.ModuleList(ViewBranch(d, plans, rng) for d in e.dims)
-        if cfg.dwti.enabled and len(g.views) > 1:
+        if cfg.uses_dwti():
             stage_chans = [cfg.view_channels(l) for l in range(e.stages)]
             self.interaction = ViewInteraction(
                 stage_chans, cfg.dwti.common_dim, cfg.dwti.window,

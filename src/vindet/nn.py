@@ -112,14 +112,13 @@ def zero_grads(grad: np.ndarray) -> None:
 # layers
 # ---------------------------------------------------------------------------
 
-def _normal(rng: np.random.Generator, shape, std=None):
+def _normal(rng: np.random.Generator, shape):
     """Glorot-scaled normal init: the trailing two axes are (fan_in-ish, out)
     with any leading axes treated as receptive field."""
-    if std is None:
-        receptive = int(np.prod(shape[:-2])) if len(shape) > 2 else 1
-        fan_in = receptive * shape[-2]
-        fan_out = receptive * shape[-1]
-        std = float(np.sqrt(2.0 / (fan_in + fan_out)))
+    receptive = int(np.prod(shape[:-2])) if len(shape) > 2 else 1
+    fan_in = receptive * shape[-2]
+    fan_out = receptive * shape[-1]
+    std = float(np.sqrt(2.0 / (fan_in + fan_out)))
     return rng.normal(0.0, std, size=shape)
 
 

@@ -4,7 +4,7 @@ Two loss terms: a soft intersection-over-union loss on the raw probability
 map and a focal cross-entropy that counters the authentic/inpainted pixel
 imbalance. Each reduces every map over its own last two axes, so a (B,H,W)
 batch gives one value per map; both are mean-normalized over pixels and
-combined as a weighted sum. Metrics binarize at a fixed threshold.
+combined as a weighted sum. Metrics binarize both maps at 0.5.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def total_loss(m, gt, cfg: LossConfig) -> Tensor:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _binarize_counts(m: np.ndarray, gt: np.ndarray, thr: float):
-    pred = m > thr
+def _binarize_counts(m: np.ndarray, gt: np.ndarray):
+    pred = m > 0.5
     actual = gt > 0.5
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))
@@ -62,15 +62,15 @@ def _binarize_counts(m: np.ndarray, gt: np.ndarray, thr: float):
     return tp, fp, fn
 
 
-def miou_metric(m: np.ndarray, gt: np.ndarray, thr: float = 0.5) -> float:
+def miou_metric(m: np.ndarray, gt: np.ndarray) -> float:
     """IoU of the thresholded map; empty against empty scores 1.0."""
-    tp, fp, fn = _binarize_counts(np.asarray(m), np.asarray(gt), thr)
+    tp, fp, fn = _binarize_counts(np.asarray(m), np.asarray(gt))
     denom = tp + fp + fn
     return 1.0 if denom == 0 else tp / denom
 
 
-def f1_metric(m: np.ndarray, gt: np.ndarray, thr: float = 0.5) -> float:
-    tp, fp, fn = _binarize_counts(np.asarray(m), np.asarray(gt), thr)
+def f1_metric(m: np.ndarray, gt: np.ndarray) -> float:
+    tp, fp, fn = _binarize_counts(np.asarray(m), np.asarray(gt))
     denom = 2 * tp + fp + fn
     return 1.0 if denom == 0 else 2 * tp / denom
 

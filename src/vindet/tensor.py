@@ -98,8 +98,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_entry", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=_precision.dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
@@ -167,9 +165,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
@@ -180,9 +175,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
 
     def mean(self, axis=None):
         return reduce_mean(self, axis)
@@ -388,31 +380,9 @@ def gelu(a) -> Tensor:
     return _unary(a, y, grad, "gelu")
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
-    z = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    return _unary(a, y, lambda g: (g - np.sum(g * y, axis=axis, keepdims=True)) * y, "softmax")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    """Matrix product; leading axes batch via numpy broadcasting rules."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ for {a.shape} and {b.shape}")
-    return _binary(a, b, np.matmul(a.data, b.data),
-                   lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                   lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g), "matmul")
-
 
 def linear(x, w, b=None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``; the leading axes flatten
@@ -473,8 +443,8 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
     parents = (q, k, v) if table is None else (q, k, v, table)
 
     # the backward makes the numpy calls of the unfused reshape/permute/
-    # matmul/softmax chain, on the same memory layouts, so its gradients are
-    # bit-identical to that chain's
+    # matmul/softmax chain (tests/reference_ops.py), on the same memory
+    # layouts, so its gradients are bit-identical to that chain's
     def bwd():
         go = out.grad.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
         ga = np.matmul(go, np.swapaxes(vh, -1, -2))
@@ -638,10 +608,10 @@ def reduce_mean(a, axis=None) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
-NORM_EPS = 1e-5
+NORM_EPS = 1e-5                    # variance guard of layer_norm and group_norm
 
 
-def _normalize(a, gamma, beta, stats_shape, eps: float, name: str) -> Tensor:
+def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
     """Normalize ``a`` viewed as (n, m, groups, k) with statistics over axes
     1 and 3, then apply the per-channel affine ``y * gamma + beta``."""
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
@@ -652,7 +622,7 @@ def _normalize(a, gamma, beta, stats_shape, eps: float, name: str) -> Tensor:
     mu = x.mean(axis=(1, 3), keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=(1, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xc *= inv
     y = xc.reshape(a.shape)
     z = y * gamma.data
@@ -679,13 +649,13 @@ def _normalize(a, gamma, beta, stats_shape, eps: float, name: str) -> Tensor:
     return _record(out, (a, gamma, beta), bwd, name)
 
 
-def layer_norm(a, gamma, beta, eps: float = NORM_EPS) -> Tensor:
+def layer_norm(a, gamma, beta) -> Tensor:
     """Normalize the last axis per token, then apply a learnable affine."""
     c = as_tensor(a).shape[-1]
-    return _normalize(a, gamma, beta, (-1, 1, 1, c), eps, "layer_norm")
+    return _normalize(a, gamma, beta, (-1, 1, 1, c), "layer_norm")
 
 
-def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
+def group_norm(a, gamma, beta, groups: int) -> Tensor:
     """Group normalization over channels-last input (B, ..., C).
 
     Channels split into ``groups``; statistics are per sample, pooled over
@@ -696,7 +666,7 @@ def group_norm(a, gamma, beta, groups: int, eps: float = NORM_EPS) -> Tensor:
     c = a.shape[-1]
     if c % groups != 0:
         raise ShapeError(f"group_norm: channels {c} not divisible by groups {groups}")
-    return _normalize(a, gamma, beta, (a.shape[0], -1, groups, c // groups), eps, "group_norm")
+    return _normalize(a, gamma, beta, (a.shape[0], -1, groups, c // groups), "group_norm")
 
 
 # ---------------------------------------------------------------------------

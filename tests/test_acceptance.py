@@ -19,7 +19,7 @@ from vindet.config import (
     GeometryConfig,
 )
 from vindet.complexity import count_params_flops
-from vindet.data import generate_dataset, perturb_gaussian, perturb_jpeg, psnr
+from vindet.data import generate_dataset, perturb_gaussian, perturb_jpeg
 from vindet.encoder import SwinBlock, _shift_mask
 from vindet.experiment import run_overfit_experiment
 from vindet.frequency import band_masks, dct2, idct2
@@ -37,6 +37,7 @@ from vindet.objectives import (
 from vindet.tensor import Tensor
 from vindet.tokenizer import VideoClip
 from vindet.train import load_checkpoint, train
+from reference_ops import capture_attention, psnr
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -143,7 +144,7 @@ def test_criterion_4_dwti_degeneracy_and_locality():
 
 
 @pytest.mark.usefixtures("float64")
-def test_criterion_5_swin_identity_and_masking():
+def test_criterion_5_swin_identity_and_masking(monkeypatch):
     x = np.random.default_rng(50).normal(size=(2, 8, 8, 8))
     worst = 0.0
     for shifted in (False, True):
@@ -155,8 +156,9 @@ def test_criterion_5_swin_identity_and_masking():
         worst = max(worst, float(np.abs(block(Tensor(x)).data - x).max()))
 
     block = SwinBlock(8, 2, 4, True, np.random.default_rng(52))
-    block(Tensor(x), keep_attn=True)
-    attn = block.attn.last_attn
+    weights = capture_attention(monkeypatch)
+    block(Tensor(x))
+    attn, = weights
     allowed = _shift_mask(8, 4, 2, 8, T.compute_dtype()) == 0.0
     leak = 0.0
     for k in range(attn.shape[0]):

@@ -10,6 +10,7 @@ per-clip losses. A checkpoint round trip is byte-identical, and the
 analytic parameter count equals the registry.
 """
 
+import dataclasses
 import math
 import os
 
@@ -96,7 +97,7 @@ def test_every_valid_config_runs(scratch, cfg):
     first, again = os.path.join(scratch, "first.mpci"), os.path.join(scratch, "again.mpci")
     velocities = {name: p.grad for name, p in registry.items()}
     save_checkpoint(first, model, velocities, 3)
-    fresh = InpaintingDetector(cfg, seed=cfg.seed + 1)
+    fresh = InpaintingDetector(dataclasses.replace(cfg, seed=cfg.seed + 1))
     save_checkpoint(again, fresh, *load_checkpoint(first, fresh))
     with open(first, "rb") as a, open(again, "rb") as c:
         assert a.read() == c.read()

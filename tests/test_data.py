@@ -11,11 +11,11 @@ from vindet.data import (
     make_clip,
     perturb_gaussian,
     perturb_jpeg,
-    psnr,
     save_datasets,
 )
 from vindet.frequency import dct2, idct2
 from vindet.tokenizer import VideoClip
+from reference_ops import psnr
 
 
 CFG = ExperimentConfig()

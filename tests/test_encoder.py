@@ -19,6 +19,7 @@ from vindet.encoder import (
 from vindet.gradcheck import finite_diff_check
 from vindet.model import InpaintingDetector
 from vindet.tensor import Tensor, backward
+from reference_ops import capture_attention
 
 
 def _swin_reference_mask(s_pad, m, shift, s_real, dtype):
@@ -96,13 +97,14 @@ class TestSwinBlock:
         assert np.array_equal(windows.data, rolled.data)
         assert np.array_equal(window_merge(windows, meta).data, x)
 
-    def test_shifted_mask_confines_attention_to_regions(self):
+    def test_shifted_mask_confines_attention_to_regions(self, monkeypatch):
         # two-region construction: rows sum to one over the own pre-shift region
         rng = np.random.default_rng(7)
         block = SwinBlock(8, 2, 4, True, np.random.default_rng(8))
         x = Tensor(rng.normal(size=(1, 8, 8, 8)))
-        block(x, keep_attn=True)
-        attn = block.attn.last_attn  # (windows, heads, 16, 16)
+        weights = capture_attention(monkeypatch)
+        block(x)
+        attn, = weights  # (windows, heads, 16, 16)
         from vindet.encoder import _shift_mask
         mask = _shift_mask(8, 4, 2, 8, T.compute_dtype())
         allowed = mask == 0.0

@@ -1,20 +1,25 @@
 """Tensor engine: forward semantics, backward rules, gradient checks."""
 
+import ast
+import inspect
 import math
+import pathlib
 import threading
 
 import numpy as np
 import pytest
 
+from vindet import gradcheck, nn
 from vindet import tensor as T
 from vindet.gradcheck import (
     check_full_model,
     finite_diff_check,
     finite_diff_check_params,
-    primitive_case_names,
+    primitive_cases,
     run_primitive_suite,
 )
 from vindet.tensor import Tensor, ShapeError, backward
+from reference_ops import matmul, reference_cases, softmax
 
 
 def t(data, rg=False):
@@ -24,11 +29,11 @@ def t(data, rg=False):
 class TestForward:
     def test_matmul_identity(self):
         a = np.array([[1.5, -2.0], [0.25, 3.0]])
-        out = T.matmul(t(np.eye(2)), t(a))
+        out = matmul(t(np.eye(2)), t(a))
         np.testing.assert_array_equal(out.data, a)
 
     def test_softmax_symmetry(self):
-        out = T.softmax(t([0.0, 0.0]))
+        out = softmax(t([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
     def test_group_norm_constant_input_is_zero(self):
@@ -43,13 +48,13 @@ class TestForward:
 
     def test_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="matmul"):
-            T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+            matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
         with pytest.raises(ShapeError, match="concat"):
             T.concat([t(np.ones((2, 3))), t(np.ones((2, 4)))], axis=0)
 
     def test_axis_out_of_range(self):
         with pytest.raises(ShapeError):
-            T.softmax(t(np.ones(3)), axis=2)
+            softmax(t(np.ones(3)), axis=2)
 
 
 class TestBackwardBasics:
@@ -138,11 +143,60 @@ class TestSampling:
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", primitive_case_names())
+@pytest.mark.parametrize("name", sorted(primitive_cases(np.random.default_rng(0))))
 def test_primitive_gradients(primitive_suite, name):
     # one case's line of criterion 1's 10-seed run, which is made once
     rep = primitive_suite[0][name]
     assert rep.passed, f"{name}: {rep}"
+
+
+@pytest.fixture(scope="module")
+def reference_suite():
+    """Criterion 1's run (10 seeds, eps 1e-6, tol 1e-5) of the reference
+    chains' cases, through the suite's own runner."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradcheck, "primitive_cases", reference_cases)
+        return run_primitive_suite(seeds=10, eps=1e-6, tol=1e-5)
+
+
+@pytest.mark.parametrize("name", sorted(reference_cases(np.random.default_rng(0))))
+def test_reference_gradients(reference_suite, name):
+    rep = reference_suite[name]
+    assert rep.passed, f"{name}: {rep}"
+
+
+def _tensor_calls(tree, aliases, imported):
+    """The tensor functions ``tree`` calls, as ``alias.name(...)`` for a
+    module alias in ``aliases`` or as ``name(...)`` for a name in ``imported``."""
+    names = set()
+    for node in ast.walk(tree):
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in aliases:
+            names.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in imported:
+            names.add(f.id)
+    return names
+
+
+def test_every_engine_primitive_has_a_caller_in_the_program():
+    # a primitive that only tests call belongs in tests/reference_ops.py.
+    # Tensor's operators and methods count as calls of the primitives they
+    # run, since the program applies them to Tensors throughout.
+    public = {name for name, f in inspect.getmembers(T, inspect.isfunction)
+              if f.__module__ == T.__name__ and not name.startswith("_")}
+    called = _tensor_calls(ast.parse(inspect.getsource(T.Tensor)), (), public)
+    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+        if path.name in ("tensor.py", "gradcheck.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        aliases, imported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (None, "vindet"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "tensor"}
+            elif isinstance(node, ast.ImportFrom) and node.module in ("tensor", "vindet.tensor"):
+                imported |= {a.asname or a.name for a in node.names}
+        called |= _tensor_calls(tree, aliases, imported)
+    assert sorted(public - called) == []
 
 
 def test_primitive_suite_draws_each_seeds_cases_once(monkeypatch):
@@ -184,16 +238,16 @@ def test_finite_diff_constant_function():
     # softmax sums to one: autodiff gradient is identically zero and central
     # differences are zero up to float roundoff of the constant output
     x = Tensor(np.linspace(-1, 1, 6), requires_grad=True)
-    backward(T.reduce_sum(T.softmax(x, axis=0)))
+    backward(T.reduce_sum(softmax(x, axis=0)))
     np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
     eps = 1e-6
     for i in range(x.size):
         orig = x.data[i]
         with T.no_grad():
             x.data[i] = orig + eps
-            fp = T.reduce_sum(T.softmax(x, axis=0)).item()
+            fp = T.reduce_sum(softmax(x, axis=0)).item()
             x.data[i] = orig - eps
-            fm = T.reduce_sum(T.softmax(x, axis=0)).item()
+            fm = T.reduce_sum(softmax(x, axis=0)).item()
         x.data[i] = orig
         assert abs(fp - fm) / (2 * eps) <= 1e-9
 
@@ -251,7 +305,7 @@ def test_gradient_checks_pin_float64():
     assert rep.passed and rep.max_rel_err <= 1e-7 and set(seen) == {np.dtype(np.float64)}
     rep = finite_diff_check_params(lambda: loss(x, w), [w], eps=1e-6, tol=1e-5)
     assert rep.passed and rep.max_rel_err <= 1e-7
-    assert w.data is data and w.grad.dtype == np.float32 and grad.dtype == np.float32
+    assert w.data is data and w.grad is grad and grad.dtype == np.float32
     assert x.dtype == np.float32
 
     cfg = ExperimentConfig()
@@ -268,6 +322,28 @@ def test_gradient_checks_pin_float64():
     assert T.compute_dtype() == np.float32
     assert all(a.passed for a in outside)
     assert [a.max_rel_err for a in outside] == [b.max_rel_err for b in inside]
+
+
+def test_gradient_check_keeps_packed_buffers():
+    # a packed layer's data and gradient stay views of the packed arrays,
+    # and the packed gradient holds the gradient the check computed
+    rng = np.random.default_rng(33)
+    layer = nn.Linear(4, 3, rng)
+    params = [layer.w, layer.b]
+    data, grad = nn.pack(params)
+    x = Tensor(rng.uniform(-1, 1, size=(5, 4)))
+
+    def loss():
+        return T.reduce_sum(T.gelu(layer(x)) ** 2)
+
+    backward(loss())
+    autodiff = grad.copy()
+    grad.fill(np.nan)
+    rep = finite_diff_check_params(loss, params, eps=1e-6, tol=1e-5)
+    assert rep.passed and autodiff.all()
+    assert all(np.shares_memory(p.data, data) for p in params)
+    assert all(np.shares_memory(p.grad, grad) for p in params)
+    np.testing.assert_allclose(grad, autodiff, rtol=1e-5)
 
 
 def _per_token_layer_norm(x, g, b, gout, eps=T.NORM_EPS):
@@ -405,7 +481,7 @@ def test_bit_identical_repeat_runs():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        y = T.reduce_sum(T.softmax(T.matmul(x, w), axis=-1) * x)
+        y = T.reduce_sum(softmax(matmul(x, w), axis=-1) * x)
         backward(y)
         return y.data.copy(), x.grad.copy(), w.grad.copy()
 
