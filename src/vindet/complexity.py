@@ -8,8 +8,13 @@ activations, softmax, and resampling are excluded from the tally.
 
 from __future__ import annotations
 
+import math
+
 from .config import ExperimentConfig
+from .decoder import FrequencyFusion, TffBlock
 from .encoder import MLP_RATIO
+from .frequency import band_channels
+from .interaction import OffsetNet
 
 
 class _Tally:
@@ -49,7 +54,7 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
     views = list(g.views)
     k = e.stages
     s1 = cfg.grid_side(0)
-    bands = 3 * g.channels
+    bands = band_channels(g.channels)
     times = [g.frames // v for v in views]
     v_max = max(times)
 
@@ -83,7 +88,7 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
     # cross-view interaction
     if cfg.uses_dwti():
         cc = cfg.dwti.common_dim
-        hid = max(cc // 2, 2)
+        hid = OffsetNet.hidden(cc)
         for l in range(k):
             side = cfg.grid_side(l)
             n = side * side
@@ -118,8 +123,8 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
     used = cfg.decoder_stages()
     for l in used:
         side = cfg.grid_side(l)
-        _conv(t, f"dec.tff{l}.conv", 27, sum(cfg.view_channels(l)), ch[l],
-              v_max * side * side)
+        _conv(t, f"dec.tff{l}.conv", math.prod(TffBlock.KERNEL), sum(cfg.view_channels(l)),
+              ch[l], v_max * side * side)
         _norm(t, f"dec.tff{l}.gn", ch[l])
     for l in used[:-1]:
         side = cfg.grid_side(l)
@@ -128,7 +133,7 @@ def count_params_flops(cfg: ExperimentConfig) -> dict:
     if cfg.decoder.use_frequency:
         for l in used:
             side = cfg.grid_side(l)
-            _conv(t, f"dec.freq{l}.lk", 49, ch[l], bands, side * side)
+            _conv(t, f"dec.freq{l}.lk", FrequencyFusion.LK ** 2, ch[l], bands, side * side)
             _conv(t, f"dec.freq{l}.ret", 1, bands, ch[l], side * side, bias=False)
     sk = cfg.grid_side(k - 1)
     _conv(t, "dec.proj_high", 1, cg, ch[k - 1], sk * sk)

@@ -217,7 +217,7 @@ class ExperimentConfig:
                 raise ValueError(f"stage {l}: side {side} must be even to merge into stage {l + 1}")
             if side < e.window:
                 raise ValueError(f"stage {l}: side {side} smaller than window {e.window}")
-            if self.dwti.enabled and side < self.dwti.window:
+            if self.uses_dwti() and side < self.dwti.window:
                 raise ValueError(f"stage {l}: side {side} smaller than dwti window")
             for d in self.view_channels(l):
                 if d % e.heads[l]:

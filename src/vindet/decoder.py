@@ -19,6 +19,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import FUSION_GROUPS, ExperimentConfig
+from .frequency import band_channels
 from .tensor import Tensor
 
 
@@ -35,9 +36,11 @@ class TffBlock(nn.Module):
     """Fuse all views at one stage: realign time, concat channels, 3D conv,
     group norm, then reduce the temporal axis by mean."""
 
+    KERNEL = (3, 3, 3)
+
     def __init__(self, c_in_total: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = nn.Conv(c_in_total, c_out, (3, 3, 3), rng, padding=1)
+        self.conv = nn.Conv(c_in_total, c_out, self.KERNEL, rng, padding=1)
         self.norm = nn.GroupNorm(c_out, FUSION_GROUPS)
 
     def forward(self, views: list[Tensor]) -> Tensor:
@@ -81,7 +84,7 @@ class PyramidDecoder(nn.Module):
         self.use_freq = cfg.decoder.use_frequency
         self.stages_used = cfg.decoder_stages()
         ch = cfg.decoder.channels
-        bands = 3 * cfg.geometry.channels
+        bands = band_channels(cfg.geometry.channels)
 
         self.tff = nn.ModuleList(
             TffBlock(sum(cfg.view_channels(l)), ch[l], rng) for l in self.stages_used

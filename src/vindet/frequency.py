@@ -62,6 +62,12 @@ def band_masks(h: int, w: int, thresholds=(1 / 3, 2 / 3)) -> tuple[np.ndarray, n
     return low.astype(np.float64), mid.astype(np.float64), high.astype(np.float64)
 
 
+def band_channels(channels: int) -> int:
+    """Channels of the band features of a ``channels``-channel frame: one
+    low, one mid and one high band image per channel."""
+    return 3 * channels
+
+
 def middle_frame_index(t: int) -> int:
     """Middle frame of a T-frame clip; even T picks index T/2 - 1."""
     if t <= 0:
@@ -86,7 +92,7 @@ def frequency_features(frames: np.ndarray, stage_sides: list[int],
     masks = np.stack(band_masks(h, w, thresholds))[:, None]
     bands = idct2(coeffs[:, None] * masks)  # (B,3,C,H,W)
     cur = bands.transpose(0, 3, 4, 1, 2).astype(compute_dtype(), order="C")
-    cur = cur.reshape(b, h, w, 3 * c)
+    cur = cur.reshape(b, h, w, band_channels(c))
 
     levels = []
     for side in stage_sides:

@@ -159,6 +159,8 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     lin_w, lin_b, lin_x = proj(4, 3), proj(3), proj(2, 3, 4)
     case("linear", lambda x: T.reduce_sum(T.linear(x, lin_w, lin_b) * r233), u(2, 3, 4))
     case("linear_weight", lambda w: T.reduce_sum(T.linear(lin_x, w) * r233), u(4, 3))
+    # a (*kernel, Ci, Co) weight, as 1x1 convs and patch embeddings pass
+    case("linear_kernel_weight", lambda w: T.reduce_sum(T.linear(lin_x, w) * r233), u(2, 2, 3))
     case("linear_bias", lambda b: T.reduce_sum(T.linear(lin_x, lin_w, b) * r233), u(3))
 
     # 4 sets of 4 tokens in 2 heads of width 3. q, k and v are scaled copies

@@ -38,9 +38,14 @@ class OffsetNet(nn.Module):
 
     def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
-        hidden = max(c // 2, 2)
+        hidden = self.hidden(c)
         self.fc1 = nn.Linear(c, hidden, rng)
         self.fc2 = nn.Linear(hidden, 2, rng, zero_init=True)
+
+    @staticmethod
+    def hidden(c: int) -> int:
+        """The hidden width for ``c`` input channels."""
+        return max(c // 2, 2)
 
     def forward(self, q: Tensor) -> Tensor:
         return T.tanh(self.fc2(T.gelu(self.fc1(q))))

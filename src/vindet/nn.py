@@ -157,17 +157,22 @@ class GroupNorm(Module):
 
 class Conv(Module):
     """Channels-last stride-1 convolution over a batch; ``kernel`` holds one
-    size per spatial axis, so its length sets the dimensionality."""
+    size per spatial axis, so its length sets the dimensionality. An
+    unpadded 1x1 convolution is one ``linear`` over the channels: the same
+    product, without the per-offset conv's zeroed buffers."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple, rng: np.random.Generator,
                  padding=0, zero_init: bool = False, bias: bool = True):
         super().__init__()
         self.padding = padding
+        self.pointwise = all(k == 1 for k in kernel) and not np.any(padding)
         shape = (*kernel, c_in, c_out)
         self.w = Parameter(np.zeros(shape) if zero_init else _normal(rng, shape))
         self.b = Parameter(np.zeros(c_out)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if self.pointwise:
+            return T.linear(x, self.w, self.b)
         return T.conv(x, self.w, self.b, self.padding)
 
 
@@ -193,8 +198,7 @@ class PatchEmbed(Module):
         # (B, g0, k0, g1, k1, ..., C) -> (B, g0, g1, ..., k0, k1, ..., C)
         x = x.reshape(b, *(v for gk in zip(grid, self.kernel) for v in gk), c)
         x = T.permute(x, (0, *range(1, 2 * nd, 2), *range(2, 2 * nd + 1, 2), 2 * nd + 1))
-        w = self.w.reshape(-1, self.w.shape[-1])
-        return T.linear(x.reshape(b, *grid, -1), w, self.b)
+        return T.linear(x.reshape(b, *grid, -1), self.w, self.b)
 
 
 class Mlp(Module):

@@ -6,7 +6,10 @@ float64 for gradient checks and for comparisons made at float64 precision.
 Every primitive that participates in gradients records a tape entry
 holding its inputs and a backward closure; ``backward`` replays entries in
 exact reverse execution order, which makes gradient accumulation
-deterministic and bit-reproducible in single-threaded mode.
+deterministic and bit-reproducible in single-threaded mode. A closure is
+handed its output's gradient and holds no reference to its output, so a
+graph forms no reference cycle: one that is never back-propagated is freed
+as soon as its last tensor is, without waiting for a cyclic collection.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class no_grad:
 
 
 class TapeEntry:
-    """One executed primitive: inputs, output, and the backward rule."""
+    """One executed primitive: its inputs and its backward rule, which takes
+    the output's gradient."""
 
     __slots__ = ("inputs", "backward_fn", "seq", "name")
 
@@ -185,6 +189,8 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn: Callable, name: str) -> Tensor:
+    """Record ``out`` on the tape when an input requires grad; ``backward_fn``
+    takes ``out``'s gradient and must not refer to ``out`` itself."""
     if _grad_mode.enabled:
         for t in inputs:
             if t.requires_grad:
@@ -195,30 +201,29 @@ def _record(out: Tensor, inputs: tuple, backward_fn: Callable, name: str) -> Ten
 
 
 def _unary(a: Tensor, y: np.ndarray, grad: Callable, name: str) -> Tensor:
-    """Record ``y`` as a function of ``a``, whose gradient is ``grad(out.grad)``."""
-    out = Tensor(y)
+    """Record ``y`` as a function of ``a``, whose gradient is ``grad(g)`` for
+    the output's gradient ``g``."""
 
-    def bwd():
+    def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(grad(out.grad))
+            a.accumulate_grad(grad(g))
 
-    return _record(out, (a,), bwd, name)
+    return _record(Tensor(y), (a,), bwd, name)
 
 
 def _binary(a: Tensor, b: Tensor, y: np.ndarray, grad_a: Callable, grad_b: Callable,
             name: str) -> Tensor:
     """Record ``y`` as a function of ``a`` and ``b``, each of whose gradient is
-    its ``grad_x(out.grad)`` summed back over the axes it was broadcast on."""
-    out = Tensor(y)
+    its ``grad_x(g)`` for the output's gradient ``g``, summed back over the
+    axes it was broadcast on."""
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(grad_a(g), a.shape))
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(grad_b(g), b.shape))
 
-    return _record(out, (a, b), bwd, name)
+    return _record(Tensor(y), (a, b), bwd, name)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -238,34 +243,35 @@ def backward(loss: Tensor):
 
     Entries replay in exact reverse execution order. ``loss`` must be scalar
     and have been produced while recording was enabled. Each entry drops its
-    backward rule once it has run: the rule's closure refers back to its
-    output, so keeping it would hold the graph in a reference cycle until a
-    cyclic garbage collection. A graph therefore back-propagates only once.
+    backward rule once it has run, which frees the arrays the rule kept; a
+    graph therefore back-propagates only once.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._entry is None and not loss.requires_grad:
         raise ValueError("backward: loss was not recorded on the active tape")
 
-    entries = []
+    # the op outputs the loss depends on, each found once through its entry
+    outputs = []
     seen = set()
-    stack = [loss._entry] if loss._entry is not None else []
+    stack = [loss] if loss._entry is not None else []
     while stack:
-        e = stack.pop()
-        if e is None or id(e) in seen:
+        t = stack.pop()
+        if id(t._entry) in seen:
             continue
-        seen.add(id(e))
-        entries.append(e)
-        for t in e.inputs:
-            if t._entry is not None and id(t._entry) not in seen:
-                stack.append(t._entry)
-    entries.sort(key=lambda e: -e.seq)
-    if any(e.backward_fn is None for e in entries):
+        seen.add(id(t._entry))
+        outputs.append(t)
+        for u in t._entry.inputs:
+            if u._entry is not None and id(u._entry) not in seen:
+                stack.append(u)
+    outputs.sort(key=lambda t: -t._entry.seq)
+    if any(t._entry.backward_fn is None for t in outputs):
         raise ValueError("backward: the graph was already back-propagated")
 
     loss.grad = np.ones_like(loss.data)
-    for e in entries:
-        e.backward_fn()
+    for t in outputs:
+        e = t._entry
+        e.backward_fn(t.grad)
         e.backward_fn = None
 
 
@@ -386,27 +392,30 @@ def gelu(a) -> Tensor:
 
 def linear(x, w, b=None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``; the leading axes flatten
-    internally, so any (..., Ci) input gives (..., Co)."""
+    internally, so any (..., Ci) input gives (..., Co). ``w`` is (Ci, Co), or
+    a (*kernel, Ci', Co) conv weight whose leading axes flatten into its Ci
+    rows, as a 1x1 kernel's or a flattened patch's do."""
     x, w = as_tensor(x), as_tensor(w)
-    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+    if w.ndim < 2 or x.shape[-1] != math.prod(w.shape[:-1]):
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    co = w.shape[1]
-    x2 = x.data.reshape(-1, w.shape[0])
-    y = np.matmul(x2, w.data)
+    co = w.shape[-1]
+    w2 = w.data.reshape(-1, co)
+    x2 = x.data.reshape(-1, w2.shape[0])
+    y = np.matmul(x2, w2)
     if b is not None:
         b = as_tensor(b)
         y += b.data
     out = Tensor(y.reshape(x.shape[:-1] + (co,)))
     parents = (x, w) if b is None else (x, w, b)
 
-    def bwd():
-        g = out.grad.reshape(-1, co)
+    def bwd(gout):
+        g = gout.reshape(-1, co)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
         if x.requires_grad:
-            x.accumulate_grad(np.matmul(g, w.data.T).reshape(x.shape))
+            x.accumulate_grad(np.matmul(g, w2.T).reshape(x.shape))
         if w.requires_grad:
-            w.accumulate_grad(np.matmul(x2.T, g))
+            w.accumulate_grad(np.matmul(x2.T, g).reshape(w.shape))
 
     return _record(out, parents, bwd, "linear")
 
@@ -432,11 +441,19 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
     s *= scale
     if table is not None:
         table = as_tensor(table)
-        s += np.take(table.data, index, axis=0).reshape(nq, nq, heads).transpose(2, 0, 1)
+        # gathered as one contiguous (heads, Q, Q) block, so the add runs
+        # over whole sets instead of Q-long rows
+        s += np.take(table.data.T, index, axis=1).reshape(heads, nq, nq)
     if mask is not None:
         tiles = s.reshape(-1, mask.shape[0], heads, nq, nq)
         tiles += mask[:, None]
-    s -= np.max(s, axis=-1, keepdims=True)
+    # the row max one key column at a time: numpy's max reduction pays about
+    # 160 ns per row, which on 16-long window rows is most of the softmax.
+    # np.maximum is as exact as that max and propagates NaN the same way
+    m = s[..., 0].copy()
+    for j in range(1, nq):
+        np.maximum(m, s[..., j], out=m)
+    s -= m[..., None]
     y = np.exp(s, out=s)
     y /= np.sum(y, axis=-1, keepdims=True)
     out = Tensor(np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(n, nq, c))
@@ -445,8 +462,8 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
     # the backward makes the numpy calls of the unfused reshape/permute/
     # matmul/softmax chain (tests/reference_ops.py), on the same memory
     # layouts, so its gradients are bit-identical to that chain's
-    def bwd():
-        go = out.grad.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
+    def bwd(gout):
+        go = gout.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
         ga = np.matmul(go, np.swapaxes(vh, -1, -2))
         if v.requires_grad:
             gv = np.matmul(np.swapaxes(y, -1, -2), go)
@@ -503,8 +520,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * nd
@@ -619,9 +635,13 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"{name}: affine shapes {gamma.shape}/{beta.shape} do not match channel {c}")
     x = a.data.reshape(stats_shape)
-    mu = x.mean(axis=(1, 3), keepdims=True)
+    n = x.shape[1] * x.shape[3]
+    # each mean is ndarray.mean's two ufunc calls, without its Python layer
+    mu = np.add.reduce(x, axis=(1, 3), keepdims=True)
+    mu /= n
     xc = x - mu
-    var = (xc * xc).mean(axis=(1, 3), keepdims=True)
+    var = np.add.reduce(xc * xc, axis=(1, 3), keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xc *= inv
     y = xc.reshape(a.shape)
@@ -629,8 +649,7 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
     z += beta.data
     out = Tensor(z)
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         if gamma.requires_grad:
             gamma.accumulate_grad(np.sum(g * y, axis=tuple(range(a.ndim - 1))))
         if beta.requires_grad:
@@ -638,9 +657,11 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
         if a.requires_grad:
             gy = (g * gamma.data).reshape(x.shape)
             yv = y.reshape(x.shape)
-            m1 = gy.mean(axis=(1, 3), keepdims=True)
+            m1 = np.add.reduce(gy, axis=(1, 3), keepdims=True)
+            m1 /= n
             s = gy * yv
-            m2 = s.mean(axis=(1, 3), keepdims=True)
+            m2 = np.add.reduce(s, axis=(1, 3), keepdims=True)
+            m2 /= n
             gy -= m1
             gy -= np.multiply(yv, m2, out=s)
             gy *= inv
@@ -673,15 +694,36 @@ def group_norm(a, gamma, beta, groups: int) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _conv_boxes(sides: tuple, ks: tuple, pd: tuple) -> tuple:
+    """``(offset, input box, output box)`` for each kernel offset of a conv
+    over spatial ``sides`` padded by ``pd``: the output rows whose input at
+    that offset lies inside the unpadded input, and those input rows. An
+    offset that reads only padding is left out."""
+    boxes = []
+    for off in np.ndindex(*ks):
+        # output rows [lo, hi) per axis read input rows [lo + o - p, hi + o - p)
+        lo = [max(p - o, 0) for o, p in zip(off, pd)]
+        hi = [min(n + p - o, n + 2 * p - k + 1) for o, p, n, k in zip(off, pd, sides, ks)]
+        if all(l < h for l, h in zip(lo, hi)):
+            rows = tuple(slice(l + o - p, h + o - p) for l, h, o, p in zip(lo, hi, off, pd))
+            hit = tuple(slice(l, h) for l, h in zip(lo, hi))
+            boxes.append((off, (slice(None),) + rows, (slice(None),) + hit))
+    return tuple(boxes)
+
+
 def conv(x, w, b=None, padding=0) -> Tensor:
     """N-d stride-1 convolution, channels-last with a leading batch axis.
 
     ``x`` is (B, *spatial, Ci) and ``w`` is (*kernel, Ci, Co), with one kernel
     axis per spatial axis; ``b`` is (Co,). ``padding`` is an int or one value
     per spatial axis and adds zeros on both sides. Each kernel offset adds
-    one (M, Ci) x (Ci, Co) product over the slice of the padded input it
-    sees, so no im2col matrix is built: the peak memory stays near the
-    padded input plus the output. The backward runs the same per offset.
+    one (M, Ci) x (Ci, Co) product into the output, over only the M output
+    rows whose input at that offset lies inside ``x``, so neither an im2col
+    matrix nor a padded copy of ``x`` is built. The rows a zero-padded input
+    would add there are exact zeros, so the sums match the padded conv's bit
+    for bit. The backward builds the padded copy, only when a gradient is
+    wanted, and takes every offset's full slice of it.
     """
     x, w = as_tensor(x), as_tensor(w)
     nd = w.ndim - 2
@@ -691,23 +733,26 @@ def conv(x, w, b=None, padding=0) -> Tensor:
         raise ShapeError(f"conv: input channels differ, {x.shape} vs {w.shape}")
     ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
     pd = (int(padding),) * nd if np.isscalar(padding) else tuple(int(v) for v in padding)
-    xp = np.pad(x.data, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),)) if any(pd) else x.data
-    outs = tuple(n - k + 1 for n, k in zip(xp.shape[1:-1], ks))
+    sides = x.shape[1:-1]
+    outs = tuple(n + 2 * p - k + 1 for n, p, k in zip(sides, pd, ks))
     if min(outs) <= 0:
         raise ShapeError(f"conv: kernel {w.shape} too large for input {x.shape} (pad {pd})")
-    offsets = [(off, (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, outs)))
-               for off in np.ndindex(*ks)]
-    y = 0.0
-    for off, hit in offsets:
-        y += xp[hit].reshape(-1, ci) @ w.data[off]
+    xd = x.data
+    y = np.zeros(x.shape[:1] + outs + (co,), dtype=np.result_type(xd, w.data))
+    for off, rows, hit in _conv_boxes(sides, ks, pd):
+        yh = y[hit]
+        yh += (xd[rows].reshape(-1, ci) @ w.data[off]).reshape(yh.shape)
     if b is not None:
         b = as_tensor(b)
         y += b.data
-    out = Tensor(y.reshape(x.shape[:1] + outs + (co,)))
+    out = Tensor(y)
     parents = (x, w) if b is None else (x, w, b)
 
-    def bwd():
-        g2 = out.grad.reshape(-1, co)
+    def bwd(gout):
+        xp = np.pad(xd, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),)) if any(pd) else xd
+        offsets = [(off, (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, outs)))
+                   for off in np.ndindex(*ks)]
+        g2 = gout.reshape(-1, co)
         if w.requires_grad:
             gw = np.empty_like(w.data)
             for off, hit in offsets:
@@ -719,7 +764,7 @@ def conv(x, w, b=None, padding=0) -> Tensor:
             gxp = np.zeros_like(xp)
             for off, hit in offsets:
                 gxp[hit] += (g2 @ w.data[off].T).reshape(x.shape[:1] + outs + (ci,))
-            inner = tuple(slice(p, p + n) for p, n in zip(pd, x.shape[1:-1]))
+            inner = tuple(slice(p, p + n) for p, n in zip(pd, sides))
             x.accumulate_grad(gxp[(slice(None),) + inner])
 
     return _record(out, parents, bwd, "conv")
@@ -799,8 +844,7 @@ def grid_sample_bilinear(x, grid) -> Tensor:
     bot = v10 * (1 - tx) + v11 * tx
     out = Tensor(top * (1 - ty) + bot * ty)
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         w00 = (1 - tx) * (1 - ty)
         w01 = tx * (1 - ty)
         w10 = (1 - tx) * ty

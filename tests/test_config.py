@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from vindet.cli import main
 from vindet.config import ExperimentConfig, dump_config, leaves, load_config, parse_config
+from vindet.model import InpaintingDetector
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -92,6 +95,24 @@ class TestValidation:
         cfg.encoder.window = 16
         with pytest.raises(ValueError, match="window"):
             cfg.validate()
+
+    def test_dwti_window_vs_side(self):
+        cfg = ExperimentConfig()
+        cfg.dwti.window = 8
+        with pytest.raises(ValueError, match="stage 1: side 4 smaller than dwti window"):
+            cfg.validate()
+
+    def test_dwti_window_unchecked_without_a_second_view(self):
+        # one view builds no DWTI, so its window meets no stage side
+        def one_view(enabled):
+            cfg = ExperimentConfig()
+            cfg.geometry.views, cfg.encoder.dims = (3,), (16,)
+            cfg.dwti.enabled, cfg.dwti.window = enabled, 8
+            return InpaintingDetector(cfg.validate()).registry()
+
+        got, want = one_view(True), one_view(False)
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[n].data, want[n].data) for n in want)
 
     def test_heads_divide_dims(self):
         cfg = ExperimentConfig()

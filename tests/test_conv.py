@@ -1,6 +1,8 @@
 """The per-offset convolution and the patch embeddings, against the im2col
-convolution they replaced."""
+convolution they replaced, and the padding-free forward against the padded
+per-offset forward before it."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -37,8 +39,8 @@ def im2col_conv(x, w, b=None, stride=1, padding=0):
     out = Tensor(y.reshape(x.shape[:1] + outs + (co,)))
     parents = (x, w) if b is None else (x, w, b)
 
-    def bwd():
-        g2 = out.grad.reshape(-1, co)
+    def bwd(gout):
+        g2 = gout.reshape(-1, co)
         if w.requires_grad:
             w.accumulate_grad((cols.T @ g2).reshape(w.shape))
         if b is not None and b.requires_grad:
@@ -53,6 +55,28 @@ def im2col_conv(x, w, b=None, stride=1, padding=0):
             x.accumulate_grad(gxp[(slice(None),) + inner])
 
     return T._record(out, parents, bwd, "conv")
+
+
+def padded_conv_forward(x, w, b=None, padding=0):
+    """The engine's former forward on arrays: each kernel offset multiplies
+    its full slice of a zero-padded copy of ``x``, and the products add up
+    in offset order. Kept here as the reference the padding-free forward
+    must match bit for bit."""
+    nd = w.ndim - 2
+    ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
+    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in _pads(padding, nd)) + ((0, 0),))
+    outs = tuple(n - k + 1 for n, k in zip(xp.shape[1:-1], ks))
+    y = 0.0
+    for off in np.ndindex(*ks):
+        hit = (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, outs))
+        y += xp[hit].reshape(-1, ci) @ w[off]
+    if b is not None:
+        y += b
+    return y.reshape(x.shape[:1] + outs + (co,))
+
+
+def _pads(padding, nd):
+    return (padding,) * nd if np.isscalar(padding) else tuple(padding)
 
 
 def _run(conv_fn, x0, w0, b0, r, **kw):
@@ -72,26 +96,48 @@ CASES = {
     "1x1": ((6, 6), (1, 1), 0, 5, 3),
     "3x3_pad1": ((6, 5), (3, 3), 1, 4, 3),
     "7x7_pad3": ((8, 8), (7, 7), 3, 3, 2),
+    # the frequency conv at the desk stage-1 grid: no offset sees all of it
+    "7x7_pad3_grid4": ((4, 4), (7, 7), 3, 6, 9),
     "3x3x3_pad1": ((3, 5, 5), (3, 3, 3), 1, 6, 4),
+    "3x3_pad10": ((5, 6), (3, 3), (1, 0), 4, 3),
+    "3x3x1_pad110": ((2, 4, 3), (3, 3, 1), (1, 1, 0), 3, 2),
 }
+
+
+def _case(name, batch, rng):
+    spatial, kernel, pad, ci, co = CASES[name]
+    x0 = rng.uniform(-1, 1, size=(batch, *spatial, ci))
+    w0 = rng.normal(size=(*kernel, ci, co)) * 0.3
+    b0 = rng.normal(size=co)
+    outs = tuple(n + 2 * p - k + 1 for n, p, k in zip(spatial, _pads(pad, len(kernel)), kernel))
+    return x0, w0, b0, pad, (batch, *outs, co)
 
 
 @pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_conv_matches_im2col_reference(name, batch):
-    spatial, kernel, pad, ci, co = CASES[name]
     rng = np.random.default_rng(len(name) + batch)
-    x0 = rng.uniform(-1, 1, size=(batch, *spatial, ci))
-    w0 = rng.normal(size=(*kernel, ci, co)) * 0.3
-    b0 = rng.normal(size=co)
-    out_shape = (batch, *(n + 2 * pad - k + 1 for n, k in zip(spatial, kernel)), co)
+    x0, w0, b0, pad, out_shape = _case(name, batch, rng)
     r = Tensor(rng.normal(size=out_shape))
     got = _run(T.conv, x0, w0, b0, r, padding=pad)
     ref = _run(im2col_conv, x0, w0, b0, r, padding=pad)
     for what, g, e in zip(("output", "x grad", "w grad", "b grad"), got, ref):
         assert g.shape == e.shape, what
         assert _rel(g, e) <= REL_TOL, f"{name} B={batch}: {what} differs by {_rel(g, e):.2e}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_nograd_conv_equals_padded_forward_bitwise(name, batch, dtype):
+    x0, w0, b0, pad, out_shape = _case(name, batch, np.random.default_rng(batch))
+    x0, w0, b0 = (a.astype(dtype) for a in (x0, w0, b0))
+    scope = T.float64_scope() if dtype == np.float64 else contextlib.nullcontext()
+    with scope, T.no_grad():
+        y = T.conv(Tensor(x0), Tensor(w0), Tensor(b0), pad)
+    assert y.dtype == dtype and y.shape == out_shape
+    assert y.data.tobytes() == padded_conv_forward(x0, w0, b0, pad).tobytes()
 
 
 def _patch_embed_vs_strided_conv(module, proj, x0, kernel):
@@ -156,3 +202,21 @@ def test_nograd_conv_peak_memory():
         tracemalloc.stop()
     assert y.shape == (8, 3, 16, 16, 32)
     assert peak < 4 * (x.data.nbytes + y.data.nbytes), f"peak {peak / 2**20:.1f} MB"
+
+
+def test_nograd_conv_makes_no_padded_copy():
+    # the 7x7 frequency conv on a 4x4 grid: its zero-padded input would be
+    # 100/16 times the input, and the padded forward allocated it whole
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(8, 4, 4, 256)))
+    w = Tensor(rng.normal(size=(7, 7, 256, 9)))
+    padded = x.data.nbytes * 100 // 16
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            y = T.conv(x, w, None, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (8, 4, 4, 9)
+    assert peak < padded, f"peak {peak} bytes, padded input {padded}"

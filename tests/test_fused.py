@@ -63,24 +63,35 @@ def ref_linear(self, x):
     return y.reshape(*lead, w.shape[1])
 
 
-def ref_window_attention(self, windows, mask=None):
-    n, q, c = windows.shape
-    h, d = self.heads, c // self.heads
+def attention_chain(q, k, v, heads, scale, table=None, index=None, mask=None):
+    """``tensor.attention`` as the unfused chain: (output, weights)."""
+    n, nq, c = q.shape
+    d = c // heads
 
     def split(x):
-        return T.permute(x.reshape(n, q, h, d), (0, 2, 1, 3))
+        return T.permute(x.reshape(n, nq, heads, d), (0, 2, 1, 3))
 
-    qh, kh, vh = split(self.wq(windows)), split(self.wk(windows)), split(self.wv(windows))
-    scores = matmul(qh, T.permute(kh, (0, 1, 3, 2))) * self.scale
-    if self.window is not None:
-        bias = T.gather_rows(self.bias_table, encoder._relative_index(self.window))
-        scores = scores + T.permute(bias.reshape(q, q, h), (2, 0, 1)).reshape(1, h, q, q)
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = matmul(qh, T.permute(kh, (0, 1, 3, 2))) * scale
+    if table is not None:
+        bias = T.gather_rows(table, index)
+        bias = T.permute(bias.reshape(nq, nq, heads), (2, 0, 1))
+        scores = scores + bias.reshape(1, heads, nq, nq)
     if mask is not None:
-        k = mask.shape[0]
+        km = mask.shape[0]
         scores = scores + Tensor(
-            np.broadcast_to(mask[None, :, None], (n // k, k, 1, q, q)).reshape(n, 1, q, q))
-    out = matmul(softmax(scores, axis=-1), vh)
-    return self.wo(T.permute(out, (0, 2, 1, 3)).reshape(n, q, c))
+            np.broadcast_to(mask[None, :, None], (n // km, km, 1, nq, nq)).reshape(n, 1, nq, nq))
+    weights = softmax(scores, axis=-1)
+    out = matmul(weights, vh)
+    return T.permute(out, (0, 2, 1, 3)).reshape(n, nq, c), weights
+
+
+def ref_window_attention(self, windows, mask=None):
+    index = None if self.window is None else encoder._relative_index(self.window)
+    table = None if self.window is None else self.bias_table
+    out, _ = attention_chain(self.wq(windows), self.wk(windows), self.wv(windows),
+                             self.heads, self.scale, table, index, mask)
+    return self.wo(out)
 
 
 def ref_swin_block(self, x):
@@ -176,6 +187,40 @@ def test_kept_attention_weights_match_numpy_reference(monkeypatch):
                               (2, 1, 1))[:, None]
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     np.testing.assert_allclose(fused, e / e.sum(axis=-1, keepdims=True), atol=1e-14)
+
+
+# (sets N, tokens Q, channels, heads, window of the bias table or None,
+# shifted-window mask side or None)
+ATTENTION_CASES = {
+    "shift_mask": (8, 16, 16, 2, 4, 8),
+    "nan_row": (2, 16, 16, 2, 4, None),
+    "one_token": (3, 1, 8, 2, None, None),
+    "window7": (2, 49, 16, 2, 7, None),
+    "global64": (2, 64, 32, 2, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_CASES))
+def test_attention_matches_unfused_chain_bitwise(name):
+    n, nq, c, heads, window, side = ATTENTION_CASES[name]
+    rng = np.random.default_rng(len(name))
+    q, k, v = (Tensor(rng.normal(size=(n, nq, c))) for _ in range(3))
+    if name == "nan_row":
+        k.data[1, 5, 0] = np.nan          # one NaN key entry in every row of a head
+    table = index = mask = None
+    if window is not None:
+        table = Tensor(rng.normal(size=((2 * window - 1) ** 2, heads)))
+        index = encoder._relative_index(window)
+    if side is not None:
+        # the -1e9 entries cut every shifted window of an 8x8 grid
+        mask = encoder._shift_mask(side, window, window // 2, side, T.compute_dtype())
+        assert (mask == encoder.MASK_NEG).any()
+    scale = (c // heads) ** -0.5
+    out, weights = T.attention(q, k, v, heads, scale, table, index, mask)
+    want_out, want_weights = attention_chain(q, k, v, heads, scale, table, index, mask)
+    assert out.data.tobytes() == want_out.data.tobytes()
+    assert weights.tobytes() == want_weights.data.tobytes()
+    assert np.isnan(weights).any() == (name == "nan_row")
 
 
 def _tape_ops(root):

@@ -510,6 +510,29 @@ def test_backward_frees_graph_without_cyclic_gc():
         gc.enable()
 
 
+def test_unpropagated_model_graph_is_freed_without_cyclic_gc():
+    # a taped forward that is never back-propagated: no backward rule refers
+    # to its output, so dropping the map frees the whole graph at once
+    import gc
+    import weakref
+
+    from vindet.config import ExperimentConfig
+    from vindet.data import generate_dataset
+    from vindet.model import InpaintingDetector
+
+    cfg = ExperimentConfig()
+    model = InpaintingDetector(cfg)
+    frames = np.stack([c.clip.frames for c in generate_dataset(2, 1, cfg)])
+    gc.disable()
+    try:
+        maps = model(frames)
+        refs = [weakref.ref(maps), weakref.ref(maps._entry.inputs[0])]
+        del maps
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_second_backward_on_consumed_graph_rejected():
     x = t([1.0, 2.0], rg=True)
     loss = T.reduce_sum(x * x)
