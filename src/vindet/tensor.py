@@ -32,55 +32,48 @@ class ShapeError(ValueError):
 _next_seq = itertools.count(1).__next__
 
 
-class _GradMode(threading.local):
-    """Per-thread recording switch: every thread starts with recording on."""
+class _EngineState(threading.local):
+    """Per-thread engine state: every thread starts with recording on and
+    computing in float32."""
 
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-class _Precision(threading.local):
-    """Per-thread compute dtype: every thread starts in float32."""
-
+    grad_enabled = True
     dtype = np.dtype(np.float32)
 
 
-_precision = _Precision()
+_state = _EngineState()
 
 
 def compute_dtype() -> np.dtype:
     """The dtype every ``Tensor`` made in the calling thread holds."""
-    return _precision.dtype
+    return _state.dtype
 
 
-class float64_scope:
+class _StateScope:
+    """Context manager setting one ``_EngineState`` field in the calling
+    thread and restoring it on exit."""
+
+    def __enter__(self):
+        self._prev = getattr(_state, self.field)
+        setattr(_state, self.field, self.value)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(_state, self.field, self._prev)
+        return False
+
+
+class float64_scope(_StateScope):
     """Context manager computing in float64 in the calling thread: tensors
     made inside it, and the constants built for them, hold float64."""
 
-    def __enter__(self):
-        self._prev = _precision.dtype
-        _precision.dtype = np.dtype(np.float64)
-        return self
-
-    def __exit__(self, *exc):
-        _precision.dtype = self._prev
-        return False
+    field, value = "dtype", np.dtype(np.float64)
 
 
-class no_grad:
+class no_grad(_StateScope):
     """Context manager disabling tape recording (forward-only evaluation) in
     the calling thread."""
 
-    def __enter__(self):
-        self._prev = _grad_mode.enabled
-        _grad_mode.enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _grad_mode.enabled = self._prev
-        return False
+    field, value = "grad_enabled", False
 
 
 class TapeEntry:
@@ -102,7 +95,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_entry", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_precision.dtype)
+        self.data = np.asarray(data, dtype=_state.dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._entry: Optional[TapeEntry] = None
@@ -191,7 +184,7 @@ def as_tensor(x) -> Tensor:
 def _record(out: Tensor, inputs: tuple, backward_fn: Callable, name: str) -> Tensor:
     """Record ``out`` on the tape when an input requires grad; ``backward_fn``
     takes ``out``'s gradient and must not refer to ``out`` itself."""
-    if _grad_mode.enabled:
+    if _state.grad_enabled:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
@@ -470,7 +463,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
             v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(n, nq, c))
         gs = (ga - np.sum(ga * y, axis=-1, keepdims=True)) * y
         if table is not None and table.requires_grad:
-            gb = gs.sum(axis=0) if n > 1 else gs[0]
+            gb = gs.sum(axis=0)
             gb = gb.transpose(1, 2, 0).reshape(nq * nq, heads)
             gt = np.zeros_like(table.data)
             np.add.at(gt, index, gb)
@@ -720,10 +713,13 @@ def conv(x, w, b=None, padding=0) -> Tensor:
     per spatial axis and adds zeros on both sides. Each kernel offset adds
     one (M, Ci) x (Ci, Co) product into the output, over only the M output
     rows whose input at that offset lies inside ``x``, so neither an im2col
-    matrix nor a padded copy of ``x`` is built. The rows a zero-padded input
-    would add there are exact zeros, so the sums match the padded conv's bit
-    for bit. The backward builds the padded copy, only when a gradient is
-    wanted, and takes every offset's full slice of it.
+    matrix nor a padded copy of ``x`` is built. The backward walks the same
+    offset boxes: each box's gradient rows give its offset's weight gradient
+    and add into the input gradient's rows, and an offset that reads only
+    padding keeps a weight gradient of 0. The rows a zero-padded input would
+    add are exact zeros, so the output and the input gradient hold the
+    padded conv's sums; numpy multiplies a one-row box as a matrix-vector
+    product, which may round them differently.
     """
     x, w = as_tensor(x), as_tensor(w)
     nd = w.ndim - 2
@@ -749,23 +745,21 @@ def conv(x, w, b=None, padding=0) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(gout):
-        xp = np.pad(xd, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),)) if any(pd) else xd
-        offsets = [(off, (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, outs)))
-                   for off in np.ndindex(*ks)]
-        g2 = gout.reshape(-1, co)
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for off, hit in offsets:
-                gw[off] = xp[hit].reshape(-1, ci).T @ g2
+        gw = np.zeros_like(w.data) if w.requires_grad else None
+        gx = np.zeros_like(xd) if x.requires_grad else None
+        for off, rows, hit in _conv_boxes(sides, ks, pd):
+            gh = gout[hit].reshape(-1, co)
+            if gw is not None:
+                gw[off] = xd[rows].reshape(-1, ci).T @ gh
+            if gx is not None:
+                gr = gx[rows]
+                gr += (gh @ w.data[off].T).reshape(gr.shape)
+        if gw is not None:
             w.accumulate_grad(gw)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for off, hit in offsets:
-                gxp[hit] += (g2 @ w.data[off].T).reshape(x.shape[:1] + outs + (ci,))
-            inner = tuple(slice(p, p + n) for p, n in zip(pd, sides))
-            x.accumulate_grad(gxp[(slice(None),) + inner])
+            b.accumulate_grad(gout.reshape(-1, co).sum(axis=0))
+        if gx is not None:
+            x.accumulate_grad(gx)
 
     return _record(out, parents, bwd, "conv")
 

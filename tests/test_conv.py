@@ -1,6 +1,6 @@
 """The per-offset convolution and the patch embeddings, against the im2col
-convolution they replaced, and the padding-free forward against the padded
-per-offset forward before it."""
+convolution they replaced, and the padding-free forward and backward
+against the padded per-offset forward and backward before them."""
 
 import contextlib
 import tracemalloc
@@ -14,6 +14,9 @@ from vindet.tensor import Tensor, backward
 from vindet.tokenizer import TubeletEmbed
 
 REL_TOL = 1e-12
+# the padding-free conv's sums against the padded conv's where they may
+# round differently, relative to the largest entry
+ROUND_TOL = {np.float32: 1e-6, np.float64: 1e-14}
 
 
 def im2col_conv(x, w, b=None, stride=1, padding=0):
@@ -75,8 +78,51 @@ def padded_conv_forward(x, w, b=None, padding=0):
     return y.reshape(x.shape[:1] + outs + (co,))
 
 
+def padded_conv_backward(x, w, g, padding=0):
+    """The engine's former backward on arrays: input and weight gradients for
+    output gradient ``g``, each kernel offset taking its full slice of
+    zero-padded copies of ``x`` and of the input gradient. Kept here as the
+    reference the padding-free input gradient must match as
+    ``_assert_padded_sums`` says; the weight gradient sums over the
+    padding's zero rows too, so it matches only to rounding."""
+    nd = w.ndim - 2
+    ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
+    pd = _pads(padding, nd)
+    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),))
+    g2 = g.reshape(-1, co)
+    gw, gxp = np.empty_like(w), np.zeros_like(xp)
+    for off in np.ndindex(*ks):
+        hit = (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, g.shape[1:-1]))
+        gw[off] = xp[hit].reshape(-1, ci).T @ g2
+        gxp[hit] += (g2 @ w[off].T).reshape(g.shape[:-1] + (ci,))
+    inner = tuple(slice(p, p + n) for p, n in zip(pd, x.shape[1:-1]))
+    return gxp[(slice(None),) + inner], gw
+
+
 def _pads(padding, nd):
     return (padding,) * nd if np.isscalar(padding) else tuple(padding)
+
+
+def _min_box_rows(name, batch):
+    """The fewest output rows any kernel offset of case ``name`` multiplies
+    in the padding-free conv."""
+    spatial, kernel, pad, _, _ = CASES[name]
+    rows = batch
+    for n, k, p in zip(spatial, kernel, _pads(pad, len(kernel))):
+        counts = [sum(0 <= j + o - p < n for j in range(n + 2 * p - k + 1)) for o in range(k)]
+        rows *= min(c for c in counts if c)
+    return rows
+
+
+def _assert_padded_sums(got, ref, name, batch):
+    """``got`` equals the padded conv's ``ref`` bit for bit, unless an
+    offset's box holds one row: numpy multiplies that as a matrix-vector
+    product, which may round differently from the padded conv's GEMM."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    if _min_box_rows(name, batch) > 1:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert _rel(got, ref) <= ROUND_TOL[got.dtype.type], f"differs by {_rel(got, ref):.2e}"
 
 
 def _run(conv_fn, x0, w0, b0, r, **kw):
@@ -98,6 +144,8 @@ CASES = {
     "7x7_pad3": ((8, 8), (7, 7), 3, 3, 2),
     # the frequency conv at the desk stage-1 grid: no offset sees all of it
     "7x7_pad3_grid4": ((4, 4), (7, 7), 3, 6, 9),
+    # 40 of its 49 offsets read only padding
+    "7x7_pad3_grid2": ((2, 2), (7, 7), 3, 5, 4),
     "3x3x3_pad1": ((3, 5, 5), (3, 3, 3), 1, 6, 4),
     "3x3_pad10": ((5, 6), (3, 3), (1, 0), 4, 3),
     "3x3x1_pad110": ((2, 4, 3), (3, 3, 1), (1, 1, 0), 3, 2),
@@ -137,7 +185,38 @@ def test_nograd_conv_equals_padded_forward_bitwise(name, batch, dtype):
     with scope, T.no_grad():
         y = T.conv(Tensor(x0), Tensor(w0), Tensor(b0), pad)
     assert y.dtype == dtype and y.shape == out_shape
-    assert y.data.tobytes() == padded_conv_forward(x0, w0, b0, pad).tobytes()
+    _assert_padded_sums(y.data, padded_conv_forward(x0, w0, b0, pad), name, batch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_conv_grads_match_padded_backward(name, batch, dtype):
+    # the input gradient adds the same products in the same offset order;
+    # the weight gradient's GEMMs leave out the padding's zero rows, which
+    # may move their rounding
+    rng = np.random.default_rng(batch + 7)
+    x0, w0, b0, pad, out_shape = _case(name, batch, rng)
+    x0, w0, b0, g0 = (a.astype(dtype) for a in (x0, w0, b0, rng.normal(size=out_shape)))
+    scope = T.float64_scope() if dtype == np.float64 else contextlib.nullcontext()
+    with scope:
+        _, gx, gw, _ = _run(T.conv, x0, w0, b0, Tensor(g0), padding=pad)
+    ref_gx, ref_gw = padded_conv_backward(x0, w0, g0, pad)
+    assert gx.dtype == gw.dtype == dtype
+    _assert_padded_sums(gx, ref_gx, name, batch)
+    assert _rel(gw, ref_gw) <= ROUND_TOL[dtype], f"w grad differs by {_rel(gw, ref_gw):.2e}"
+
+
+def test_conv_offsets_reading_only_padding_get_zero_weight_grad():
+    rng = np.random.default_rng(15)
+    x0, w0, b0, pad, out_shape = _case("7x7_pad3_grid2", 4, rng)
+    _, _, gw, _ = _run(T.conv, x0, w0, b0, Tensor(rng.normal(size=out_shape)), padding=pad)
+    xp = np.pad(x0, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    dead = [off for off in np.ndindex(7, 7)
+            if not xp[:, off[0]:off[0] + 2, off[1]:off[1] + 2].any()]
+    assert len(dead) == 40
+    for off in np.ndindex(7, 7):
+        assert (gw[off] == 0).all() == (off in dead), off
 
 
 def _patch_embed_vs_strided_conv(module, proj, x0, kernel):
@@ -219,4 +298,22 @@ def test_nograd_conv_makes_no_padded_copy():
     finally:
         tracemalloc.stop()
     assert y.shape == (8, 4, 4, 9)
+    assert peak < padded, f"peak {peak} bytes, padded input {padded}"
+
+
+def test_conv_backward_makes_no_padded_copy():
+    # the same conv with both gradients wanted: the padded backward
+    # allocated a padded copy of the input and a padded gradient buffer
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(32, 4, 4, 256)), requires_grad=True)
+    w = Tensor(rng.normal(size=(7, 7, 256, 9)), requires_grad=True)
+    loss = T.reduce_sum(T.conv(x, w, None, 3))
+    padded = x.data.nbytes * 100 // 16
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
     assert peak < padded, f"peak {peak} bytes, padded input {padded}"
