@@ -747,7 +747,8 @@ def conv(x, w, b=None, padding=0) -> Tensor:
     def bwd(gout):
         gw = np.zeros_like(w.data) if w.requires_grad else None
         gx = np.zeros_like(xd) if x.requires_grad else None
-        for off, rows, hit in _conv_boxes(sides, ks, pd):
+        boxes = _conv_boxes(sides, ks, pd) if gw is not None or gx is not None else ()
+        for off, rows, hit in boxes:
             gh = gout[hit].reshape(-1, co)
             if gw is not None:
                 gw[off] = xd[rows].reshape(-1, ci).T @ gh

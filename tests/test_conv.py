@@ -14,9 +14,6 @@ from vindet.tensor import Tensor, backward
 from vindet.tokenizer import TubeletEmbed
 
 REL_TOL = 1e-12
-# the padding-free conv's sums against the padded conv's where they may
-# round differently, relative to the largest entry
-ROUND_TOL = {np.float32: 1e-6, np.float64: 1e-14}
 
 
 def im2col_conv(x, w, b=None, stride=1, padding=0):
@@ -82,9 +79,9 @@ def padded_conv_backward(x, w, g, padding=0):
     """The engine's former backward on arrays: input and weight gradients for
     output gradient ``g``, each kernel offset taking its full slice of
     zero-padded copies of ``x`` and of the input gradient. Kept here as the
-    reference the padding-free input gradient must match as
-    ``_assert_padded_sums`` says; the weight gradient sums over the
-    padding's zero rows too, so it matches only to rounding."""
+    reference the padding-free gradients must match: the input gradient bit
+    for bit outside ``ONE_ROW_BOXES``; the weight gradient, which here sums
+    over the padding's zero rows too, to rounding."""
     nd = w.ndim - 2
     ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
     pd = _pads(padding, nd)
@@ -103,26 +100,20 @@ def _pads(padding, nd):
     return (padding,) * nd if np.isscalar(padding) else tuple(padding)
 
 
-def _min_box_rows(name, batch):
-    """The fewest output rows any kernel offset of case ``name`` multiplies
-    in the padding-free conv."""
-    spatial, kernel, pad, _, _ = CASES[name]
-    rows = batch
-    for n, k, p in zip(spatial, kernel, _pads(pad, len(kernel))):
-        counts = [sum(0 <= j + o - p < n for j in range(n + 2 * p - k + 1)) for o in range(k)]
-        rows *= min(c for c in counts if c)
-    return rows
+# (case, batch) pairs where some kernel offset's box is one output row:
+# numpy multiplies a one-row matrix through gemv, which need not round like
+# the padded conv's GEMM over every row
+ONE_ROW_BOXES = {("7x7_pad3_grid4", 1), ("7x7_pad3_grid2", 1)}
 
 
-def _assert_padded_sums(got, ref, name, batch):
-    """``got`` equals the padded conv's ``ref`` bit for bit, unless an
-    offset's box holds one row: numpy multiplies that as a matrix-vector
-    product, which may round differently from the padded conv's GEMM."""
+def _assert_within_rounding(got, ref, scale, n):
+    """``got`` and ``ref`` round the same sums of at most ``n`` terms whose
+    absolute values add up to ``scale``. Each lies within n·eps/2·scale of
+    the exact sum, so the two may differ by n·eps·scale, whatever order
+    their BLAS adds the terms in."""
     assert got.dtype == ref.dtype and got.shape == ref.shape
-    if _min_box_rows(name, batch) > 1:
-        assert got.tobytes() == ref.tobytes()
-    else:
-        assert _rel(got, ref) <= ROUND_TOL[got.dtype.type], f"differs by {_rel(got, ref):.2e}"
+    bound = n * np.finfo(got.dtype).eps * scale
+    assert (np.abs(got - ref) <= bound).all(), f"differs by {np.max(np.abs(got - ref)):.2e}"
 
 
 def _run(conv_fn, x0, w0, b0, r, **kw):
@@ -185,16 +176,24 @@ def test_nograd_conv_equals_padded_forward_bitwise(name, batch, dtype):
     with scope, T.no_grad():
         y = T.conv(Tensor(x0), Tensor(w0), Tensor(b0), pad)
     assert y.dtype == dtype and y.shape == out_shape
-    _assert_padded_sums(y.data, padded_conv_forward(x0, w0, b0, pad), name, batch)
+    ref = padded_conv_forward(x0, w0, b0, pad)
+    if (name, batch) == ("7x7_pad3_grid2", 1):
+        # its one-row boxes' gemv rounds unlike the padded GEMM in float64;
+        # the 4x4 grid's at B=1 match it at these sizes
+        scale = padded_conv_forward(abs(x0), abs(w0), abs(b0), pad)
+        _assert_within_rounding(y.data, ref, scale, w0[..., 0].size + 1)
+    else:
+        assert y.data.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_conv_grads_match_padded_backward(name, batch, dtype):
-    # the input gradient adds the same products in the same offset order;
-    # the weight gradient's GEMMs leave out the padding's zero rows, which
-    # may move their rounding
+    # the input gradient adds the same products in the same offset order,
+    # but a one-row box's gemv may round them unlike the padded GEMM; the
+    # weight gradient's GEMMs leave out the padding's zero rows, which may
+    # move their rounding
     rng = np.random.default_rng(batch + 7)
     x0, w0, b0, pad, out_shape = _case(name, batch, rng)
     x0, w0, b0, g0 = (a.astype(dtype) for a in (x0, w0, b0, rng.normal(size=out_shape)))
@@ -202,9 +201,14 @@ def test_conv_grads_match_padded_backward(name, batch, dtype):
     with scope:
         _, gx, gw, _ = _run(T.conv, x0, w0, b0, Tensor(g0), padding=pad)
     ref_gx, ref_gw = padded_conv_backward(x0, w0, g0, pad)
+    scale_gx, scale_gw = padded_conv_backward(abs(x0), abs(w0), abs(g0), pad)
     assert gx.dtype == gw.dtype == dtype
-    _assert_padded_sums(gx, ref_gx, name, batch)
-    assert _rel(gw, ref_gw) <= ROUND_TOL[dtype], f"w grad differs by {_rel(gw, ref_gw):.2e}"
+    co = w0.shape[-1]
+    if (name, batch) in ONE_ROW_BOXES:
+        _assert_within_rounding(gx, ref_gx, scale_gx, w0[..., 0, :].size)
+    else:
+        assert gx.tobytes() == ref_gx.tobytes()
+    _assert_within_rounding(gw, ref_gw, scale_gw, g0.size // co)
 
 
 def test_conv_offsets_reading_only_padding_get_zero_weight_grad():
