@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 validation/configuration error or an unreadable
-input file, 2 numerical failure (a non-finite loss, an arithmetic overflow, or a numpy
-overflow or invalid operation, which every command raises on).
+Exit codes: 0 success, 1 usage, validation or configuration error, an
+unreadable input file or a model too large to allocate, 2 numerical failure
+(a non-finite loss, an arithmetic overflow, or a numpy overflow or invalid
+operation, which every command raises on).
 """
 
 from __future__ import annotations
@@ -131,9 +132,18 @@ def cmd_show_config(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as every other
+    validation error does; argparse's own 2 would read as a numerical
+    failure. Subcommand parsers take the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="vindet",
-                                 description="video inpainting detection harness")
+    ap = _Parser(prog="vindet", description="video inpainting detection harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -191,6 +201,10 @@ def main(argv=None) -> int:
             return args.fn(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        config = getattr(args, "config", None) or "the default config"
+        print(f"error: --config {config}: sizes too large to allocate: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # numerical failures
         from .train import NumericalError

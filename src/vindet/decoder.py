@@ -24,12 +24,13 @@ from .tensor import Tensor
 
 
 def _expand_temporal(x: Tensor, v: int) -> Tensor:
-    """Stretch the temporal axis (axis 1) to length v by index replication."""
-    t = x.shape[1]
+    """Stretch the temporal axis of (B,T,S,S,c) to length v by repeating
+    frames: output frame j takes the tokens of frame j * T // v."""
+    b, t, s, _, c = x.shape
     if t == v:
         return x
-    idx = (np.arange(v) * t) // v
-    return T.gather_rows(x, idx, axis=1)
+    idx = ((np.arange(v) * t) // v)[:, None] * (s * s) + np.arange(s * s)
+    return T.take_tokens(x, idx.reshape(-1), b, (b, v, s, s, c))
 
 
 class TffBlock(nn.Module):

@@ -29,33 +29,31 @@ MLP_RATIO = 4                      # a block's MLP hidden width, in multiples of
 def _window_index(s: int, m: int, shift: int):
     """(gather, scatter) indices between an (S,S) grid and its m x m windows.
 
-    The grid is cyclically shifted by ``-shift`` and zero-padded at the end
-    to a multiple of m. Window cell j (over all windows in order) takes
-    padded-grid cell ``gather[j]``; grid cell p takes back window cell
-    ``scatter[p]``, which also undoes the shift and drops the padding.
+    The grid is cyclically shifted by ``-shift`` and padded at the end to a
+    multiple of m. Window cell j (over all windows in order) takes grid
+    cell ``gather[j]``, or -1 where it lies in the padding; grid cell p
+    takes back window cell ``scatter[p]``, which also undoes the shift.
     """
     sp = s + (m - s % m) % m
     r = np.arange(sp)
-    src = np.where(r < s, (r + shift) % s, r)
-    cells = (src[:, None] * sp + src[None, :]).reshape(sp // m, m, sp // m, m)
-    gather = cells.transpose(0, 2, 1, 3).reshape(-1)
-    return gather, np.argsort(gather).reshape(sp, sp)[:s, :s].reshape(-1)
+    src = np.where(r < s, (r + shift) % s, -1)
+    cells = np.where((src[:, None] < 0) | (src[None, :] < 0), -1, src[:, None] * s + src[None, :])
+    gather = cells.reshape(sp // m, m, sp // m, m).transpose(0, 2, 1, 3).reshape(-1)
+    # the -1 entries sort first, then grid cells 0, 1, ... in order
+    return gather, np.argsort(gather)[sp * sp - s * s:]
 
 
 def window_partition(x: Tensor, m: int, shift: int = 0):
     """(B,S,S,c) -> windows (B*K, m*m, c) of the grid cyclically shifted by
-    ``-shift``; zero-pads ragged sides.
+    ``-shift``; ragged sides are padded with zero tokens.
 
     Returns (windows, meta); feed meta to :func:`window_merge` to invert.
     """
     b, s, s2, c = x.shape
     if s != s2:
         raise T.ShapeError(f"window_partition: expected square grid, got {x.shape}")
-    pad = (m - s % m) % m
-    if pad:
-        x = T.pad(x, ((0, 0), (0, pad), (0, pad), (0, 0)))
     gather, scatter = _window_index(s, m, shift)
-    return T.take_tokens(x, gather, b, (-1, m * m, c)), (b, s, s + pad, scatter)
+    return T.take_tokens(x, gather, b, (-1, m * m, c)), (b, s, s + (m - s % m) % m, scatter)
 
 
 def window_merge(windows: Tensor, meta) -> Tensor:
@@ -84,18 +82,16 @@ def _shift_mask(s_pad: int, m: int, shift: int, s_real: int, dtype):
     ``shift`` rows (columns), which the shift moves past the far edge, form
     one band and the rest another, and two real tokens attend when they
     share both bands. Padded cells form a region of their own. The region
-    map is laid out on the unshifted, padded grid and moved into windows by
-    the same index as the data, so each window cell's label is that of the
-    token it holds. Returns None when no mask is needed.
+    map is laid out on the unshifted grid and moved into windows by the same
+    index as the data, so each window cell's label is that of the token it
+    holds, and a padded cell's fill entry reads the label -1. Returns None
+    when no mask is needed.
     """
     if shift == 0 and s_pad == s_real:
         return None
-    band = np.full(s_pad, -1)           # seam band per row/column, -1 = pad
-    band[:s_real] = 0
-    band[:shift] = 1
-    pad = (band[:, None] < 0) | (band[None, :] < 0)
-    region = np.where(pad, -1, 2 * band[:, None] + band[None, :])
-    win = region.reshape(-1)[_window_index(s_real, m, shift)[0]].reshape(-1, m * m)
+    band = (np.arange(s_real) < shift).astype(int)     # seam band per row/column
+    region = (2 * band[:, None] + band[None, :]).reshape(-1)
+    win = np.append(region, -1)[_window_index(s_real, m, shift)[0]].reshape(-1, m * m)
     diff = win[:, :, None] != win[:, None, :]
     return np.where(diff, MASK_NEG, 0.0).astype(dtype)
 

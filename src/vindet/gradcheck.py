@@ -179,13 +179,9 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
 
     r26 = proj(2, 6)
     case("reshape", lambda x: T.reduce_sum(x.reshape(2, 6) * r26), u(3, 4))
-    r43 = proj(4, 3)
-    case("permute", lambda x: T.reduce_sum(T.permute(x, (1, 0)) * r43), u(3, 4))
     cc = Tensor(rng.normal(size=(2, 4)))
     rcat = proj(4, 4)
     case("concat", lambda x: T.reduce_sum(T.concat([x, cc], axis=0) * rcat), u(2, 4))
-    r56 = proj(5, 6)
-    case("pad", lambda x: T.reduce_sum(T.pad(x, ((1, 1), (1, 2))) * r56), u(3, 3))
     # a 4x4 grid into four 2x2 windows in a random cell order, and back into
     # a 2x2 grid that keeps 4 of each sample's 8 window cells
     rwg, rws = proj(8, 4, 2), proj(2, 2, 2, 2)
@@ -194,9 +190,6 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
          lambda x: T.reduce_sum(T.take_tokens(x, wg_index, 2, (8, 4, 2)) * rwg), u(2, 4, 4, 2))
     case("take_tokens_scatter",
          lambda x: T.reduce_sum(T.take_tokens(x, ws_index, 2, (2, 2, 2, 2)) * rws), u(4, 4, 2))
-    gi = rng.integers(0, 4, size=6)
-    r63 = proj(6, 3)
-    case("gather_rows", lambda x: T.reduce_sum(T.gather_rows(x, gi) * r63), u(4, 3))
 
     case("sum", lambda x: T.reduce_sum(x * x), u(3, 4))
     case("mean", lambda x: T.reduce_sum(T.reduce_mean(x * x, axis=1)), u(3, 4))
@@ -205,7 +198,7 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     ln_b = Tensor(rng.normal(size=6) * 0.1)
     r46 = proj(4, 6)
     case("layer_norm", lambda x: T.reduce_sum(T.layer_norm(x, ln_g, ln_b) * r46), u(4, 6))
-    # batched ops take a batch of one here; the cases after "slice" take B=2
+    # batched ops take a batch of one here; the cases from "add_right" on take B=2
     gn_g = Tensor(rng.uniform(0.5, 1.5, size=8))
     gn_b = Tensor(rng.normal(size=8) * 0.1)
     r338 = proj(1, 3, 3, 8)
@@ -239,13 +232,10 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("grid_sample_coords",
          lambda g: T.reduce_sum(T.grid_sample_bilinear(gs_x, g) * r62),
          Tensor(rng.uniform(-0.85, 0.85, size=(1, 6, 2))))
-    # a new case is drawn after every case before it, so each earlier case
-    # keeps its inputs: add cases at the end
-    r322 = proj(3, 2, 2)
-    case("slice", lambda x: T.reduce_sum(T.slice_axis(x, -2, 1, 3) * r322), u(3, 4, 2))
-
     # the inputs the cases above leave unprobed, and the axis, exponent,
-    # index and batch branches of the backward rules
+    # index and batch branches of the backward rules. A new case is drawn
+    # after every case before it, so each earlier case keeps its inputs: add
+    # cases at the end
     case("add_right", lambda x: T.reduce_sum((other + x) * r34), u(3, 4))
     case("sub_left", lambda x: T.reduce_sum((x - other) * r34), u(3, 4))
     den = upos(3, 4)
@@ -263,9 +253,6 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     r33 = proj(3, 3)
     case("pow_zero", lambda x: T.reduce_sum((x ** 0) * r33), u(3, 3))
     case("pow_half", lambda x: T.reduce_sum((x ** 0.5) * r33), upos(3, 3))
-    gi1, r263 = rng.integers(0, 4, size=6), proj(2, 6, 3)
-    case("gather_rows_axis1",
-         lambda x: T.reduce_sum(T.gather_rows(x, gi1, axis=1) * r263), u(2, 4, 3))
 
     ln_x = u(4, 6)
     case("layer_norm_gamma",
@@ -296,9 +283,11 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("conv3d_pad_weight",
          lambda w: T.reduce_sum(T.conv(cpx, w, bp, (1, 1, 0)) * r23412),
          Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4))
-    r232 = proj(2, 3, 2)
-    case("slice_negative_axis",
-         lambda x: T.reduce_sum(T.slice_axis(x, -1, 1, 3) * r232), u(2, 3, 4))
+    # 3 samples of 4 tokens into 8 tokens each: token 2 taken three times,
+    # token 0 twice, token 3 never, and two zero fill tokens
+    rtf, tf_index = proj(3, 8, 2), np.array([2, -1, 0, 2, 1, -1, 2, 0])
+    case("take_tokens_repeat_fill",
+         lambda x: T.reduce_sum(T.take_tokens(x, tf_index, 3, (3, 8, 2)) * rtf), u(3, 4, 2))
     return cases
 
 

@@ -68,9 +68,9 @@ class InpaintingDetector(nn.Module):
             return self.forward(ft.reshape(1, *ft.shape)).reshape(ft.shape[1:3])
         g = self.cfg.geometry
         stage_views = self.encode(ft)
-        b, t = ft.shape[:2]
-        mid = middle_frame_index(t)
-        frame = T.slice_axis(ft, 1, mid, mid + 1).reshape(b, g.height, g.width, g.channels)
+        b, t, h, w, c = ft.shape
+        frame = T.take_tokens(ft, middle_frame_index(t) * h * w + np.arange(h * w), b,
+                              (b, h, w, c))
         pyramid = None
         if self.cfg.decoder.use_frequency:
             # the band features carry no gradient

@@ -489,15 +489,6 @@ def reshape(a, shape) -> Tensor:
     return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.shape), "reshape")
 
 
-def permute(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute: axes {axes} invalid for shape {a.shape}")
-    inv = np.argsort(axes)
-    return _unary(a, np.transpose(a.data, axes), lambda g: np.transpose(g, inv), "permute")
-
-
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     nd = ts[0].ndim
@@ -523,62 +514,35 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _record(out, tuple(ts), bwd, "concat")
 
 
-def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"slice: axis {axis} out of range for shape {a.shape}")
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def grad(g):
-        ga = np.zeros_like(a.data)
-        ga[idx] = g
-        return ga
-
-    return _unary(a, a.data[idx], grad, "slice")
-
-
-def pad(a, pad_width) -> Tensor:
-    """Zero padding; pad_width is ((before, after), ...) per axis."""
-    a = as_tensor(a)
-    pw = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-    if len(pw) != a.ndim:
-        raise ShapeError(f"pad: got {len(pw)} axis pads for shape {a.shape}")
-    idx = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
-    return _unary(a, np.pad(a.data, pw), lambda g: g[idx], "pad")
-
-
-def gather_rows(table, indices: np.ndarray, axis: int = 0) -> Tensor:
-    """Lookup of ``indices`` along ``axis`` (rows by default); backward
-    scatter-adds into the table."""
-    table = as_tensor(table)
-    idx = np.asarray(indices, dtype=np.int64)
-
-    def grad(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(np.moveaxis(gt, axis, 0), idx, np.moveaxis(g, axis, 0))
-        return gt
-
-    return _unary(table, np.take(table.data, idx, axis=axis), grad, "gather_rows")
-
-
 def take_tokens(x, index: np.ndarray, batch: int, shape) -> Tensor:
     """Move the tokens (last-axis vectors) of each of ``batch`` samples:
-    output token j of a sample is its input token ``index[j]``; the result
-    takes ``shape``. ``index`` holds no repeats, so the backward writes each
-    gradient back to one place, and tokens it leaves out get zero gradient.
-    Cutting a grid into windows and merging them back are such moves."""
+    output token j of a sample is its input token ``index[j]``, or a zero
+    token where ``index[j]`` is -1; the result takes ``shape``. Cutting a
+    grid into padded windows, merging them back, patchifying, slicing and
+    repeating frames are such moves. The backward writes each token's
+    gradient back to its place; a token taken more than once gets the sum
+    of its gradients, added in index order, a token left out gets zero, and
+    a fill entry passes nothing back."""
     x = as_tensor(x)
     c = x.shape[-1]
+    y = np.take(x.data.reshape(batch, -1, c), index, axis=1)
+    fill = np.minimum.reduce(index, initial=0) < 0
+    if fill:
+        y[:, index < 0] = 0.0
 
     def grad(g):
+        g, src = g.reshape(batch, -1, c), index
+        if fill:
+            keep = index >= 0
+            g, src = g[:, keep], index[keep]
         gx = np.zeros((batch, x.size // (batch * c), c), dtype=x.dtype)
-        gx[:, index] = g.reshape(batch, -1, c)
+        if np.bincount(src, minlength=gx.shape[1]).max(initial=0) > 1:
+            np.add.at(gx, (slice(None), src), g)
+        else:
+            gx[:, src] = g
         return gx.reshape(x.shape)
 
-    y = np.take(x.data.reshape(batch, -1, c), index, axis=1).reshape(shape)
-    return _unary(x, y, grad, "take_tokens")
+    return _unary(x, y.reshape(shape), grad, "take_tokens")
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,10 @@ class TubeletEmbed(nn.Module):
 
     def forward(self, frames: Tensor) -> Tensor:
         """(B,T,H,W,C) frames to (B, floor(T/view), H/patch, W/patch, c_out) tokens."""
-        t = frames.shape[1]
+        b, t, h, w, c = frames.shape
         usable = (t // self.view) * self.view
         if usable != t:
-            frames = T.slice_axis(frames, 1, 0, usable)
+            frames = T.take_tokens(frames, np.arange(usable * h * w), b, (b, usable, h, w, c))
         return self.proj(frames)
 
 

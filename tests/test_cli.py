@@ -379,6 +379,31 @@ class TestTrainEval:
         bad.write_text("geometry.depht = 4\n")
         assert main(["complexity", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("argv, says", [
+        (["gen-data", "--n", "abc", "--seed", "0", "--out", "x"], "invalid int value: 'abc'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["gen-data", "--seed", "0", "--out", "x"], "arguments are required: --n"),
+    ])
+    def test_usage_error_exit_code(self, capsys, argv, says):
+        # exit 1 like any other validation error: argparse's 2 reads as a
+        # numerical failure
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vindet") and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            line for line in err.splitlines() if says in line]
+
+    def test_unallocatable_model_exit_code(self, tmp_path, capsys):
+        # numpy refuses the 13.6 PiB weight before allocating any of it
+        big = tmp_path / "big.cfg"
+        big.write_text("global.dim = 10000000000000\n")
+        assert main(["eval", "--config", str(big), "--ckpt", str(tmp_path / "ck.mpci")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {big}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestOtherCommands:
     def test_complexity(self, tiny_cfg_file, capsys):

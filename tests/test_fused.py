@@ -23,6 +23,7 @@ from vindet.data import generate_dataset
 from vindet.model import InpaintingDetector
 from vindet.objectives import total_loss
 from vindet.tensor import Tensor, backward
+import reference_ops as R
 from reference_ops import capture_attention, matmul, softmax
 
 
@@ -31,7 +32,7 @@ def _roll(x, shift, axis):
     shift %= n
     if not shift:
         return x
-    return T.concat([T.slice_axis(x, axis, n - shift, n), T.slice_axis(x, axis, 0, n - shift)],
+    return T.concat([R.slice_axis(x, axis, n - shift, n), R.slice_axis(x, axis, 0, n - shift)],
                     axis=axis)
 
 
@@ -39,18 +40,18 @@ def _partition(x, m):
     b, s, _, c = x.shape
     pad = (m - s % m) % m
     if pad:
-        x = T.pad(x, ((0, 0), (0, pad), (0, pad), (0, 0)))
+        x = R.pad(x, ((0, 0), (0, pad), (0, pad), (0, 0)))
     k = (s + pad) // m
-    y = T.permute(x.reshape(b, k, m, k, m, c), (0, 1, 3, 2, 4, 5))
+    y = R.permute(x.reshape(b, k, m, k, m, c), (0, 1, 3, 2, 4, 5))
     return y.reshape(b * k * k, m * m, c), (b, s, s + pad, m, c)
 
 
 def _merge(windows, meta):
     b, s, sp, m, c = meta
     k = sp // m
-    y = T.permute(windows.reshape(b, k, k, m, m, c), (0, 1, 3, 2, 4, 5)).reshape(b, sp, sp, c)
+    y = R.permute(windows.reshape(b, k, k, m, m, c), (0, 1, 3, 2, 4, 5)).reshape(b, sp, sp, c)
     if sp != s:
-        y = T.slice_axis(T.slice_axis(y, 1, 0, s), 2, 0, s)
+        y = R.slice_axis(R.slice_axis(y, 1, 0, s), 2, 0, s)
     return y
 
 
@@ -69,13 +70,13 @@ def attention_chain(q, k, v, heads, scale, table=None, index=None, mask=None):
     d = c // heads
 
     def split(x):
-        return T.permute(x.reshape(n, nq, heads, d), (0, 2, 1, 3))
+        return R.permute(x.reshape(n, nq, heads, d), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, T.permute(kh, (0, 1, 3, 2))) * scale
+    scores = matmul(qh, R.permute(kh, (0, 1, 3, 2))) * scale
     if table is not None:
-        bias = T.gather_rows(table, index)
-        bias = T.permute(bias.reshape(nq, nq, heads), (2, 0, 1))
+        bias = R.gather_rows(table, index)
+        bias = R.permute(bias.reshape(nq, nq, heads), (2, 0, 1))
         scores = scores + bias.reshape(1, heads, nq, nq)
     if mask is not None:
         km = mask.shape[0]
@@ -83,7 +84,7 @@ def attention_chain(q, k, v, heads, scale, table=None, index=None, mask=None):
             np.broadcast_to(mask[None, :, None], (n // km, km, 1, nq, nq)).reshape(n, 1, nq, nq))
     weights = softmax(scores, axis=-1)
     out = matmul(weights, vh)
-    return T.permute(out, (0, 2, 1, 3)).reshape(n, nq, c), weights
+    return R.permute(out, (0, 2, 1, 3)).reshape(n, nq, c), weights
 
 
 def ref_window_attention(self, windows, mask=None):
@@ -115,13 +116,13 @@ def ref_cross_attention(self, small, large):
     points = Tensor(interaction._cell_center_grid(m, T.compute_dtype())[None]) + offsets
     sampled = T.grid_sample_bilinear(wins_small.reshape(n, m, m, self.c), points)
     k, v = self.wk(sampled), self.wv(sampled)
-    scores = matmul(q, T.permute(k, (0, 2, 1))) * self.scale
+    scores = matmul(q, R.permute(k, (0, 2, 1))) * self.scale
     return _merge(matmul(softmax(scores, axis=-1), v), meta)
 
 
 def ref_patch_merging(self, x):
     b, s, _, c = x.shape
-    y = T.permute(x.reshape(b, s // 2, 2, s // 2, 2, c), (0, 1, 3, 2, 4, 5))
+    y = R.permute(x.reshape(b, s // 2, 2, s // 2, 2, c), (0, 1, 3, 2, 4, 5))
     return self.reduce(self.ln(y.reshape(b, s // 2, s // 2, 4 * c)))
 
 
@@ -245,14 +246,29 @@ def test_desk_forward_tape_op_budget():
     assert ops["attention"] == 30
 
 
-def test_desk_train_step_tape_op_budget(monkeypatch):
-    # one loss call on the (B,H,W) maps; a loss per sliced clip recorded 635
-    cfg = ExperimentConfig()
+def _train_step_ops(cfg, monkeypatch):
+    """The tape ops one training step at ``train.batch`` records."""
     ds = [(f"clip_{i}", sc.clip, sc.gt_mask)
           for i, sc in enumerate(generate_dataset(cfg.train.batch, 1, cfg))]
     losses = []
     monkeypatch.setattr(train, "backward", losses.append)
     train._train_step(InpaintingDetector(cfg), ds, np.arange(cfg.train.batch),
                       np.random.default_rng(0), cfg, 0)
-    ops = _tape_ops(losses[0])
+    return _tape_ops(losses[0])
+
+
+def test_desk_train_step_tape_op_budget(monkeypatch):
+    # one loss call on the (B,H,W) maps; a loss per sliced clip recorded 635
+    ops = _train_step_ops(ExperimentConfig(), monkeypatch)
     assert sum(ops.values()) <= 560, ops
+
+
+def test_ragged_train_step_records_no_pad(monkeypatch):
+    # 40x40 pads the windows of both stages (10 -> 12, 5 -> 8) through
+    # take_tokens' fill entries, so it records no pad op and no more ops
+    # than the unpadded 32x32 step; a pad op per padded partition recorded
+    # 573 against 541
+    even = _train_step_ops(_config(32), monkeypatch)
+    ragged = _train_step_ops(_config(40), monkeypatch)
+    assert "pad" not in ragged, ragged
+    assert sum(ragged.values()) <= sum(even.values()), (ragged, even)

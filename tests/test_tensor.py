@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics, backward rules, gradient checks."""
 
 import ast
+import contextlib
 import inspect
 import math
 import pathlib
@@ -19,7 +20,7 @@ from vindet.gradcheck import (
     run_primitive_suite,
 )
 from vindet.tensor import Tensor, ShapeError, backward
-from reference_ops import matmul, reference_cases, softmax
+from reference_ops import gather_rows, matmul, pad, permute, reference_cases, slice_axis, softmax
 
 
 def t(data, rg=False):
@@ -93,20 +94,20 @@ class TestShapeOps:
     def test_concat_split_roundtrip(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 5)).astype(T.compute_dtype())
-        parts = [T.slice_axis(t(a), 1, 0, 2), T.slice_axis(t(a), 1, 2, 5)]
+        parts = [slice_axis(t(a), 1, 0, 2), slice_axis(t(a), 1, 2, 5)]
         back = T.concat(parts, axis=1)
         np.testing.assert_array_equal(back.data, a)
 
     def test_permute_inverse_roundtrip(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(2, 3, 4)).astype(T.compute_dtype())
-        p = T.permute(t(a), (2, 0, 1))
-        q = T.permute(p, (1, 2, 0))
+        p = permute(t(a), (2, 0, 1))
+        q = permute(p, (1, 2, 0))
         np.testing.assert_array_equal(q.data, a)
 
     def test_pad_then_slice(self):
         a = np.ones((2, 2))
-        pdd = T.pad(t(a), ((1, 1), (0, 2)))
+        pdd = pad(t(a), ((1, 1), (0, 2)))
         assert pdd.shape == (4, 4)
         assert pdd.data.sum() == 4.0
 
@@ -163,6 +164,76 @@ def reference_suite():
 def test_reference_gradients(reference_suite, name):
     rep = reference_suite[name]
     assert rep.passed, f"{name}: {rep}"
+
+
+def _padded_cells(h, w, hp, wp):
+    """Token index of an (h, w) grid zero-padded at the far end to (hp, wp)."""
+    r, c = np.arange(hp)[:, None], np.arange(wp)[None, :]
+    return np.where((r < h) & (c < w), r * w + c, -1).reshape(-1)
+
+
+# each former move: (input shape, reference op, take_tokens batch, index, shape)
+TOKEN_MOVES = {
+    "slice_axis1": ((2, 5, 3, 3, 4), lambda x: slice_axis(x, 1, 1, 4),
+                    2, np.arange(9, 36), (2, 3, 3, 3, 4)),
+    "pad_far_end": ((2, 5, 6, 4), lambda x: pad(x, ((0, 0), (0, 2), (0, 3), (0, 0))),
+                    2, _padded_cells(5, 6, 7, 9), (2, 7, 9, 4)),
+    "gather_rows_axis1_repeats": (
+        (2, 3, 4, 4, 5), lambda x: gather_rows(x, np.array([0, 0, 1, 2, 2, 2, 1]), axis=1),
+        2, (np.array([0, 0, 1, 2, 2, 2, 1])[:, None] * 16 + np.arange(16)).reshape(-1),
+        (2, 7, 4, 4, 5)),
+    "patchify_permute": (
+        (2, 4, 6, 3),
+        lambda x: permute(x.reshape(2, 2, 2, 2, 3, 3), (0, 1, 3, 2, 4, 5)).reshape(2, 2, 2, 18),
+        2, nn._patch_index((4, 6), (2, 3)), (2, 2, 2, 18)),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", sorted(TOKEN_MOVES))
+def test_take_tokens_matches_reference_moves_bitwise(name, dtype):
+    # the four primitives take_tokens replaced, each on the index that
+    # stands for it: the same output and input gradient, bit for bit
+    shape, ref, batch, index, out_shape = TOKEN_MOVES[name]
+    rng = np.random.default_rng(len(name))
+    x0, r0 = rng.normal(size=shape), rng.normal(size=out_shape)
+    with T.float64_scope() if dtype == "float64" else contextlib.nullcontext():
+        got = []
+        for op in (ref, lambda x: T.take_tokens(x, index, batch, out_shape)):
+            x = Tensor(x0, requires_grad=True)
+            y = op(x)
+            backward(T.reduce_sum(y * Tensor(r0)))
+            assert y.dtype == dtype
+            got.append((y.data.tobytes(), x.grad.tobytes()))
+    assert got[0] == got[1]
+
+
+def test_take_tokens_scatter_adds_only_repeated_tokens(monkeypatch):
+    # a backward whose index has no repeats assigns each gradient to its
+    # place; np.add.at runs only for an index with a repeat, however short
+    calls = []
+
+    class _Add:
+        def at(self, *args):
+            calls.append(args[1])
+            np.add.at(*args)
+
+    class _Numpy:
+        add = _Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(T, "np", _Numpy())
+    x = t(np.arange(12.0).reshape(1, 6, 2), rg=True)
+    for index, added in [([5, 0, 3, 1], False), ([4, -1, 2, -1], False), ([1, 1], True),
+                         ([2, -1, 2], True)]:
+        calls.clear()
+        y = T.take_tokens(x, np.array(index), 1, (1, len(index), 2))
+        backward(T.reduce_sum(y * 1.0))
+        assert bool(calls) == added, index
+    taken = np.bincount(np.array([5, 0, 3, 1, 4, 2, 1, 1, 2, 2]), minlength=6)
+    np.testing.assert_array_equal(x.grad, np.repeat(taken, 2).reshape(1, 6, 2))
 
 
 def _tensor_calls(tree, aliases, imported):
