@@ -61,12 +61,18 @@ class InpaintingDetector(nn.Module):
 
         ``frames`` is a batch (B,T,H,W,C), giving (B,H,W) maps, or one clip
         (T,H,W,C), giving one (H,W) map; the single clip runs as a batch of one.
-        An array is cast once, into the compute dtype, as it becomes a Tensor.
+        Each clip's (T,H,W,C) must be the config's geometry, or ``ShapeError``
+        names both. An array is cast once, into the compute dtype, as it
+        becomes a Tensor.
         """
         ft = frames if isinstance(frames, Tensor) else Tensor(frames)
+        g = self.cfg.geometry
+        clip = (g.frames, g.height, g.width, g.channels)
+        if ft.ndim not in (4, 5) or ft.shape[-4:] != clip:
+            raise T.ShapeError(f"model: frames of shape {ft.shape} do not hold (T,H,W,C) "
+                               f"clips of the config's geometry {clip}")
         if ft.ndim == 4:
             return self.forward(ft.reshape(1, *ft.shape)).reshape(ft.shape[1:3])
-        g = self.cfg.geometry
         stage_views = self.encode(ft)
         b, t, h, w, c = ft.shape
         frame = T.take_tokens(ft, middle_frame_index(t) * h * w + np.arange(h * w), b,

@@ -223,12 +223,39 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum-reduce a gradient back to the shape it was broadcast from."""
     if g.shape == tuple(shape):
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    if g.ndim > len(shape):
+        g = _sum_narrow(g.reshape((-1,) + g.shape[g.ndim - len(shape):]), 0)
     for i, s in enumerate(shape):
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
     return g
+
+
+@lru_cache(maxsize=64)
+def _ones(n: int, dtype: np.dtype) -> np.ndarray:
+    """A read-only vector of ``n`` ones, shared by every caller."""
+    v = np.ones(n, dtype=dtype)
+    v.flags.writeable = False
+    return v
+
+
+def _sum_narrow(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum ``x`` over its first axis (``axis=0``) or its last (``axis=-1``),
+    dropping that axis.
+
+    numpy's reduction pays about 20 ns per inner-loop row, more than the
+    arithmetic of a row of 16-64 values. The first axis therefore sums as
+    one matrix-vector product with a ones vector, ``ones(m) @ x``. The last
+    axis sums through ``einsum``, which adds every row's values in one fixed
+    order whatever the number of rows; ``x @ ones(n)`` is faster, but
+    OpenBLAS's gemv rounds a lone row, or one of a trailing partial block,
+    unlike a row of a full block, which would tie a clip's statistics to
+    its batch.
+    """
+    if axis == 0:
+        m = x.shape[0]
+        return (_ones(m, x.dtype) @ x.reshape(m, math.prod(x.shape[1:]))).reshape(x.shape[1:])
+    return np.einsum("...i->...", x)
 
 
 def backward(loss: Tensor):
@@ -404,7 +431,7 @@ def linear(x, w, b=None) -> Tensor:
     def bwd(gout):
         g = gout.reshape(-1, co)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(_sum_narrow(g, 0))
         if x.requires_grad:
             x.accumulate_grad(np.matmul(g, w2.T).reshape(x.shape))
         if w.requires_grad:
@@ -448,7 +475,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
         np.maximum(m, s[..., j], out=m)
     s -= m[..., None]
     y = np.exp(s, out=s)
-    y /= np.sum(y, axis=-1, keepdims=True)
+    y /= _sum_narrow(y, -1)[..., None]
     out = Tensor(np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(n, nq, c))
     parents = (q, k, v) if table is None else (q, k, v, table)
 
@@ -461,7 +488,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
         if v.requires_grad:
             gv = np.matmul(np.swapaxes(y, -1, -2), go)
             v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(n, nq, c))
-        gs = (ga - np.sum(ga * y, axis=-1, keepdims=True)) * y
+        gs = (ga - _sum_narrow(ga * y, -1)[..., None]) * y
         if table is not None and table.requires_grad:
             gb = gs.sum(axis=0)
             gb = gb.transpose(1, 2, 0).reshape(nq * nq, heads)
@@ -593,11 +620,16 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
         raise ShapeError(f"{name}: affine shapes {gamma.shape}/{beta.shape} do not match channel {c}")
     x = a.data.reshape(stats_shape)
     n = x.shape[1] * x.shape[3]
-    # each mean is ndarray.mean's two ufunc calls, without its Python layer
-    mu = np.add.reduce(x, axis=(1, 3), keepdims=True)
+
+    def pool(v):
+        # axis 3 sums as rows; axis 1 is an outer axis, which numpy reduces
+        # a whole slab per step, and for layer norm it holds one element
+        return np.add.reduce(_sum_narrow(v, -1), axis=1, keepdims=True)[..., None]
+
+    mu = pool(x)
     mu /= n
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=(1, 3), keepdims=True)
+    var = pool(xc * xc)
     var /= n
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xc *= inv
@@ -608,16 +640,16 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
 
     def bwd(g):
         if gamma.requires_grad:
-            gamma.accumulate_grad(np.sum(g * y, axis=tuple(range(a.ndim - 1))))
+            gamma.accumulate_grad(_sum_narrow((g * y).reshape(-1, c), 0))
         if beta.requires_grad:
-            beta.accumulate_grad(np.sum(g, axis=tuple(range(a.ndim - 1))))
+            beta.accumulate_grad(_sum_narrow(g.reshape(-1, c), 0))
         if a.requires_grad:
             gy = (g * gamma.data).reshape(x.shape)
             yv = y.reshape(x.shape)
-            m1 = np.add.reduce(gy, axis=(1, 3), keepdims=True)
+            m1 = pool(gy)
             m1 /= n
             s = gy * yv
-            m2 = np.add.reduce(s, axis=(1, 3), keepdims=True)
+            m2 = pool(s)
             m2 /= n
             gy -= m1
             gy -= np.multiply(yv, m2, out=s)
@@ -722,7 +754,7 @@ def conv(x, w, b=None, padding=0) -> Tensor:
         if gw is not None:
             w.accumulate_grad(gw)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(gout.reshape(-1, co).sum(axis=0))
+            b.accumulate_grad(_sum_narrow(gout.reshape(-1, co), 0))
         if gx is not None:
             x.accumulate_grad(gx)
 
@@ -816,8 +848,8 @@ def grid_sample_bilinear(x, grid) -> Tensor:
             np.add.at(gx_, (bidx, y1, x1), g * w11)
             x.accumulate_grad(gx_)
         if grid.requires_grad:
-            dix = np.sum(g * ((v01 - v00) * (1 - ty) + (v11 - v10) * ty), axis=-1)
-            diy = np.sum(g * ((v10 - v00) * (1 - tx) + (v11 - v01) * tx), axis=-1)
+            dix = _sum_narrow(g * ((v01 - v00) * (1 - ty) + (v11 - v10) * ty), -1)
+            diy = _sum_narrow(g * ((v10 - v00) * (1 - tx) + (v11 - v01) * tx), -1)
             grid.accumulate_grad(np.stack(
                 [np.where(in_x, dix, 0.0) * (w / 2.0), np.where(in_y, diy, 0.0) * (h / 2.0)],
                 axis=-1,

@@ -7,8 +7,9 @@ the fused engine primitives against, and that ``test_tensor.py`` holds
 ``_binary`` and ``_unary``, so they follow its tape protocol, and
 ``reference_cases`` holds their gradient cases in the form of
 ``gradcheck.primitive_cases``. ``capture_attention`` reads the attention
-weights of every ``tensor.attention`` call, and ``psnr`` scores the JPEG
-perturbation's quality ordering.
+weights of every ``tensor.attention`` call, ``_assert_within_rounding``
+holds two summation orders of one computation to the rounding their sums
+allow, and ``psnr`` scores the JPEG perturbation's quality ordering.
 """
 
 import numpy as np
@@ -18,13 +19,19 @@ from vindet.tensor import ShapeError, Tensor
 
 
 def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax whose sums along ``axis`` take the engine's row sum, so that
+    along the last axis it rounds as ``tensor.attention`` does."""
     a = T.as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
+
+    def total(v):
+        return np.expand_dims(T._sum_narrow(np.moveaxis(v, axis, -1), -1), axis)
+
     z = a.data - np.max(a.data, axis=axis, keepdims=True)
     e = np.exp(z)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    return T._unary(a, y, lambda g: (g - np.sum(g * y, axis=axis, keepdims=True)) * y, "softmax")
+    y = e / total(e)
+    return T._unary(a, y, lambda g: (g - total(g * y)) * y, "softmax")
 
 
 def matmul(a, b) -> Tensor:
@@ -117,6 +124,16 @@ def reference_cases(rng: np.random.Generator) -> dict:
             (lambda x: T.reduce_sum(slice_axis(x, -1, 1, 3) * r232), u(2, 3, 4)),
     })
     return cases
+
+
+def _assert_within_rounding(got, ref, scale, n):
+    """``got`` and ``ref`` round the same sums of at most ``n`` terms whose
+    absolute values add up to ``scale``. Each lies within n·eps/2·scale of
+    the exact sum, so the two may differ by n·eps·scale, whatever order
+    they add the terms in."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    bound = n * np.finfo(got.dtype).eps * scale
+    assert (np.abs(got - ref) <= bound).all(), f"differs by {np.max(np.abs(got - ref)):.2e}"
 
 
 def capture_attention(monkeypatch) -> list:

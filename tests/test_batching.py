@@ -2,13 +2,15 @@
 samples stay independent, and one batched train step gives the mean of the
 per-clip gradients."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vindet import nn
 from vindet import tensor as T
-from vindet.config import ExperimentConfig
-from vindet.data import make_clip
+from vindet.config import FUSION_GROUPS, ExperimentConfig, load_config
+from vindet.data import generate_dataset, make_clip
 from vindet.decoder import PyramidDecoder, TffBlock
 from vindet.encoder import GlobalEncoder, StagePlan, ViewBranch
 from vindet.interaction import ViewInteraction
@@ -20,6 +22,7 @@ from vindet.train import _dihedral, _train_step
 
 TOL = 1e-10
 B = 3
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _per_clip(fn, *batches):
@@ -142,6 +145,52 @@ class TestSampleIndependence:
         # and a sample normalizes as it would alone
         alone = T.group_norm(Tensor(x[1:]), g, b, 4).data
         assert np.max(np.abs(alone[0] - base[1])) <= TOL
+
+
+def _row_widths(cfg: ExperimentConfig) -> list[int]:
+    """The row widths whose sums ``tensor._sum_narrow`` takes along the last
+    axis in the model of ``cfg``: layer-norm widths (each stage's view
+    channels, and 4x those where patch merging follows), the global width,
+    decoder group-norm groups, softmax rows (window areas and global tokens)
+    and DWTI's sampled channels."""
+    e, g = cfg.encoder, cfg.geometry
+    widths = {cfg.glob.dim, e.window ** 2, cfg.dwti.window ** 2, cfg.dwti.common_dim,
+              (g.height // cfg.glob.patch) * (g.width // cfg.glob.patch)}
+    widths |= {c // FUSION_GROUPS for c in cfg.decoder.channels}
+    for l in range(e.stages):
+        widths |= set(cfg.view_channels(l))
+        if l + 1 < e.stages:
+            widths |= {4 * c for c in cfg.view_channels(l)}
+    return sorted(widths)
+
+
+def test_row_widths_cover_the_desk_step(monkeypatch):
+    cfg = ExperimentConfig()
+    seen, sum_narrow = set(), T._sum_narrow
+
+    def recording(x, axis):
+        if axis == -1:
+            seen.add(x.shape[-1])
+        return sum_narrow(x, axis)
+
+    monkeypatch.setattr(T, "_sum_narrow", recording)
+    clip = generate_dataset(1, 1, cfg)[0]
+    backward(total_loss(InpaintingDetector(cfg)(clip.clip.frames), Tensor(clip.gt_mask), cfg.loss))
+    assert sorted(seen) == _row_widths(cfg)
+
+
+# a layer norm, softmax or group norm row of one clip must round alike in
+# any batch; OpenBLAS's gemv rounds a lone row or a trailing partial block
+# unlike a full one, so this fails for x @ ones(n)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config", ["desk", "paper"])
+def test_row_sum_is_the_same_whatever_the_row_count(config, dtype):
+    rng = np.random.default_rng(17)
+    for n in _row_widths(load_config(CONFIGS / f"{config}.cfg")):
+        x = rng.normal(size=(97, n)).astype(dtype)
+        alone = np.concatenate([T._sum_narrow(x[i:i + 1], -1) for i in range(97)])
+        for m in range(2, 98):
+            assert T._sum_narrow(x[:m], -1).tobytes() == alone[:m].tobytes(), (n, m)
 
 
 class TestTrainStep:

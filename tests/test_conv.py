@@ -12,6 +12,7 @@ from vindet import tensor as T
 from vindet.encoder import GlobalEncoder
 from vindet.tensor import Tensor, backward
 from vindet.tokenizer import TubeletEmbed
+from reference_ops import _assert_within_rounding
 
 REL_TOL = 1e-12
 
@@ -44,7 +45,8 @@ def im2col_conv(x, w, b=None, stride=1, padding=0):
         if w.requires_grad:
             w.accumulate_grad((cols.T @ g2).reshape(w.shape))
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
+            # the engine's row sum, so the bias gradient rounds as its own does
+            b.accumulate_grad(T._sum_narrow(g2, 0))
         if x.requires_grad:
             dcols = (g2 @ wmat.T).reshape(x.shape[:1] + outs + ks + (ci,))
             gxp = np.zeros_like(xp)
@@ -104,16 +106,6 @@ def _pads(padding, nd):
 # numpy multiplies a one-row matrix through gemv, which need not round like
 # the padded conv's GEMM over every row
 ONE_ROW_BOXES = {("7x7_pad3_grid4", 1), ("7x7_pad3_grid2", 1)}
-
-
-def _assert_within_rounding(got, ref, scale, n):
-    """``got`` and ``ref`` round the same sums of at most ``n`` terms whose
-    absolute values add up to ``scale``. Each lies within n·eps/2·scale of
-    the exact sum, so the two may differ by n·eps·scale, whatever order
-    their BLAS adds the terms in."""
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    bound = n * np.finfo(got.dtype).eps * scale
-    assert (np.abs(got - ref) <= bound).all(), f"differs by {np.max(np.abs(got - ref)):.2e}"
 
 
 def _run(conv_fn, x0, w0, b0, r, **kw):

@@ -23,6 +23,15 @@ class TestForward:
         assert m.shape == (32, 32)
         assert m.data.min() >= 0.0 and m.data.max() <= 1.0
 
+    @pytest.mark.parametrize("shape", [(1, 3, 64, 64, 3), (3, 32, 32, 1), (2, 32, 32, 3),
+                                       (32, 32, 3), (1, 1, 3, 32, 32, 3)])
+    def test_frames_off_the_config_geometry_are_refused_first(self, shape, monkeypatch):
+        model = InpaintingDetector(ExperimentConfig())
+        monkeypatch.setattr(model, "encode", lambda frames: pytest.fail("encoder ran"))
+        with pytest.raises(T.ShapeError) as err:
+            model(np.zeros(shape))
+        assert str(shape) in str(err.value) and "(3, 32, 32, 3)" in str(err.value)
+
     def test_deterministic_construction(self):
         a = InpaintingDetector(ExperimentConfig())
         b = InpaintingDetector(ExperimentConfig())

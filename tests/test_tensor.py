@@ -20,7 +20,8 @@ from vindet.gradcheck import (
     run_primitive_suite,
 )
 from vindet.tensor import Tensor, ShapeError, backward
-from reference_ops import gather_rows, matmul, pad, permute, reference_cases, slice_axis, softmax
+from reference_ops import (_assert_within_rounding, gather_rows, matmul, pad, permute,
+                           reference_cases, slice_axis, softmax)
 
 
 def t(data, rg=False):
@@ -305,9 +306,10 @@ def test_finite_diff_quadratic_is_tight():
         assert rep.passed and rep.max_rel_err <= 1e-7 and rep.n_coords == n
 
 
+@pytest.mark.usefixtures("float64")
 def test_finite_diff_constant_function():
     # softmax sums to one: autodiff gradient is identically zero and central
-    # differences are zero up to float roundoff of the constant output
+    # differences are zero up to float64 roundoff of the constant output
     x = Tensor(np.linspace(-1, 1, 6), requires_grad=True)
     backward(T.reduce_sum(softmax(x, axis=0)))
     np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
@@ -417,6 +419,48 @@ def test_gradient_check_keeps_packed_buffers():
     np.testing.assert_allclose(grad, autodiff, rtol=1e-5)
 
 
+def _assert_normalize_within_rounding(got, want, x, g, b, gout, stats_shape, eps=T.NORM_EPS):
+    """The output and the x, g and b gradients of two normalisation kernels
+    that differ only in the order in which they add up the group statistics
+    mu, var, m1 and m2 (k terms each) and the g and b gradients (N tokens
+    each) agree to the rounding those sums allow. Either order of a sum lies
+    within k·eps/2 of the exact sum, relative to the sum of its terms'
+    absolute values, so two orders differ by k·eps times that. To first
+    order, counting each elementwise step's own rounding, with A = mean|x|
+    and E = k·eps per group:
+      mu: E·A;   var: (k+2)·eps·var, since d var/d mu = -2·mean(xc) = 0;
+      inv: E·inv;   y: E·(inv·A + 2|y|);   out: E·(|g|·dy + |g·y| + |b|);
+      m1: E·mean|gy|;   m2: E·(4·mean|gy·y| + inv·A·mean|gy|);
+      x grad: E·(inv·(dm1 + |y|·dm2 + |m2|·dy + 2·(|gy| + |m1| + |y·m2|)) + |gx|);
+      g grad: max(N, k)·eps·Σ(|gout·y| + |gout|·dy);   b grad: N·eps·Σ|gout|,
+    where dy, dm1 and dm2 are the y, m1 and m2 bounds over E."""
+    xv = x.reshape(stats_shape)
+    k = xv.shape[1] * xv.shape[3]
+    n_tok = x.size // x.shape[-1]
+    lead = tuple(range(x.ndim - 1))
+
+    def mean(v):
+        return v.mean(axis=(1, 3), keepdims=True)
+
+    xc = xv - mean(xv)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
+    a_abs, y = mean(np.abs(xv)), xc * inv
+    dy = inv * a_abs + 2 * np.abs(y)
+    gy = (gout * g).reshape(xv.shape)
+    m1, m2 = mean(gy), mean(gy * y)
+    dm1, dm2 = mean(np.abs(gy)), 4 * mean(np.abs(gy * y)) + inv * a_abs * mean(np.abs(gy))
+    gx = (gy - m1 - y * m2) * inv
+    rounding = np.abs(gy) + np.abs(m1) + np.abs(y * m2)
+    scale_gx = inv * (dm1 + np.abs(y) * dm2 + np.abs(m2) * dy + 2 * rounding) + np.abs(gx)
+    dy, y = dy.reshape(x.shape), y.reshape(x.shape)
+    bounds = ((np.abs(g) * dy + np.abs(g * y) + np.abs(b), k),
+              (scale_gx.reshape(x.shape), k),
+              (np.sum(np.abs(gout * y) + np.abs(gout) * dy, axis=lead), max(n_tok, k)),
+              (np.sum(np.abs(gout), axis=lead), n_tok))
+    for got_v, want_v, (scale, n) in zip(got, want, bounds):
+        _assert_within_rounding(got_v, want_v, scale, n)
+
+
 def _per_token_layer_norm(x, g, b, gout, eps=T.NORM_EPS):
     """The per-token kernel ``layer_norm`` ran before it shared ``group_norm``'s:
     the output and the gradients of x, g and b for the upstream gradient ``gout``."""
@@ -444,8 +488,8 @@ def test_layer_norm_matches_per_token_kernel(shape):
     out = T.layer_norm(x, g, b)
     backward(T.reduce_sum(out * t(r)))
     want = _per_token_layer_norm(x.data, g.data, b.data, r)
-    for got, ref in zip((out.data, x.grad, g.grad, b.grad), want):
-        assert np.array_equal(got, ref)
+    _assert_normalize_within_rounding((out.data, x.grad, g.grad, b.grad), want,
+                                      x.data, g.data, b.data, r, (-1, 1, 1, c))
 
 
 def _unfused_normalize(x, g, b, gout, stats_shape, eps=T.NORM_EPS):
@@ -476,9 +520,10 @@ def test_group_norm_matches_unfused_kernel(shape, groups):
     r = rng.normal(size=shape)
     out = T.group_norm(x, g, b, groups)
     backward(T.reduce_sum(out * t(r)))
-    want = _unfused_normalize(x.data, g.data, b.data, r, (shape[0], -1, groups, c // groups))
-    for got, ref in zip((out.data, x.grad, g.grad, b.grad), want):
-        assert np.array_equal(got, ref)
+    stats_shape = (shape[0], -1, groups, c // groups)
+    want = _unfused_normalize(x.data, g.data, b.data, r, stats_shape)
+    _assert_normalize_within_rounding((out.data, x.grad, g.grad, b.grad), want,
+                                      x.data, g.data, b.data, r, stats_shape)
 
 
 def _unfused_gelu(x, gout):
