@@ -224,37 +224,27 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if g.shape == tuple(shape):
         return g
     if g.ndim > len(shape):
-        g = _sum_narrow(g.reshape((-1,) + g.shape[g.ndim - len(shape):]), 0)
+        g = _sum_rows(g.reshape((-1,) + g.shape[g.ndim - len(shape):]))
     for i, s in enumerate(shape):
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
     return g
 
 
-@lru_cache(maxsize=64)
-def _ones(n: int, dtype: np.dtype) -> np.ndarray:
-    """A read-only vector of ``n`` ones, shared by every caller."""
-    v = np.ones(n, dtype=dtype)
-    v.flags.writeable = False
-    return v
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum ``x`` over its first axis as one matrix-vector product with a
+    ones vector, ``ones(m) @ x``: numpy's reduction pays about 20 ns per
+    inner-loop row, more than the arithmetic of a row of 16-64 values."""
+    m = x.shape[0]
+    return (np.ones(m, x.dtype) @ x.reshape(m, math.prod(x.shape[1:]))).reshape(x.shape[1:])
 
 
-def _sum_narrow(x: np.ndarray, axis: int) -> np.ndarray:
-    """Sum ``x`` over its first axis (``axis=0``) or its last (``axis=-1``),
-    dropping that axis.
-
-    numpy's reduction pays about 20 ns per inner-loop row, more than the
-    arithmetic of a row of 16-64 values. The first axis therefore sums as
-    one matrix-vector product with a ones vector, ``ones(m) @ x``. The last
-    axis sums through ``einsum``, which adds every row's values in one fixed
-    order whatever the number of rows; ``x @ ones(n)`` is faster, but
-    OpenBLAS's gemv rounds a lone row, or one of a trailing partial block,
-    unlike a row of a full block, which would tie a clip's statistics to
-    its batch.
-    """
-    if axis == 0:
-        m = x.shape[0]
-        return (_ones(m, x.dtype) @ x.reshape(m, math.prod(x.shape[1:]))).reshape(x.shape[1:])
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum ``x`` over its last axis through ``einsum``, which adds every
+    row's values in one fixed order whatever the number of rows.
+    ``x @ ones(n)`` is faster, but OpenBLAS's gemv rounds a lone row, or one
+    of a trailing partial block, unlike a row of a full block, which would
+    tie a clip's statistics to its batch."""
     return np.einsum("...i->...", x)
 
 
@@ -431,7 +421,7 @@ def linear(x, w, b=None) -> Tensor:
     def bwd(gout):
         g = gout.reshape(-1, co)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(_sum_narrow(g, 0))
+            b.accumulate_grad(_sum_rows(g))
         if x.requires_grad:
             x.accumulate_grad(np.matmul(g, w2.T).reshape(x.shape))
         if w.requires_grad:
@@ -475,7 +465,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
         np.maximum(m, s[..., j], out=m)
     s -= m[..., None]
     y = np.exp(s, out=s)
-    y /= _sum_narrow(y, -1)[..., None]
+    y /= _sum_last(y)[..., None]
     out = Tensor(np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(n, nq, c))
     parents = (q, k, v) if table is None else (q, k, v, table)
 
@@ -488,7 +478,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
         if v.requires_grad:
             gv = np.matmul(np.swapaxes(y, -1, -2), go)
             v.accumulate_grad(gv.transpose(0, 2, 1, 3).reshape(n, nq, c))
-        gs = (ga - _sum_narrow(ga * y, -1)[..., None]) * y
+        gs = (ga - _sum_last(ga * y)[..., None]) * y
         if table is not None and table.requires_grad:
             gb = gs.sum(axis=0)
             gb = gb.transpose(1, 2, 0).reshape(nq * nq, heads)
@@ -624,7 +614,7 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
     def pool(v):
         # axis 3 sums as rows; axis 1 is an outer axis, which numpy reduces
         # a whole slab per step, and for layer norm it holds one element
-        return np.add.reduce(_sum_narrow(v, -1), axis=1, keepdims=True)[..., None]
+        return np.add.reduce(_sum_last(v), axis=1, keepdims=True)[..., None]
 
     mu = pool(x)
     mu /= n
@@ -640,9 +630,9 @@ def _normalize(a, gamma, beta, stats_shape, name: str) -> Tensor:
 
     def bwd(g):
         if gamma.requires_grad:
-            gamma.accumulate_grad(_sum_narrow((g * y).reshape(-1, c), 0))
+            gamma.accumulate_grad(_sum_rows((g * y).reshape(-1, c)))
         if beta.requires_grad:
-            beta.accumulate_grad(_sum_narrow(g.reshape(-1, c), 0))
+            beta.accumulate_grad(_sum_rows(g.reshape(-1, c)))
         if a.requires_grad:
             gy = (g * gamma.data).reshape(x.shape)
             yv = y.reshape(x.shape)
@@ -754,7 +744,7 @@ def conv(x, w, b=None, padding=0) -> Tensor:
         if gw is not None:
             w.accumulate_grad(gw)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(_sum_narrow(gout.reshape(-1, co), 0))
+            b.accumulate_grad(_sum_rows(gout.reshape(-1, co)))
         if gx is not None:
             x.accumulate_grad(gx)
 
@@ -848,8 +838,8 @@ def grid_sample_bilinear(x, grid) -> Tensor:
             np.add.at(gx_, (bidx, y1, x1), g * w11)
             x.accumulate_grad(gx_)
         if grid.requires_grad:
-            dix = _sum_narrow(g * ((v01 - v00) * (1 - ty) + (v11 - v10) * ty), -1)
-            diy = _sum_narrow(g * ((v10 - v00) * (1 - tx) + (v11 - v01) * tx), -1)
+            dix = _sum_last(g * ((v01 - v00) * (1 - ty) + (v11 - v10) * ty))
+            diy = _sum_last(g * ((v10 - v00) * (1 - tx) + (v11 - v01) * tx))
             grid.accumulate_grad(np.stack(
                 [np.where(in_x, dix, 0.0) * (w / 2.0), np.where(in_y, diy, 0.0) * (h / 2.0)],
                 axis=-1,

@@ -1,9 +1,9 @@
 """Primitives and helpers that only the tests use.
 
-``matmul``, ``softmax``, ``permute``, ``slice_axis``, ``pad`` and
-``gather_rows`` build the unfused chains that ``test_fused.py`` compares
-the fused engine primitives against, and that ``test_tensor.py`` holds
-``take_tokens`` to bit for bit. They record through the engine's
+``matmul``, ``softmax``, ``row_softmax``, ``permute``, ``slice_axis``,
+``pad`` and ``gather_rows`` build the unfused chains that ``test_fused.py``
+compares the fused engine primitives against, and that ``test_tensor.py``
+holds ``take_tokens`` to bit for bit. They record through the engine's
 ``_binary`` and ``_unary``, so they follow its tape protocol, and
 ``reference_cases`` holds their gradient cases in the form of
 ``gradcheck.primitive_cases``. ``capture_attention`` reads the attention
@@ -18,20 +18,24 @@ from vindet import tensor as T
 from vindet.tensor import ShapeError, Tensor
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax whose sums along ``axis`` take the engine's row sum, so that
-    along the last axis it rounds as ``tensor.attention`` does."""
+def _softmax(a, axis: int, total) -> Tensor:
     a = T.as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
-
-    def total(v):
-        return np.expand_dims(T._sum_narrow(np.moveaxis(v, axis, -1), -1), axis)
-
     z = a.data - np.max(a.data, axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / total(e)
     return T._unary(a, y, lambda g: (g - total(g * y)) * y, "softmax")
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    return _softmax(a, axis, lambda v: np.sum(v, axis=axis, keepdims=True))
+
+
+def row_softmax(a) -> Tensor:
+    """``softmax`` along the last axis with the engine's row sum
+    ``tensor._sum_last``, so that it rounds as ``tensor.attention`` does."""
+    return _softmax(a, -1, lambda v: T._sum_last(v)[..., None])
 
 
 def matmul(a, b) -> Tensor:

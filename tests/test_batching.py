@@ -148,11 +148,11 @@ class TestSampleIndependence:
 
 
 def _row_widths(cfg: ExperimentConfig) -> list[int]:
-    """The row widths whose sums ``tensor._sum_narrow`` takes along the last
-    axis in the model of ``cfg``: layer-norm widths (each stage's view
-    channels, and 4x those where patch merging follows), the global width,
-    decoder group-norm groups, softmax rows (window areas and global tokens)
-    and DWTI's sampled channels."""
+    """The row widths whose sums ``tensor._sum_last`` takes in the model of
+    ``cfg``: layer-norm widths (each stage's view channels, and 4x those
+    where patch merging follows), the global width, decoder group-norm
+    groups, softmax rows (window areas and global tokens) and DWTI's sampled
+    channels."""
     e, g = cfg.encoder, cfg.geometry
     widths = {cfg.glob.dim, e.window ** 2, cfg.dwti.window ** 2, cfg.dwti.common_dim,
               (g.height // cfg.glob.patch) * (g.width // cfg.glob.patch)}
@@ -166,14 +166,13 @@ def _row_widths(cfg: ExperimentConfig) -> list[int]:
 
 def test_row_widths_cover_the_desk_step(monkeypatch):
     cfg = ExperimentConfig()
-    seen, sum_narrow = set(), T._sum_narrow
+    seen, sum_last = set(), T._sum_last
 
-    def recording(x, axis):
-        if axis == -1:
-            seen.add(x.shape[-1])
-        return sum_narrow(x, axis)
+    def recording(x):
+        seen.add(x.shape[-1])
+        return sum_last(x)
 
-    monkeypatch.setattr(T, "_sum_narrow", recording)
+    monkeypatch.setattr(T, "_sum_last", recording)
     clip = generate_dataset(1, 1, cfg)[0]
     backward(total_loss(InpaintingDetector(cfg)(clip.clip.frames), Tensor(clip.gt_mask), cfg.loss))
     assert sorted(seen) == _row_widths(cfg)
@@ -188,9 +187,9 @@ def test_row_sum_is_the_same_whatever_the_row_count(config, dtype):
     rng = np.random.default_rng(17)
     for n in _row_widths(load_config(CONFIGS / f"{config}.cfg")):
         x = rng.normal(size=(97, n)).astype(dtype)
-        alone = np.concatenate([T._sum_narrow(x[i:i + 1], -1) for i in range(97)])
+        alone = np.concatenate([T._sum_last(x[i:i + 1]) for i in range(97)])
         for m in range(2, 98):
-            assert T._sum_narrow(x[:m], -1).tobytes() == alone[:m].tobytes(), (n, m)
+            assert T._sum_last(x[:m]).tobytes() == alone[:m].tobytes(), (n, m)
 
 
 class TestTrainStep:

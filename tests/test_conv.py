@@ -45,8 +45,7 @@ def im2col_conv(x, w, b=None, stride=1, padding=0):
         if w.requires_grad:
             w.accumulate_grad((cols.T @ g2).reshape(w.shape))
         if b is not None and b.requires_grad:
-            # the engine's row sum, so the bias gradient rounds as its own does
-            b.accumulate_grad(T._sum_narrow(g2, 0))
+            b.accumulate_grad(g2.sum(axis=0))
         if x.requires_grad:
             dcols = (g2 @ wmat.T).reshape(x.shape[:1] + outs + ks + (ci,))
             gxp = np.zeros_like(xp)

@@ -4,7 +4,7 @@
 patch merging) each stand for a chain of reshape, permute, matmul,
 softmax, roll and slice ops. The reference layers below rebuild those
 chains from the unfused engine primitives (a cyclic roll from two slices
-and a concat) and the test-only ``matmul`` and ``softmax`` of
+and a concat) and the test-only ``matmul`` and ``row_softmax`` of
 ``reference_ops``, are patched into the model, and must give the same
 bits: the output map and every parameter gradient of one batched training
 step.
@@ -24,7 +24,7 @@ from vindet.model import InpaintingDetector
 from vindet.objectives import total_loss
 from vindet.tensor import Tensor, backward
 import reference_ops as R
-from reference_ops import _assert_within_rounding, capture_attention, matmul, softmax
+from reference_ops import _assert_within_rounding, capture_attention, matmul, row_softmax
 
 
 def _roll(x, shift, axis):
@@ -82,7 +82,7 @@ def attention_chain(q, k, v, heads, scale, table=None, index=None, mask=None):
         km = mask.shape[0]
         scores = scores + Tensor(
             np.broadcast_to(mask[None, :, None], (n // km, km, 1, nq, nq)).reshape(n, 1, nq, nq))
-    weights = softmax(scores, axis=-1)
+    weights = row_softmax(scores)
     out = matmul(weights, vh)
     return R.permute(out, (0, 2, 1, 3)).reshape(n, nq, c), weights
 
@@ -117,7 +117,7 @@ def ref_cross_attention(self, small, large):
     sampled = T.grid_sample_bilinear(wins_small.reshape(n, m, m, self.c), points)
     k, v = self.wk(sampled), self.wv(sampled)
     scores = matmul(q, R.permute(k, (0, 2, 1))) * self.scale
-    return _merge(matmul(softmax(scores, axis=-1), v), meta)
+    return _merge(matmul(row_softmax(scores), v), meta)
 
 
 def ref_patch_merging(self, x):

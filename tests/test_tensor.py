@@ -306,10 +306,9 @@ def test_finite_diff_quadratic_is_tight():
         assert rep.passed and rep.max_rel_err <= 1e-7 and rep.n_coords == n
 
 
-@pytest.mark.usefixtures("float64")
 def test_finite_diff_constant_function():
     # softmax sums to one: autodiff gradient is identically zero and central
-    # differences are zero up to float64 roundoff of the constant output
+    # differences are zero up to float roundoff of the constant output
     x = Tensor(np.linspace(-1, 1, 6), requires_grad=True)
     backward(T.reduce_sum(softmax(x, axis=0)))
     np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
