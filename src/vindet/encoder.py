@@ -4,14 +4,15 @@ Each temporal view runs its own k-stage branch. A stage is ``depth`` pairs
 of window-attention blocks, the first of each pair unshifted, the second
 cyclically shifted by half a window with cross-boundary pairs masked out.
 Attention runs independently per clip and temporal slice of the token grid:
-a branch folds the (B, T) axes of its (B,T,S,S,c) input into the window
-batch. Temporal mixing happens in tokenization and in the cross-view
-interaction. A plain full-attention transformer over each clip's middle
-frame supplies high-level guidance features.
+the window ops and blocks take any leading axes, so a branch runs its
+(B,T,S,S,c) input as it is. Temporal mixing happens in tokenization and in
+the cross-view interaction. The same blocks, attending over whole frames,
+form the global encoder: high-level guidance from each clip's middle frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,22 +45,24 @@ def _window_index(s: int, m: int, shift: int):
 
 
 def window_partition(x: Tensor, m: int, shift: int = 0):
-    """(B,S,S,c) -> windows (B*K, m*m, c) of the grid cyclically shifted by
-    ``-shift``; ragged sides are padded with zero tokens.
+    """(..., S, S, c) -> windows (N*K, m*m, c) of each grid cyclically
+    shifted by ``-shift``, N the product of the leading axes; ragged sides
+    are padded with zero tokens.
 
     Returns (windows, meta); feed meta to :func:`window_merge` to invert.
     """
-    b, s, s2, c = x.shape
+    *lead, s, s2, c = x.shape
     if s != s2:
         raise T.ShapeError(f"window_partition: expected square grid, got {x.shape}")
     gather, scatter = _window_index(s, m, shift)
-    return T.take_tokens(x, gather, b, (-1, m * m, c)), (b, s, s + (m - s % m) % m, scatter)
+    windows = T.take_tokens(x, gather, math.prod(lead), (-1, m * m, c))
+    return windows, (lead, s, s + (m - s % m) % m, scatter)
 
 
 def window_merge(windows: Tensor, meta) -> Tensor:
-    """Windows back to the (B,S,S,c) grid, unshifted and unpadded."""
-    b, s, _, scatter = meta
-    return T.take_tokens(windows, scatter, b, (b, s, s, windows.shape[-1]))
+    """Windows back to the (..., S, S, c) grid, unshifted and unpadded."""
+    lead, s, _, scatter = meta
+    return T.take_tokens(windows, scatter, math.prod(lead), (*lead, s, s, windows.shape[-1]))
 
 
 @lru_cache(maxsize=64)
@@ -108,7 +111,6 @@ class WindowAttention(nn.Module):
         if c % heads:
             raise ValueError(f"channels {c} not divisible by heads {heads}")
         self.heads, self.window = heads, window
-        self.scale = (c // heads) ** -0.5
         self.wq = nn.Linear(c, c, rng)
         self.wk = nn.Linear(c, c, rng)
         self.wv = nn.Linear(c, c, rng)
@@ -122,14 +124,15 @@ class WindowAttention(nn.Module):
         if self.window is not None:
             table, index = self.bias_table, _relative_index(self.window)
         out, _ = T.attention(self.wq(windows), self.wk(windows), self.wv(windows),
-                             self.heads, self.scale, table, index, mask)
+                             self.heads, table, index, mask)
         return self.wo(out)
 
 
 class SwinBlock(nn.Module):
-    """One pre-norm attention block over a spatial grid, optionally shifted."""
+    """One pre-norm attention + MLP block: within the (shifted) windows of a
+    (..., S, S, c) grid, or over each (N, Q, c) token set if ``window`` is None."""
 
-    def __init__(self, c: int, heads: int, window: int, shifted: bool,
+    def __init__(self, c: int, heads: int, window: int | None, shifted: bool,
                  rng: np.random.Generator):
         super().__init__()
         self.window = window
@@ -140,20 +143,23 @@ class SwinBlock(nn.Module):
         self.mlp = nn.Mlp(c, MLP_RATIO * c, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        b, s, _, c = x.shape
         m = self.window
-        if s < m:
-            raise T.ShapeError(f"grid side {s} smaller than window {m}")
-        # a single-window grid has nothing to shift across
-        shift = m // 2 if self.shifted and s > m else 0
-        windows, meta = window_partition(self.ln1(x), m, shift)
-        mask = _shift_mask(meta[2], m, shift, s, T.compute_dtype())
-        x = x + window_merge(self.attn(windows, mask), meta)
+        if m is None:
+            x = x + self.attn(self.ln1(x))
+        else:
+            s = x.shape[-2]
+            if s < m:
+                raise T.ShapeError(f"grid side {s} smaller than window {m}")
+            # a single-window grid has nothing to shift across
+            shift = m // 2 if self.shifted and s > m else 0
+            windows, meta = window_partition(self.ln1(x), m, shift)
+            mask = _shift_mask(meta[2], m, shift, s, T.compute_dtype())
+            x = x + window_merge(self.attn(windows, mask), meta)
         return x + self.mlp(self.ln2(x))
 
 
 class PatchMerging(nn.Module):
-    """Concat 2x2 neighborhoods (row-major), LN, linear 4c -> 2c."""
+    """Concat 2x2 neighborhoods (row-major), LN, linear 4c -> 2c on (..., S, S, c)."""
 
     def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
@@ -161,10 +167,11 @@ class PatchMerging(nn.Module):
         self.reduce = nn.Linear(4 * c, 2 * c, rng, bias=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        b, s, _, c = x.shape
+        *lead, s, _, c = x.shape
         if s % 2:
             raise T.ShapeError(f"patch merging needs even side, got {s}")
-        y = T.take_tokens(x, _window_index(s, 2, 0)[0], b, (b, s // 2, s // 2, 4 * c))
+        y = T.take_tokens(x, _window_index(s, 2, 0)[0], math.prod(lead),
+                          (*lead, s // 2, s // 2, 4 * c))
         return self.reduce(self.ln(y))
 
 
@@ -195,13 +202,11 @@ class ViewBranch(nn.Module):
 
     def run_stage(self, x: Tensor, idx: int) -> Tensor:
         """Stage ``idx`` on (B,T,S,S,c) tokens; returns (B,T,S',S',c')."""
-        b, t = x.shape[:2]
-        x = x.reshape(b * t, *x.shape[2:])
         if idx > 0:
             x = self.merges[idx - 1](x)
         for block in self.stages[idx]:
             x = block(x)
-        return x.reshape(b, t, *x.shape[1:])
+        return x
 
 
 class GlobalEncoder(nn.Module):
@@ -211,14 +216,8 @@ class GlobalEncoder(nn.Module):
                  rng: np.random.Generator):
         super().__init__()
         self.embed = nn.PatchEmbed(c_in, dim, (patch, patch), rng)
-        self.blocks = nn.ModuleList()
-        for _ in range(depth):
-            blk = nn.Module()
-            blk.ln1 = nn.LayerNorm(dim)
-            blk.attn = WindowAttention(dim, heads, None, rng)
-            blk.ln2 = nn.LayerNorm(dim)
-            blk.mlp = nn.Mlp(dim, MLP_RATIO * dim, rng)
-            self.blocks.append(blk)
+        self.blocks = nn.ModuleList(SwinBlock(dim, heads, None, False, rng)
+                                    for _ in range(depth))
 
     def forward(self, frame: Tensor) -> Tensor:
         """(B,H,W,C) frames -> (B,H/p,W/p,dim); attention stays within a frame."""
@@ -226,6 +225,5 @@ class GlobalEncoder(nn.Module):
         b, gh, gw, c = g.shape
         x = g.reshape(b, gh * gw, c)
         for blk in self.blocks:
-            x = x + blk.attn(blk.ln1(x))
-            x = x + blk.mlp(blk.ln2(x))
+            x = blk(x)
         return x.reshape(b, gh, gw, c)

@@ -171,7 +171,7 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     at_mask = np.where(rng.uniform(size=(2, 4, 4)) < 0.3, -1e9, 0.0) * (1.0 - np.eye(4))
 
     def attend(q, k, v, table, heads=2, mask=at_mask):
-        return T.reduce_sum(T.attention(q, k, v, heads, 0.4, table, at_index, mask)[0] * rat)
+        return T.reduce_sum(T.attention(q, k, v, heads, table, at_index, mask)[0] * rat)
 
     case("attention", lambda x: attend(x, x * at_k, x * at_v, at_table), u(4, 4, 6))
     case("attention_table", lambda t: attend(at_k, at_v, at_k * at_v, t), u(9, 2))

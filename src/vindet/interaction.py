@@ -58,7 +58,6 @@ class DeformableWindowCrossAttention(nn.Module):
                  rng: np.random.Generator):
         super().__init__()
         self.c, self.window, self.max_offset = c, window, max_offset
-        self.scale = c ** -0.5
         self.wq = nn.Linear(c, c, rng)
         self.wk = nn.Linear(c, c, rng)
         self.wv = nn.Linear(c, c, rng)
@@ -81,7 +80,7 @@ class DeformableWindowCrossAttention(nn.Module):
         sampled = T.grid_sample_bilinear(
             wins_small.reshape(-1, m, m, self.c), points
         )                                            # (B*K, m*m, c)
-        h, _ = T.attention(q, self.wk(sampled), self.wv(sampled), 1, self.scale)
+        h, _ = T.attention(q, self.wk(sampled), self.wv(sampled), 1)
         return window_merge(h, meta_l)
 
 

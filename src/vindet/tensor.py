@@ -430,10 +430,11 @@ def linear(x, w, b=None) -> Tensor:
     return _record(out, parents, bwd, "linear")
 
 
-def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=None):
+def attention(q, k, v, heads: int, table=None, index=None, mask=None):
     """Multi-head scaled dot-product attention over a batch of token sets.
 
-    ``q``, ``k`` and ``v`` are (N, Q, C) with C split into ``heads`` heads.
+    ``q``, ``k`` and ``v`` are (N, Q, C) with C split into ``heads`` heads,
+    and the scores are scaled by ``(C/heads)^-1/2``.
     ``table`` (R, heads) is a learned bias looked up by ``index`` (Q*Q,) and
     added to every set's scores; ``mask`` (K, Q, Q) is an additive mask
     tiled over consecutive groups of K sets. Returns the (N, Q, C) output
@@ -444,6 +445,7 @@ def attention(q, k, v, heads: int, scale: float, table=None, index=None, mask=No
     if k.shape != q.shape or v.shape != q.shape or c % heads:
         raise ShapeError(f"attention: q/k/v {q.shape}/{k.shape}/{v.shape} with {heads} heads")
     d = c // heads
+    scale = d ** -0.5
     qh = q.data.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)
     kt = k.data.reshape(n, nq, heads, d).transpose(0, 2, 3, 1)
     vh = v.data.reshape(n, nq, heads, d).transpose(0, 2, 1, 3)

@@ -28,8 +28,7 @@ class NumericalError(RuntimeError):
     """Loss or gradients became non-finite."""
 
 
-def poly_lr(it: int, max_iter: int, lr0: float, min_lr: float = 1e-5,
-            power: float = 0.9) -> float:
+def poly_lr(it: int, max_iter: int, lr0: float, min_lr: float, power: float) -> float:
     """(lr0 - min) * (1 - it/max)^power + min; clamps past the end."""
     if it >= max_iter or max_iter == 0:
         return min_lr

@@ -1,6 +1,16 @@
 """The per-offset convolution and the patch embeddings, against the im2col
 convolution they replaced, and the padding-free forward and backward
-against the padded per-offset forward and backward before them."""
+against the padded per-offset forward and backward before them.
+
+The bitwise (``tobytes()``) assertions assume that OpenBLAS rounds each row
+of a GEMM the same way whatever the number of rows, so that a box of output
+rows multiplies to the same bits as those rows of the padded product. That
+holds in float32, and in float64 below 256 inner columns; at 256 the rows
+of a 2-row float64 product can differ from the same rows of a 16-row one.
+So every ``CASES`` entry keeps Ci and Co (the inner columns of the forward
+and of the input gradient) below ``BITWISE_WIDTH``; a wider case belongs
+under ``_assert_within_rounding``.
+"""
 
 import contextlib
 import tracemalloc
@@ -15,6 +25,7 @@ from vindet.tokenizer import TubeletEmbed
 from reference_ops import _assert_within_rounding
 
 REL_TOL = 1e-12
+BITWISE_WIDTH = 256       # the GEMM inner width from which row rounding may vary
 
 
 def im2col_conv(x, w, b=None, stride=1, padding=0):
@@ -132,6 +143,14 @@ CASES = {
     "3x3_pad10": ((5, 6), (3, 3), (1, 0), 4, 3),
     "3x3x1_pad110": ((2, 4, 3), (3, 3, 1), (1, 1, 0), 3, 2),
 }
+
+
+def test_bitwise_cases_stay_below_gemm_width():
+    # at batch 4 every case is held bit for bit, by the forward and by the
+    # input gradient
+    wide = {name: (ci, co) for name, (*_, ci, co) in CASES.items()
+            if max(ci, co) >= BITWISE_WIDTH}
+    assert not wide, f"hold these to _assert_within_rounding: {wide}"
 
 
 def _case(name, batch, rng):

@@ -64,10 +64,11 @@ def ref_linear(self, x):
     return y.reshape(*lead, w.shape[1])
 
 
-def attention_chain(q, k, v, heads, scale, table=None, index=None, mask=None):
+def attention_chain(q, k, v, heads, table=None, index=None, mask=None):
     """``tensor.attention`` as the unfused chain: (output, weights)."""
     n, nq, c = q.shape
     d = c // heads
+    scale = d ** -0.5
 
     def split(x):
         return R.permute(x.reshape(n, nq, heads, d), (0, 2, 1, 3))
@@ -91,19 +92,23 @@ def ref_window_attention(self, windows, mask=None):
     index = None if self.window is None else encoder._relative_index(self.window)
     table = None if self.window is None else self.bias_table
     out, _ = attention_chain(self.wq(windows), self.wk(windows), self.wv(windows),
-                             self.heads, self.scale, table, index, mask)
+                             self.heads, table, index, mask)
     return self.wo(out)
 
 
 def ref_swin_block(self, x):
-    s, m = x.shape[1], self.window
+    if self.window is None:
+        x = x + self.attn(self.ln1(x))
+        return x + self.mlp(self.ln2(x))
+    lead, (s, _, c), m = x.shape[:-3], x.shape[-3:], self.window
+    x = x.reshape(-1, s, s, c)
     shift = m // 2 if self.shifted and s > m else 0
     y = _roll(_roll(self.ln1(x), -shift, 1), -shift, 2)
     windows, meta = _partition(y, m)
     mask = encoder._shift_mask(meta[2], m, shift, s, T.compute_dtype())
     y = _roll(_roll(_merge(self.attn(windows, mask), meta), shift, 1), shift, 2)
     x = x + y
-    return x + self.mlp(self.ln2(x))
+    return (x + self.mlp(self.ln2(x))).reshape(*lead, s, s, c)
 
 
 def ref_cross_attention(self, small, large):
@@ -116,14 +121,14 @@ def ref_cross_attention(self, small, large):
     points = Tensor(interaction._cell_center_grid(m, T.compute_dtype())[None]) + offsets
     sampled = T.grid_sample_bilinear(wins_small.reshape(n, m, m, self.c), points)
     k, v = self.wk(sampled), self.wv(sampled)
-    scores = matmul(q, R.permute(k, (0, 2, 1))) * self.scale
+    scores = matmul(q, R.permute(k, (0, 2, 1))) * self.c ** -0.5
     return _merge(matmul(row_softmax(scores), v), meta)
 
 
 def ref_patch_merging(self, x):
-    b, s, _, c = x.shape
-    y = R.permute(x.reshape(b, s // 2, 2, s // 2, 2, c), (0, 1, 3, 2, 4, 5))
-    return self.reduce(self.ln(y.reshape(b, s // 2, s // 2, 4 * c)))
+    *lead, s, _, c = x.shape
+    y = R.permute(x.reshape(-1, s // 2, 2, s // 2, 2, c), (0, 1, 3, 2, 4, 5))
+    return self.reduce(self.ln(y.reshape(*lead, s // 2, s // 2, 4 * c)))
 
 
 def _use_reference(mp):
@@ -181,7 +186,7 @@ def test_kept_attention_weights_match_numpy_reference(monkeypatch):
     n, q, c = windows.shape
     wq, wk = ref_linear(block.attn.wq, windows), ref_linear(block.attn.wk, windows)
     scores = np.matmul(wq.data.reshape(n, q, 2, 4).transpose(0, 2, 1, 3),
-                       wk.data.reshape(n, q, 2, 4).transpose(0, 2, 3, 1)) * block.attn.scale
+                       wk.data.reshape(n, q, 2, 4).transpose(0, 2, 3, 1)) * 4 ** -0.5
     table = block.attn.bias_table.data[encoder._relative_index(4)]
     scores = scores + table.reshape(q, q, 2).transpose(2, 0, 1)
     scores = scores + np.tile(encoder._shift_mask(8, 4, 2, 8, T.compute_dtype()),
@@ -220,9 +225,8 @@ def test_attention_matches_unfused_chain_bitwise(name):
         # the -1e9 entries cut every shifted window of an 8x8 grid
         mask = encoder._shift_mask(side, window, window // 2, side, T.compute_dtype())
         assert (mask == encoder.MASK_NEG).any()
-    scale = (c // heads) ** -0.5
-    out, weights = T.attention(q, k, v, heads, scale, table, index, mask)
-    want_out, want_weights = attention_chain(q, k, v, heads, scale, table, index, mask)
+    out, weights = T.attention(q, k, v, heads, table, index, mask)
+    want_out, want_weights = attention_chain(q, k, v, heads, table, index, mask)
     assert out.data.tobytes() == want_out.data.tobytes()
     assert weights.tobytes() == want_weights.data.tobytes()
     assert np.isnan(weights).any() == (name == "nan_row")
@@ -265,6 +269,28 @@ def test_desk_train_step_tape_op_budget(monkeypatch):
     # one loss call on the (B,H,W) maps; a loss per sliced clip recorded 635
     ops = _train_step_ops(ExperimentConfig(), monkeypatch)
     assert sum(ops.values()) <= 560, ops
+
+
+@pytest.mark.parametrize("idx", [0, 1])
+def test_view_branch_stage_records_no_reshape(idx):
+    # the window ops take the (B,T) axes as they come; folding them into
+    # the window batch and back recorded two reshapes per stage
+    branch = encoder.ViewBranch(8, [encoder.StagePlan(1, 2, 2)] * 2, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8, 8, 8)), requires_grad=True)
+    ops = _tape_ops(branch.run_stage(x, idx))
+    assert ops["reshape"] == 0 and ops["attention"] == 2, ops
+
+
+def test_unfolded_branches_tape_op_budget(monkeypatch):
+    # folding (B,T) in every stage recorded 511 ops per desk forward and 541
+    # per step, at 32x32 and at 40x40
+    cfg = ExperimentConfig()
+    clips = generate_dataset(4, 1, cfg)
+    forward = _tape_ops(InpaintingDetector(cfg)(np.stack([c.clip.frames for c in clips])))
+    assert sum(forward.values()) <= 499, forward
+    for side in (32, 40):
+        step = _train_step_ops(_config(side), monkeypatch)
+        assert sum(step.values()) <= 529, (side, step)
 
 
 def test_ragged_train_step_records_no_pad(monkeypatch):

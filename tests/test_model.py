@@ -5,6 +5,7 @@ import pytest
 
 from vindet.config import DecoderConfig, DwtiConfig, ExperimentConfig
 from vindet.data import make_clip
+from vindet.encoder import ViewBranch
 from vindet import nn
 from vindet import tensor as T
 from vindet.model import InpaintingDetector
@@ -76,6 +77,25 @@ class TestForward:
         layers = [c for c in subclasses(nn.Module) if c.__module__.startswith("vindet.")]
         assert len(layers) >= 19
         assert [c.__qualname__ for c in layers if "__call__" in vars(c)] == []
+
+    def test_every_module_is_entered_through_module_call(self, monkeypatch):
+        # containers only hold modules and a ViewBranch runs stage by stage;
+        # every other module of a forward is called
+        entered, call = set(), nn.Module.__call__
+        monkeypatch.setattr(nn.Module, "__call__",
+                            lambda self, *a, **k: entered.add(id(self)) or call(self, *a, **k))
+        cfg = ExperimentConfig()
+        model = InpaintingDetector(cfg)
+        model(np.stack([make_clip(i, cfg).clip.frames for i in range(2)]))
+
+        def walk(name, module):
+            yield name, module
+            for key, child in module._children.items():
+                yield from walk(f"{name}.{key}", child)
+
+        missed = [name for name, m in walk("model", model)
+                  if not isinstance(m, (nn.ModuleList, ViewBranch)) and id(m) not in entered]
+        assert not missed, missed
 
     def test_band_features_built_once_per_batch(self, monkeypatch):
         import vindet.model as M

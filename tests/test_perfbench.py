@@ -15,13 +15,16 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+# the spans through the view branches, the global encoder and the interaction
+SPANS = ("encoder.stage0_ms", "encoder.stage1_ms", "encoder.global_ms",
+         "interaction.stage0_ms")
 # per-layer metrics each workload must read as nonzero. train.evaluate_ms is
 # left out: the tracer wraps train.evaluate_model, but the overfit experiment
 # calls the name experiment.py imported, so on train_desk it reads 0
 NONZERO = {
     "train_desk": ("model.forward_ms", "tensor.backward_ms", "train.sgd_step_ms",
-                   "train.zero_grads_ms"),
-    "infer_desk": ("model.forward_ms",),
+                   "train.zero_grads_ms", *SPANS),
+    "infer_desk": ("model.forward_ms", *SPANS),
 }
 
 

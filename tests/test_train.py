@@ -40,15 +40,18 @@ class TestPolyLr:
         assert poly_lr(50, 100, 0.2, min_lr=0.0, power=1.0) == pytest.approx(0.1)
 
     def test_clamps_past_end(self):
-        assert poly_lr(250, 100, 0.01) == 1e-5
+        assert poly_lr(250, 100, 0.01, 1e-5, 0.9) == 1e-5
 
     def test_monotone_nonincreasing(self):
-        vals = [poly_lr(i, 200, 0.01) for i in range(201)]
+        vals = [poly_lr(i, 200, 0.01, 1e-5, 0.9) for i in range(201)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_continuous_at_endpoints(self):
-        assert poly_lr(199, 200, 0.01) == pytest.approx(poly_lr(200, 200, 0.01), abs=1e-3)
-        assert poly_lr(1, 200, 0.01) == pytest.approx(poly_lr(0, 200, 0.01), abs=1e-3)
+        def lr(i):
+            return poly_lr(i, 200, 0.01, 1e-5, 0.9)
+
+        assert lr(199) == pytest.approx(lr(200), abs=1e-3)
+        assert lr(1) == pytest.approx(lr(0), abs=1e-3)
 
 
 class TestSgdStep:
@@ -476,10 +479,10 @@ def test_no_float64_reaches_the_hot_path(monkeypatch):
             upcasts.append(("gradient", g.shape, g.dtype))
         accumulate(self, g)
 
-    def watched_attention(q, k, v, heads, scale, table=None, index=None, mask=None):
+    def watched_attention(q, k, v, heads, table=None, index=None, mask=None):
         if mask is not None and mask.dtype != np.float32:  # added in place to the scores
             upcasts.append(("mask", mask.shape, mask.dtype))
-        return attention(q, k, v, heads, scale, table, index, mask)
+        return attention(q, k, v, heads, table, index, mask)
 
     losses = []
 
