@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -21,7 +22,7 @@ from .config import ExperimentConfig, dump_config, load_config  # noqa: E402
 
 
 def _load_cfg(path) -> ExperimentConfig:
-    return load_config(path) if path else ExperimentConfig()
+    return ExperimentConfig() if path is None else load_config(path)
 
 
 def cmd_gen_data(args) -> int:
@@ -108,7 +109,7 @@ def cmd_complexity(args) -> int:
 
 def cmd_freq_dump(args) -> int:
     from .frequency import frequency_features, middle_frame_index
-    from .tokenizer import load_clip, write_pgm
+    from .tokenizer import _write_netpbm, load_clip
 
     cfg = _load_cfg(args.config)
     clip, _ = load_clip(args.clip)
@@ -122,7 +123,7 @@ def cmd_freq_dump(args) -> int:
             img = bands[0, :, :, bi * c + ch]
             lo, hi = img.min(), img.max()
             norm = (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
-            write_pgm(os.path.join(args.out, f"band_{band}_c{ch}.pgm"), norm)
+            _write_netpbm(os.path.join(args.out, f"band_{band}_c{ch}.pgm"), norm, "P5")
     print(f"wrote band maps to {args.out}")
     return 0
 
@@ -135,7 +136,12 @@ def cmd_show_config(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 1, as every other
     validation error does; argparse's own 2 would read as a numerical
-    failure. Subcommand parsers take the same class."""
+    failure. A negative number with an exponent, such as ``-1e-3``, is a
+    value rather than an option. Subcommand parsers take the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

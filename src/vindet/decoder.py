@@ -41,7 +41,7 @@ class TffBlock(nn.Module):
 
     def __init__(self, c_in_total: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = nn.Conv(c_in_total, c_out, self.KERNEL, rng, padding=1)
+        self.conv = nn.Conv(c_in_total, c_out, self.KERNEL, rng)
         self.norm = nn.GroupNorm(c_out, FUSION_GROUPS)
 
     def forward(self, views: list[Tensor]) -> Tensor:
@@ -64,7 +64,7 @@ class FrequencyFusion(nn.Module):
 
     def __init__(self, c: int, bands: int, rng: np.random.Generator):
         super().__init__()
-        self.lk = nn.Conv(c, bands, (self.LK, self.LK), rng, padding=self.LK // 2)
+        self.lk = nn.Conv(c, bands, (self.LK, self.LK), rng)
         # bias-free return: zero band features must contribute exactly nothing
         self.ret = nn.Conv(bands, c, (1, 1), rng, bias=False)
 
@@ -102,9 +102,9 @@ class PyramidDecoder(nn.Module):
         self.fuse_high = nn.Conv(2 * ch[k - 1], ch[k - 1], (1, 1), rng)
         self.guide = nn.ModuleList()
         for prev, cur in zip(self.stages_used, self.stages_used[1:]):
-            self.guide.append(nn.Conv(ch[prev] + ch[cur], ch[prev], (3, 3), rng, padding=1))
+            self.guide.append(nn.Conv(ch[prev] + ch[cur], ch[prev], (3, 3), rng))
         c_head = ch[self.stages_used[0]]
-        self.head_conv = nn.Conv(c_head, c_head, (3, 3), rng, padding=1)
+        self.head_conv = nn.Conv(c_head, c_head, (3, 3), rng)
         # zero logits at start: M == 0.5 everywhere, no saturated pixels
         self.head_out = nn.Conv(c_head, 1, (1, 1), rng, zero_init=True)
 

@@ -39,7 +39,7 @@ def _window_index(s: int, m: int, shift: int):
     r = np.arange(sp)
     src = np.where(r < s, (r + shift) % s, -1)
     cells = np.where((src[:, None] < 0) | (src[None, :] < 0), -1, src[:, None] * s + src[None, :])
-    gather = cells.reshape(sp // m, m, sp // m, m).transpose(0, 2, 1, 3).reshape(-1)
+    gather = cells.reshape(-1)[nn._patch_index((sp, sp), (m, m))]
     # the -1 entries sort first, then grid cells 0, 1, ... in order
     return gather, np.argsort(gather)[sp * sp - s * s:]
 
@@ -170,7 +170,7 @@ class PatchMerging(nn.Module):
         *lead, s, _, c = x.shape
         if s % 2:
             raise T.ShapeError(f"patch merging needs even side, got {s}")
-        y = T.take_tokens(x, _window_index(s, 2, 0)[0], math.prod(lead),
+        y = T.take_tokens(x, nn._patch_index((s, s), (2, 2)), math.prod(lead),
                           (*lead, s // 2, s // 2, 4 * c))
         return self.reduce(self.ln(y))
 

@@ -208,16 +208,11 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     k2 = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4)
     b2 = Tensor(rng.normal(size=3) * 0.1)
     r553 = proj(1, 5, 5, 3)
-    case("conv2d", lambda x: T.reduce_sum(T.conv(x, k2, b2, 1) * r553), u(1, 5, 5, 2))
-    cx = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
-    r333 = proj(1, 3, 3, 3)
-    case("conv2d_weight",
-         lambda w: T.reduce_sum(T.conv(cx, w, None, 0) * r333),
-         Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4))
+    case("conv2d", lambda x: T.reduce_sum(T.conv(x, k2, b2) * r553), u(1, 5, 5, 2))
     k3 = Tensor(rng.normal(size=(3, 3, 3, 2, 2)) * 0.4)
     b3 = Tensor(rng.normal(size=2) * 0.1)
     r3442 = proj(1, 3, 4, 4, 2)
-    case("conv3d", lambda x: T.reduce_sum(T.conv(x, k3, b3, 1) * r3442),
+    case("conv3d", lambda x: T.reduce_sum(T.conv(x, k3, b3) * r3442),
          u(1, 3, 4, 4, 2))
 
     r752 = proj(1, 7, 5, 2)
@@ -267,22 +262,26 @@ def primitive_cases(rng: np.random.Generator) -> dict[str, tuple[Callable, Tenso
     case("group_norm_beta",
          lambda b: T.reduce_sum(T.group_norm(gn_x, gn_g, b, 4) * r2238), u(8))
 
-    # a ragged 5x4 grid with padding 1
+    # a ragged 5x4 grid
     kb, bb = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4), Tensor(rng.normal(size=3) * 0.1)
     cbx, r2543 = u(2, 5, 4, 2), proj(2, 5, 4, 3)
-    case("conv2d_batch", lambda x: T.reduce_sum(T.conv(x, kb, bb, 1) * r2543), u(2, 5, 4, 2))
+    case("conv2d_batch", lambda x: T.reduce_sum(T.conv(x, kb, bb) * r2543), u(2, 5, 4, 2))
     case("conv2d_batch_weight",
-         lambda w: T.reduce_sum(T.conv(cbx, w, bb, 1) * r2543),
+         lambda w: T.reduce_sum(T.conv(cbx, w, bb) * r2543),
          Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4))
-    case("conv2d_bias", lambda b: T.reduce_sum(T.conv(cbx, kb, b, 1) * r2543), u(3))
-    # a (2, 3, 3) kernel with padding per axis
-    kp, bp = Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4), Tensor(rng.normal(size=2) * 0.1)
-    cpx, r23412 = u(2, 2, 4, 3, 2), proj(2, 3, 4, 1, 2)
-    case("conv3d_pad",
-         lambda x: T.reduce_sum(T.conv(x, kp, bp, (1, 1, 0)) * r23412), u(2, 2, 4, 3, 2))
+    case("conv2d_bias", lambda b: T.reduce_sum(T.conv(cbx, kb, b) * r2543), u(3))
+    # one 5x5 sample, no bias
+    cx = Tensor(rng.uniform(-1, 1, size=(1, 5, 5, 2)))
+    case("conv2d_weight",
+         lambda w: T.reduce_sum(T.conv(cx, w) * r553),
+         Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.4))
+    # a (3, 3, 1) kernel: padding 1, 1 and 0 per axis
+    kp, bp = Tensor(rng.normal(size=(3, 3, 1, 2, 2)) * 0.4), Tensor(rng.normal(size=2) * 0.1)
+    cpx, r22432 = u(2, 2, 4, 3, 2), proj(2, 2, 4, 3, 2)
+    case("conv3d_pad", lambda x: T.reduce_sum(T.conv(x, kp, bp) * r22432), u(2, 2, 4, 3, 2))
     case("conv3d_pad_weight",
-         lambda w: T.reduce_sum(T.conv(cpx, w, bp, (1, 1, 0)) * r23412),
-         Tensor(rng.normal(size=(2, 3, 3, 2, 2)) * 0.4))
+         lambda w: T.reduce_sum(T.conv(cpx, w, bp) * r22432),
+         Tensor(rng.normal(size=(3, 3, 1, 2, 2)) * 0.4))
     # 3 samples of 4 tokens into 8 tokens each: token 2 taken three times,
     # token 0 twice, token 3 never, and two zero fill tokens
     rtf, tf_index = proj(3, 8, 2), np.array([2, -1, 0, 2, 1, -1, 2, 0])

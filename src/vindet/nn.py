@@ -158,16 +158,16 @@ class GroupNorm(Module):
 
 
 class Conv(Module):
-    """Channels-last stride-1 convolution over a batch; ``kernel`` holds one
-    size per spatial axis, so its length sets the dimensionality. An
-    unpadded 1x1 convolution is one ``linear`` over the channels: the same
-    product, without the per-offset conv's zeroed buffers."""
+    """Channels-last stride-1 convolution over a batch that keeps its
+    input's size; ``kernel`` holds one odd size per spatial axis, so its
+    length sets the dimensionality. A 1x1 convolution is one ``linear`` over
+    the channels: the same product, without the per-offset conv's zeroed
+    buffers."""
 
     def __init__(self, c_in: int, c_out: int, kernel: tuple, rng: np.random.Generator,
-                 padding=0, zero_init: bool = False, bias: bool = True):
+                 zero_init: bool = False, bias: bool = True):
         super().__init__()
-        self.padding = padding
-        self.pointwise = all(k == 1 for k in kernel) and not np.any(padding)
+        self.pointwise = all(k == 1 for k in kernel)
         shape = (*kernel, c_in, c_out)
         self.w = Parameter(np.zeros(shape) if zero_init else _normal(rng, shape))
         self.b = Parameter(np.zeros(c_out)) if bias else None
@@ -175,7 +175,7 @@ class Conv(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self.pointwise:
             return T.linear(x, self.w, self.b)
-        return T.conv(x, self.w, self.b, self.padding)
+        return T.conv(x, self.w, self.b)
 
 
 @lru_cache(maxsize=16)

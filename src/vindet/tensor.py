@@ -676,38 +676,39 @@ def group_norm(a, gamma, beta, groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _conv_boxes(sides: tuple, ks: tuple, pd: tuple) -> tuple:
-    """``(offset, input box, output box)`` for each kernel offset of a conv
-    over spatial ``sides`` padded by ``pd``: the output rows whose input at
-    that offset lies inside the unpadded input, and those input rows. An
-    offset that reads only padding is left out."""
+def _conv_boxes(sides: tuple, ks: tuple) -> tuple:
+    """``(offset, input box, output box)`` for each kernel offset of a
+    same-size conv over spatial ``sides``: the output rows whose input at
+    that offset lies inside the input, and those input rows. An offset that
+    reads only the zero border is left out."""
     boxes = []
     for off in np.ndindex(*ks):
-        # output rows [lo, hi) per axis read input rows [lo + o - p, hi + o - p)
-        lo = [max(p - o, 0) for o, p in zip(off, pd)]
-        hi = [min(n + p - o, n + 2 * p - k + 1) for o, p, n, k in zip(off, pd, sides, ks)]
+        # output rows [lo, hi) per axis read input rows [lo + d, hi + d)
+        d = [o - k // 2 for o, k in zip(off, ks)]
+        lo = [max(-e, 0) for e in d]
+        hi = [min(n - e, n) for e, n in zip(d, sides)]
         if all(l < h for l, h in zip(lo, hi)):
-            rows = tuple(slice(l + o - p, h + o - p) for l, h, o, p in zip(lo, hi, off, pd))
+            rows = tuple(slice(l + e, h + e) for l, h, e in zip(lo, hi, d))
             hit = tuple(slice(l, h) for l, h in zip(lo, hi))
             boxes.append((off, (slice(None),) + rows, (slice(None),) + hit))
     return tuple(boxes)
 
 
-def conv(x, w, b=None, padding=0) -> Tensor:
-    """N-d stride-1 convolution, channels-last with a leading batch axis.
+def conv(x, w, b=None) -> Tensor:
+    """N-d stride-1 same-size convolution, channels-last with a leading batch axis.
 
-    ``x`` is (B, *spatial, Ci) and ``w`` is (*kernel, Ci, Co), with one kernel
-    axis per spatial axis; ``b`` is (Co,). ``padding`` is an int or one value
-    per spatial axis and adds zeros on both sides. Each kernel offset adds
-    one (M, Ci) x (Ci, Co) product into the output, over only the M output
-    rows whose input at that offset lies inside ``x``, so neither an im2col
-    matrix nor a padded copy of ``x`` is built. The backward walks the same
-    offset boxes: each box's gradient rows give its offset's weight gradient
-    and add into the input gradient's rows, and an offset that reads only
-    padding keeps a weight gradient of 0. The rows a zero-padded input would
-    add are exact zeros, so the output and the input gradient hold the
-    padded conv's sums; numpy multiplies a one-row box as a matrix-vector
-    product, which may round them differently.
+    ``x`` is (B, *spatial, Ci) and ``w`` is (*kernel, Ci, Co), with one odd
+    kernel side per spatial axis; ``b`` is (Co,). ``x`` reads as zero-padded
+    by half the kernel on both sides, so the output is (B, *spatial, Co).
+    Each kernel offset adds one (M, Ci) x (Ci, Co) product into the output,
+    over only the M output rows whose input at that offset lies inside
+    ``x``, so neither an im2col matrix nor a padded copy of ``x`` is built.
+    The backward walks the same offset boxes: each box's gradient rows give
+    its offset's weight gradient and add into the input gradient's rows,
+    and an offset that reads only padding keeps a weight gradient of 0. The
+    rows a zero-padded input would add are exact zeros, so the output and
+    the input gradient hold the padded conv's sums; numpy multiplies a
+    one-row box as a matrix-vector product, which may round them differently.
     """
     x, w = as_tensor(x), as_tensor(w)
     nd = w.ndim - 2
@@ -716,14 +717,12 @@ def conv(x, w, b=None, padding=0) -> Tensor:
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"conv: input channels differ, {x.shape} vs {w.shape}")
     ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
-    pd = (int(padding),) * nd if np.isscalar(padding) else tuple(int(v) for v in padding)
+    if not all(k % 2 for k in ks):
+        raise ShapeError(f"conv: kernel {w.shape} has an even side; a same-size conv needs odd ones")
     sides = x.shape[1:-1]
-    outs = tuple(n + 2 * p - k + 1 for n, p, k in zip(sides, pd, ks))
-    if min(outs) <= 0:
-        raise ShapeError(f"conv: kernel {w.shape} too large for input {x.shape} (pad {pd})")
     xd = x.data
-    y = np.zeros(x.shape[:1] + outs + (co,), dtype=np.result_type(xd, w.data))
-    for off, rows, hit in _conv_boxes(sides, ks, pd):
+    y = np.zeros(x.shape[:-1] + (co,), dtype=np.result_type(xd, w.data))
+    for off, rows, hit in _conv_boxes(sides, ks):
         yh = y[hit]
         yh += (xd[rows].reshape(-1, ci) @ w.data[off]).reshape(yh.shape)
     if b is not None:
@@ -735,7 +734,7 @@ def conv(x, w, b=None, padding=0) -> Tensor:
     def bwd(gout):
         gw = np.zeros_like(w.data) if w.requires_grad else None
         gx = np.zeros_like(xd) if x.requires_grad else None
-        boxes = _conv_boxes(sides, ks, pd) if gw is not None or gx is not None else ()
+        boxes = _conv_boxes(sides, ks) if gw is not None or gx is not None else ()
         for off, rows, hit in boxes:
             gh = gout[hit].reshape(-1, co)
             if gw is not None:

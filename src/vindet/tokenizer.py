@@ -75,21 +75,12 @@ class TubeletEmbed(nn.Module):
 # on-disk clip format
 # ---------------------------------------------------------------------------
 
-def write_ppm(path, img: np.ndarray):
-    """Write an (H,W,3) [0,1] image as binary P6."""
-    h, w, _ = img.shape
+def _write_netpbm(path, img: np.ndarray, magic: str):
+    """Write an (H,W,3) [0,1] image as binary P6, or an (H,W) map as P5."""
+    h, w = img.shape[:2]
     data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
-
-
-def write_pgm(path, img: np.ndarray):
-    """Write an (H,W) [0,1] map as binary P5."""
-    h, w = img.shape
-    data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
 
 
@@ -127,12 +118,12 @@ def save_clip(dirpath, clip: VideoClip, mask: np.ndarray | None = None):
     names = []
     for i in range(clip.t):
         name = f"frame_{i:03d}.ppm"
-        write_ppm(os.path.join(dirpath, name), clip.frames[i])
+        _write_netpbm(os.path.join(dirpath, name), clip.frames[i], "P6")
         names.append(name)
     with open(os.path.join(dirpath, "manifest.txt"), "w") as fh:
         fh.write("\n".join(names) + "\n")
     if mask is not None:
-        write_pgm(os.path.join(dirpath, "gt.pgm"), mask)
+        _write_netpbm(os.path.join(dirpath, "gt.pgm"), mask, "P5")
 
 
 def load_clip(dirpath) -> tuple[VideoClip, np.ndarray | None]:

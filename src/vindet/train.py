@@ -224,11 +224,11 @@ def evaluate_model(model: InpaintingDetector, dataset, cfg: ExperimentConfig,
     ious, f1s, scores, labels = [], [], [], []
     for (clip_id, _, mask), m in zip(dataset, predict_maps(model, clips, cfg.train.batch)):
         if dump_dir is not None:
-            from .tokenizer import write_pgm
+            from .tokenizer import _write_netpbm
 
-            write_pgm(os.path.join(dump_dir, f"{clip_id}_pred.pgm"), m)
-            write_pgm(os.path.join(dump_dir, f"{clip_id}_mask.pgm"),
-                      (m > 0.5).astype(np.float64))
+            _write_netpbm(os.path.join(dump_dir, f"{clip_id}_pred.pgm"), m, "P5")
+            _write_netpbm(os.path.join(dump_dir, f"{clip_id}_mask.pgm"),
+                          (m > 0.5).astype(np.float64), "P5")
         iou = miou_metric(m, mask)
         f1 = f1_metric(m, mask)
         score = frame_score(m)

@@ -228,9 +228,13 @@ class TestTrainStep:
         assert max(float(np.abs(g).max()) for g in batched.values()) > 1e-3
 
 
-def test_conv_output_shape_follows_padding():
+def test_conv_keeps_input_shape():
     x = Tensor(np.zeros((2, 3, 5, 4, 2)))
-    w = Tensor(np.zeros((2, 3, 3, 2, 7)))
-    assert T.conv(x, w, None, (1, 1, 0)).shape == (2, 4, 5, 2, 7)
-    with pytest.raises(T.ShapeError):
+    # anisotropic kernels, and a 7 longer than the time axis of 3
+    for kernel in [(1, 1, 1), (3, 3, 3), (3, 3, 1), (1, 5, 3), (7, 1, 1)]:
+        assert T.conv(x, Tensor(np.zeros((*kernel, 2, 7)))).shape == (2, 3, 5, 4, 7), kernel
+    for kernel in [(2, 3, 3), (3, 3, 4)]:
+        with pytest.raises(T.ShapeError, match="even side"):
+            T.conv(x, Tensor(np.zeros((*kernel, 2, 7))))
+    with pytest.raises(T.ShapeError):      # no batch axis
         T.conv(Tensor(np.zeros((5, 5, 2))), Tensor(np.zeros((3, 3, 2, 1))))

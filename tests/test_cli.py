@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import TINY_MODEL
 
+import vindet.cli as cli
 import vindet.train as train_mod
 from vindet.cli import main
 from vindet.config import ExperimentConfig, dump_config, load_config
@@ -373,6 +374,23 @@ class TestTrainEval:
         assert main(["eval", "--config", tiny_cfg_file, "--ckpt", "ck.mpci", "--jpeg", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: perturb.jpeg_quality") and tiny_cfg_file not in err
+
+    @pytest.mark.parametrize("argv", [["train", "--out", "out"], ["eval", "--ckpt", "ck.mpci"],
+                                      ["show-config"]], ids=["train", "eval", "show-config"])
+    def test_empty_config_path_fails_like_a_missing_file(self, tmp_path, capsys, argv):
+        absent = str(tmp_path / "absent.cfg")
+        assert main([*argv, "--config", absent]) == 1
+        missing = capsys.readouterr().err
+        assert main([*argv, "--config", ""]) == 1
+        assert capsys.readouterr().err == missing.replace(repr(absent), "''")
+        assert missing.startswith("error: ") and missing.count("\n") == 1
+
+    @pytest.mark.parametrize("snr", ["-1e-3", "-1e+308"])
+    def test_negative_snr_with_an_exponent_parses(self, monkeypatch, snr):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.snr) or 0)
+        assert main(["eval", "--config", "c.cfg", "--ckpt", "ck.mpci", "--snr", snr]) == 0
+        assert seen == [float(snr)] and isinstance(seen[0], float)
 
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -168,16 +168,15 @@ def _flags(p, one_iter):
     absent = os.path.join(p["root"], "absent")
     clip = os.path.join(p["data"], "clip_0000")
     pick = st.sampled_from
-    bad_path = pick([p["ckpt"], p["root"], absent])
-    config = (pick([p["cfg"], one_iter, ""]), bad_path)
+    bad_path = pick([p["ckpt"], p["root"], absent, ""])
+    config = (pick([p["cfg"], one_iter]), bad_path)
     out = (st.just("out"), st.just(p["ckpt"]))
     junk = pick(["", "x", "1e999", "nan", "0x10"])
     return {
         "gen-data": {"--n": (pick(["0", "1", "2"]), pick(["-1"]) | junk),
                      "--seed": (st.integers(0, 9).map(str), pick(["-1"]) | junk),
                      "--out": out, "--config": config, "--with-authentic": None},
-        # "" is the desk config, whose data directory the run does not have
-        "train": {"--config": (pick([one_iter, ""]), bad_path), "--out": out,
+        "train": {"--config": (st.just(one_iter), bad_path), "--out": out,
                   "--resume": (pick([None, p["ckpt"]]), pick([p["cfg"], p["root"], absent]))},
         "eval": {"--config": config,
                  "--ckpt": (st.just(p["ckpt"]), pick([p["cfg"], p["root"], absent])),

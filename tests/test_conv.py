@@ -69,14 +69,14 @@ def im2col_conv(x, w, b=None, stride=1, padding=0):
     return T._record(out, parents, bwd, "conv")
 
 
-def padded_conv_forward(x, w, b=None, padding=0):
+def padded_conv_forward(x, w, b, padding):
     """The engine's former forward on arrays: each kernel offset multiplies
     its full slice of a zero-padded copy of ``x``, and the products add up
     in offset order. Kept here as the reference the padding-free forward
     must match bit for bit."""
     nd = w.ndim - 2
     ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
-    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in _pads(padding, nd)) + ((0, 0),))
+    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in padding) + ((0, 0),))
     outs = tuple(n - k + 1 for n, k in zip(xp.shape[1:-1], ks))
     y = 0.0
     for off in np.ndindex(*ks):
@@ -87,7 +87,7 @@ def padded_conv_forward(x, w, b=None, padding=0):
     return y.reshape(x.shape[:1] + outs + (co,))
 
 
-def padded_conv_backward(x, w, g, padding=0):
+def padded_conv_backward(x, w, g, padding):
     """The engine's former backward on arrays: input and weight gradients for
     output gradient ``g``, each kernel offset taking its full slice of
     zero-padded copies of ``x`` and of the input gradient. Kept here as the
@@ -96,20 +96,15 @@ def padded_conv_backward(x, w, g, padding=0):
     over the padding's zero rows too, to rounding."""
     nd = w.ndim - 2
     ks, ci, co = w.shape[:nd], w.shape[-2], w.shape[-1]
-    pd = _pads(padding, nd)
-    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in pd) + ((0, 0),))
+    xp = np.pad(x, ((0, 0),) + tuple((p, p) for p in padding) + ((0, 0),))
     g2 = g.reshape(-1, co)
     gw, gxp = np.empty_like(w), np.zeros_like(xp)
     for off in np.ndindex(*ks):
         hit = (slice(None),) + tuple(slice(o, o + n) for o, n in zip(off, g.shape[1:-1]))
         gw[off] = xp[hit].reshape(-1, ci).T @ g2
         gxp[hit] += (g2 @ w[off].T).reshape(g.shape[:-1] + (ci,))
-    inner = tuple(slice(p, p + n) for p, n in zip(pd, x.shape[1:-1]))
+    inner = tuple(slice(p, p + n) for p, n in zip(padding, x.shape[1:-1]))
     return gxp[(slice(None),) + inner], gw
-
-
-def _pads(padding, nd):
-    return (padding,) * nd if np.isscalar(padding) else tuple(padding)
 
 
 # (case, batch) pairs where some kernel offset's box is one output row:
@@ -130,18 +125,19 @@ def _rel(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-# (input spatial shape, kernel, padding, Ci, Co)
+# (input spatial shape, kernel, Ci, Co); the references pad each axis by
+# half its kernel side, as the name says
 CASES = {
-    "1x1": ((6, 6), (1, 1), 0, 5, 3),
-    "3x3_pad1": ((6, 5), (3, 3), 1, 4, 3),
-    "7x7_pad3": ((8, 8), (7, 7), 3, 3, 2),
+    "1x1": ((6, 6), (1, 1), 5, 3),
+    "3x3_pad1": ((6, 5), (3, 3), 4, 3),
+    "7x7_pad3": ((8, 8), (7, 7), 3, 2),
     # the frequency conv at the desk stage-1 grid: no offset sees all of it
-    "7x7_pad3_grid4": ((4, 4), (7, 7), 3, 6, 9),
+    "7x7_pad3_grid4": ((4, 4), (7, 7), 6, 9),
     # 40 of its 49 offsets read only padding
-    "7x7_pad3_grid2": ((2, 2), (7, 7), 3, 5, 4),
-    "3x3x3_pad1": ((3, 5, 5), (3, 3, 3), 1, 6, 4),
-    "3x3_pad10": ((5, 6), (3, 3), (1, 0), 4, 3),
-    "3x3x1_pad110": ((2, 4, 3), (3, 3, 1), (1, 1, 0), 3, 2),
+    "7x7_pad3_grid2": ((2, 2), (7, 7), 5, 4),
+    "3x3x3_pad1": ((3, 5, 5), (3, 3, 3), 6, 4),
+    "3x1_pad10": ((5, 6), (3, 1), 4, 3),
+    "3x3x1_pad110": ((2, 4, 3), (3, 3, 1), 3, 2),
 }
 
 
@@ -154,12 +150,11 @@ def test_bitwise_cases_stay_below_gemm_width():
 
 
 def _case(name, batch, rng):
-    spatial, kernel, pad, ci, co = CASES[name]
+    spatial, kernel, ci, co = CASES[name]
     x0 = rng.uniform(-1, 1, size=(batch, *spatial, ci))
     w0 = rng.normal(size=(*kernel, ci, co)) * 0.3
     b0 = rng.normal(size=co)
-    outs = tuple(n + 2 * p - k + 1 for n, p, k in zip(spatial, _pads(pad, len(kernel)), kernel))
-    return x0, w0, b0, pad, (batch, *outs, co)
+    return x0, w0, b0, tuple(k // 2 for k in kernel), (batch, *spatial, co)
 
 
 @pytest.mark.usefixtures("float64")
@@ -169,7 +164,7 @@ def test_conv_matches_im2col_reference(name, batch):
     rng = np.random.default_rng(len(name) + batch)
     x0, w0, b0, pad, out_shape = _case(name, batch, rng)
     r = Tensor(rng.normal(size=out_shape))
-    got = _run(T.conv, x0, w0, b0, r, padding=pad)
+    got = _run(T.conv, x0, w0, b0, r)
     ref = _run(im2col_conv, x0, w0, b0, r, padding=pad)
     for what, g, e in zip(("output", "x grad", "w grad", "b grad"), got, ref):
         assert g.shape == e.shape, what
@@ -184,7 +179,7 @@ def test_nograd_conv_equals_padded_forward_bitwise(name, batch, dtype):
     x0, w0, b0 = (a.astype(dtype) for a in (x0, w0, b0))
     scope = T.float64_scope() if dtype == np.float64 else contextlib.nullcontext()
     with scope, T.no_grad():
-        y = T.conv(Tensor(x0), Tensor(w0), Tensor(b0), pad)
+        y = T.conv(Tensor(x0), Tensor(w0), Tensor(b0))
     assert y.dtype == dtype and y.shape == out_shape
     ref = padded_conv_forward(x0, w0, b0, pad)
     if (name, batch) == ("7x7_pad3_grid2", 1):
@@ -209,7 +204,7 @@ def test_conv_grads_match_padded_backward(name, batch, dtype):
     x0, w0, b0, g0 = (a.astype(dtype) for a in (x0, w0, b0, rng.normal(size=out_shape)))
     scope = T.float64_scope() if dtype == np.float64 else contextlib.nullcontext()
     with scope:
-        _, gx, gw, _ = _run(T.conv, x0, w0, b0, Tensor(g0), padding=pad)
+        _, gx, gw, _ = _run(T.conv, x0, w0, b0, Tensor(g0))
     ref_gx, ref_gw = padded_conv_backward(x0, w0, g0, pad)
     scale_gx, scale_gw = padded_conv_backward(abs(x0), abs(w0), abs(g0), pad)
     assert gx.dtype == gw.dtype == dtype
@@ -224,8 +219,8 @@ def test_conv_grads_match_padded_backward(name, batch, dtype):
 def test_conv_offsets_reading_only_padding_get_zero_weight_grad():
     rng = np.random.default_rng(15)
     x0, w0, b0, pad, out_shape = _case("7x7_pad3_grid2", 4, rng)
-    _, _, gw, _ = _run(T.conv, x0, w0, b0, Tensor(rng.normal(size=out_shape)), padding=pad)
-    xp = np.pad(x0, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    _, _, gw, _ = _run(T.conv, x0, w0, b0, Tensor(rng.normal(size=out_shape)))
+    xp = np.pad(x0, ((0, 0),) + tuple((p, p) for p in pad) + ((0, 0),))
     dead = [off for off in np.ndindex(7, 7)
             if not xp[:, off[0]:off[0] + 2, off[1]:off[1] + 2].any()]
     assert len(dead) == 40
@@ -289,7 +284,7 @@ def test_nograd_conv_peak_memory():
     tracemalloc.start()
     try:
         with T.no_grad():
-            y = T.conv(x, w, b, 1)
+            y = T.conv(x, w, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,7 +302,7 @@ def test_nograd_conv_makes_no_padded_copy():
     tracemalloc.start()
     try:
         with T.no_grad():
-            y = T.conv(x, w, None, 3)
+            y = T.conv(x, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,7 +316,7 @@ def test_conv_backward_makes_no_padded_copy():
     rng = np.random.default_rng(16)
     x = Tensor(rng.normal(size=(32, 4, 4, 256)), requires_grad=True)
     w = Tensor(rng.normal(size=(7, 7, 256, 9)), requires_grad=True)
-    loss = T.reduce_sum(T.conv(x, w, None, 3))
+    loss = T.reduce_sum(T.conv(x, w))
     padded = x.data.nbytes * 100 // 16
     tracemalloc.start()
     try:

@@ -176,7 +176,7 @@ class TestFullDecoder:
         # reference: fuse stages, then a bare top-down pyramid with the same convs
         fs = [f.data for f in dec.fuse_stages(sv)]
         def conv(mod, x):
-            return T.conv(Tensor(x), mod.w, mod.b, mod.padding).data
+            return T.conv(Tensor(x), mod.w, mod.b).data
         high = conv(dec.proj_high, fh.data)
         g = conv(dec.fuse_high, np.concatenate([fs[1], high], axis=-1))
         up = T.upsample_bilinear2d(Tensor(g), (8, 8)).data

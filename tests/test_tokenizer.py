@@ -10,12 +10,11 @@ from vindet.tensor import Tensor, backward
 from vindet.tokenizer import (
     TubeletEmbed,
     VideoClip,
+    _write_netpbm,
     load_clip,
     read_pgm,
     read_ppm,
     save_clip,
-    write_pgm,
-    write_ppm,
 )
 
 
@@ -102,13 +101,13 @@ class TestClipIO:
         rng = np.random.default_rng(6)
         img = np.round(rng.uniform(0, 1, size=(8, 10, 3)) * 255) / 255
         p = tmp_path / "img.ppm"
-        write_ppm(p, img)
+        _write_netpbm(p, img, "P6")
         np.testing.assert_allclose(read_ppm(p), img, atol=1e-12)
 
     def test_pgm_roundtrip(self, tmp_path):
         mask = (np.random.default_rng(7).uniform(size=(8, 10)) > 0.5).astype(float)
         p = tmp_path / "m.pgm"
-        write_pgm(p, mask)
+        _write_netpbm(p, mask, "P5")
         np.testing.assert_array_equal(read_pgm(p), mask)
 
     def test_clip_roundtrip(self, tmp_path):
